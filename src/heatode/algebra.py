@@ -37,12 +37,6 @@ def mono_weight(m: Mono) -> int:
     """||J|| = sum 2k*j_k."""
     return sum(2 * k * j for k, j in m)
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    out = dict(a)
-    for k, j in b:
-        out[k] = out.get(k, 0) + j
-    return tuple(sorted(out.items()))
-
 def mono_key(m: Mono) -> tuple:
     """Fixed display order: ascending lex on the descending part list.
 
@@ -61,7 +55,11 @@ def mono_text(m: Mono) -> str:
 
 
 class GradedPoly:
-    """Homogeneous polynomial in the graded variables x_1, x_2, ...
+    """Homogeneous sparse polynomial with exact rational coefficients.
+
+    The base grading is that of the variables x_1, x_2, ...; a subclass
+    (jets.JetPoly) supplies another grading and presentation through the
+    monomial hooks below, so every ring operation is written once.
 
     The zero polynomial has weight None and is compatible with any
     operand, so recursions whose early terms vanish need no special
@@ -70,19 +68,27 @@ class GradedPoly:
 
     __slots__ = ("terms", "weight")
 
+    # -- monomial hooks: grading and presentation ------------------------
+    _mono = staticmethod(mono)              # canonical monomial from exponents
+    _weight = staticmethod(mono_weight)     # the grading of a monomial
+    _mono_text = staticmethod(mono_text)
+    _display_key = staticmethod(mono_key)
+    _descending = False                     # display order of sorted_terms
+
     def __init__(self, terms: Mapping[Mono, Fraction] | None = None,
                  weight: int | None = None):
         clean: dict[Mono, Fraction] = {}
+        weigh = self._weight
         for m, c in (terms or {}).items():
             c = Q(c)
             if c == 0:
                 continue
-            w = mono_weight(m)
+            w = weigh(m)
             if weight is None:
                 weight = w
             elif w != weight:
                 raise WeightMismatch(
-                    f"monomial {mono_text(m)} has weight {w}, expected {weight}")
+                    f"monomial {self._mono_text(m)} has weight {w}, expected {weight}")
             clean[m] = c
         self.terms = clean
         self.weight = weight if clean else None
@@ -98,13 +104,13 @@ class GradedPoly:
 
     @classmethod
     def variable(cls, k: int, coeff: Fraction | int = 1) -> GradedPoly:
-        return cls({mono({k: 1}): Q(coeff)})
+        return cls({cls._mono({k: 1}): Q(coeff)})
 
     @classmethod
     def from_exponents(cls, entries: Iterable[tuple[Mapping[int, int], Fraction | int]]) -> GradedPoly:
         acc: dict[Mono, Fraction] = {}
         for exps, c in entries:
-            m = mono(exps)
+            m = cls._mono(exps)
             acc[m] = acc.get(m, Q(0)) + Q(c)
         return cls(acc)
 
@@ -113,12 +119,13 @@ class GradedPoly:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedPoly):
+        # polynomials of different gradings never compare equal
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
 
     def __neg__(self) -> GradedPoly:
-        return GradedPoly({m: -c for m, c in self.terms.items()})
+        return type(self)({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other: GradedPoly) -> GradedPoly:
         if not self:
@@ -131,29 +138,32 @@ class GradedPoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Q(0)) + c
-        return GradedPoly(out)
+        return type(self)(out)
 
     def __sub__(self, other: GradedPoly) -> GradedPoly:
         return self + (-other)
 
     def __mul__(self, other: GradedPoly) -> GradedPoly:
         if not self or not other:
-            return GradedPoly.zero()
+            return type(self).zero()
         out: dict[Mono, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
+                d = dict(ma)
+                for k, j in mb:
+                    d[k] = d.get(k, 0) + j
+                m = tuple(sorted(d.items()))
                 out[m] = out.get(m, Q(0)) + ca * cb
-        return GradedPoly(out)
+        return type(self)(out)
 
     def scale(self, c: Fraction | int) -> GradedPoly:
         c = Q(c)
         if c == 0:
-            return GradedPoly.zero()
-        return GradedPoly({m: c * v for m, v in self.terms.items()})
+            return type(self).zero()
+        return type(self)({m: c * v for m, v in self.terms.items()})
 
     def partial(self, k: int) -> GradedPoly:
-        """Formal d/dx_k; the weight drops by 2k."""
+        """Formal derivative by variable k; the weight drops by that variable's."""
         out: dict[Mono, Fraction] = {}
         for m, c in self.terms.items():
             d = dict(m)
@@ -161,8 +171,8 @@ class GradedPoly:
             if j == 0:
                 continue
             d[k] = j - 1
-            out[mono(d)] = out.get(mono(d), Q(0)) + c * j
-        return GradedPoly(out)
+            out[self._mono(d)] = out.get(self._mono(d), Q(0)) + c * j
+        return type(self)(out)
 
     def subst(self, values: Mapping[int, GradedPoly]) -> GradedPoly:
         """Substitute polynomials for variables (weight-preserving).
@@ -170,15 +180,17 @@ class GradedPoly:
         Every substituted value must be homogeneous of the weight of the
         variable it replaces (or zero), so the result stays homogeneous.
         """
+        cls = type(self)
         for k, v in values.items():
-            if v and v.weight != 2 * k:
+            expected = cls.variable(k).weight
+            if v and v.weight != expected:
                 raise WeightMismatch(
-                    f"substitute for x{k} has weight {v.weight}, expected {2 * k}")
-        total = GradedPoly.zero()
+                    f"substitute for variable {k} has weight {v.weight}, expected {expected}")
+        total = cls.zero()
         for m, c in self.terms.items():
-            factor = GradedPoly({(): c})
+            factor = cls({(): c})
             for k, j in m:
-                base = values.get(k, GradedPoly.variable(k))
+                base = values.get(k, cls.variable(k))
                 for _ in range(j):
                     factor = factor * base
             total = total + factor
@@ -197,20 +209,17 @@ class GradedPoly:
     def coefficient(self, m: Mono) -> Fraction:
         return self.terms.get(m, Q(0))
 
-    def degree(self) -> int | None:
-        """Grading degree -2*||J||, or None for the zero polynomial."""
-        return None if self.weight is None else -2 * self.weight
-
     # -- presentation -----------------------------------------------------
     def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: mono_key(t[0]))
+        key = self._display_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=self._descending)
 
     def text(self) -> str:
         if not self.terms:
             return "0"
         parts = []
         for m, c in self.sorted_terms():
-            body = mono_text(m)
+            body = self._mono_text(m)
             if not m:
                 chunk = str(abs(c))
             elif abs(c) == 1:
@@ -234,7 +243,7 @@ class GradedPoly:
                     for t in data["terms"]})
 
     def __repr__(self) -> str:
-        return f"GradedPoly({self.text()})"
+        return f"{type(self).__name__}({self.text()})"
 
 
 # -- partitions and the closing-polynomial space ---------------------------
@@ -286,6 +295,24 @@ def closing_monomials(n: int) -> list[Mono]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return monomial_basis(n + 2, 2, n + 1) if n >= 1 else []
+
+
+def check_closing(n: int, closing: GradedPoly | None) -> GradedPoly:
+    """The closing polynomial at level n, validated; None stands for zero.
+
+    A nonzero closing must lie in the span of closing_monomials(n): weight
+    2(n+2) and only the variables x_2..x_{n+1}.  Anything else raises
+    WeightMismatch, so no level silently drops or misreads a closing.
+    """
+    if closing is None:
+        return GradedPoly.zero()
+    if closing:
+        if closing.weight != 2 * (n + 2):
+            raise WeightMismatch(
+                f"closing weight {closing.weight} is not 2(n+2) = {2 * (n + 2)}")
+        if any(k < 2 or k > n + 1 for m in closing.terms for k, _ in m):
+            raise WeightMismatch(f"closing at level {n} must use x_2..x_{n + 1} only")
+    return closing
 
 
 def closing_dim(n: int) -> int:

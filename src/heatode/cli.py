@@ -28,9 +28,9 @@ import time
 from fractions import Fraction
 
 from .algebra import GradedPoly, Q, closing_dim, closing_monomials, mono_text
-from .jets import family_ode, match_pole_ode
-from .series import ansatz_series, bare_series, coeff_table, default_c, sigma_series
-from .systems import BlowUp, SystemSpec, SystemState, integrate_rk4, ode_residual, pole_sum
+from .jets import family_ode, hierarchy_ode, match_pole_ode
+from .series import ansatz_series, bare_series, coeff_table, default_c, sigma_series, three_pole_flows
+from .systems import BlowUp, SystemSpec, SystemState, integrate_rk4, pole_sum
 from .mobius import Mobius, transformed_h_jet
 from .suites import SUITES, UnknownSuite, run_all, run_suite
 
@@ -143,14 +143,8 @@ def cmd_series(args) -> int:
                 "variables": {"x2": "g2", "x3": "g3"},
                 "coeffs": [{"k": k, "poly": p.to_json()} for k, p in enumerate(coeffs)]}
     elif args.kind == "psi":
-        x1 = GradedPoly.variable(1)
-        x2 = GradedPoly.variable(2)
-        x3 = GradedPoly.variable(3)
-        flows = (x2, x3,
-                 (x1 * x3).scale(-12) + (x2 * x2).scale(-9)
-                 + (x2 * x1 * x1).scale(-54) + (x1 * x1 * x1 * x1).scale(-27))
-        seed_coeff = parse_rational(args.seed_coeff)
-        data = bare_series(flows, x1.scale(seed_coeff), args.K).to_json()
+        psi1 = GradedPoly.variable(1, parse_rational(args.seed_coeff))
+        data = bare_series(three_pole_flows(), psi1, args.K).to_json()
         data["flows"] = "three-pole example"
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown series kind {args.kind}")
@@ -247,12 +241,11 @@ def cmd_sl2_orbit(args) -> int:
         "jet": [str(v) for v in jet],
     }
     if n == 0:
-        from .jets import hierarchy_ode
-        body["residual"] = str(ode_residual(hierarchy_ode(1), jet))
+        body["residual"] = str(hierarchy_ode(1).eval(jet))
     elif match is not None and match.matched and order >= n + 1:
         ode = family_ode(n, match.closing)
         body["closing"] = match.closing.text() if match.closing else "0"
-        body["residual"] = str(ode_residual(ode, jet))
+        body["residual"] = str(ode.eval(jet))
     _emit(args, _stamped(args, "sl2 orbit", {"mobius": args.mobius, "poles": args.poles}, body))
     return 0
 
@@ -263,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--out", help="write output to a file instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    common.add_argument("--mode", choices=("exact", "float"), default="float",
-                        help="scalar mode for numeric commands")
 
     parser = argparse.ArgumentParser(
         prog="heatode",
@@ -295,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = ser_sub.add_parser("sigma", parents=[common])
     p.add_argument("--K", type=int, required=True)
     p.set_defaults(func=cmd_series, kind="sigma")
-    p = ser_sub.add_parser("psi", parents=[common])
+    # no abbreviations: "--seed" must not silently mean "--seed-coeff"
+    p = ser_sub.add_parser("psi", parents=[common], allow_abbrev=False)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--seed-coeff", default="-1/2",
                    help="coefficient of x1 in the seed term")
@@ -310,10 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", required=True)
     p.add_argument("--step", required=True)
     p.add_argument("--guard", type=float, default=1e8, help="blow-up bound on |h|")
+    p.add_argument("--mode", choices=("exact", "float"), default="float",
+                   help="scalar mode: exact rationals or binary floats")
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     p.add_argument("--max-n", "--n", dest="n", type=int,
                    help="override the maximal level where applicable")
     p.set_defaults(func=cmd_verify)
@@ -335,10 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as err:
+    except ValueError as err:  # CliError and the library's typed input errors
         print(f"error: {err}", file=sys.stderr)
         return 2
 

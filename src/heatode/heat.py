@@ -119,6 +119,32 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
 
 # -- assembled solutions ---------------------------------------------------------
 
+def series_sums(series: AnsatzSeries | BareSeries, z: float,
+                x: Mapping[int, float]) -> tuple[float, float, float, float]:
+    """Float sums at z of z^delta + sum_k P_k(x) z^e/e!, e = 2k + delta.
+
+    Returns the value, its first and second z-derivatives, and the
+    magnitude of the last retained term (the truncation estimate).
+    Coefficients that vanish are skipped.
+    """
+    delta, K = series.delta, series.truncation
+    s = float(z) ** delta
+    sz = 1.0 if delta else 0.0  # d/dz z^delta for delta in {0, 1}
+    szz = tail = 0.0
+    for k in range(1, K + 1):
+        pk = series.coeff(k)
+        if not pk:
+            continue
+        v = float(pk.eval(x))
+        e = 2 * k + delta
+        s += v * z ** e / math.factorial(e)
+        sz += v * z ** (e - 1) / math.factorial(e - 1)
+        szz += v * z ** (e - 2) / math.factorial(e - 2)
+        if k == K:
+            tail = abs(v) * abs(z) ** e / math.factorial(e)
+    return s, sz, szz, tail
+
+
 @dataclass
 class AnsatzSolution:
     """A factored solution: system, series and a state provider t -> state."""
@@ -132,39 +158,18 @@ class AnsatzSolution:
         if (s.n, s.delta, s.c) != (self.spec.n, self.spec.delta, self.spec.c):
             raise ValueError("series parameters do not match the system")
 
-    def _series_sums(self, z: float, x: Mapping[int, float]) -> tuple[float, float, float]:
-        delta, K = self.series.delta, self.series.truncation
-        s = float(z) ** delta
-        sz = 1.0 if delta else 0.0  # d/dz z^delta for delta in {0, 1}
-        szz = 0.0
-        for k in range(2, K + 1):
-            pk = self.series.coeff(k)
-            if not pk:
-                continue
-            v = float(pk.eval(x))
-            e = 2 * k + delta
-            s += v * z ** e / math.factorial(e)
-            sz += v * z ** (e - 1) / math.factorial(e - 1)
-            szz += v * z ** (e - 2) / math.factorial(e - 2)
-        return s, sz, szz
-
     def _xmap(self, state: SystemState) -> dict[int, float]:
         return {k: float(v) for k, v in enumerate(state.x, start=2)}
 
     def psi(self, z: float, t: float) -> float:
         state = self.state_at(t)
-        s, _, _ = self._series_sums(z, self._xmap(state))
+        s = series_sums(self.series, z, self._xmap(state))[0]
         return math.exp(-0.5 * float(state.h) * z * z + float(state.r)) * s
 
     def psi_parts(self, z: float, t: float) -> tuple[float, float]:
         """Value and the magnitude of the last retained series term."""
         state = self.state_at(t)
-        x = self._xmap(state)
-        s, _, _ = self._series_sums(z, x)
-        K, delta = self.series.truncation, self.series.delta
-        last = self.series.coeff(K)
-        tail = abs(float(last.eval(x))) * abs(z) ** (2 * K + delta) / math.factorial(2 * K + delta) \
-            if last else 0.0
+        s, _, _, tail = series_sums(self.series, z, self._xmap(state))
         envelope = math.exp(-0.5 * float(state.h) * z * z + float(state.r))
         return envelope * s, envelope * tail
 
@@ -172,7 +177,7 @@ class AnsatzSolution:
         """Exact-in-z second derivative of the assembled solution."""
         state = self.state_at(t)
         h = float(state.h)
-        s, sz, szz = self._series_sums(z, self._xmap(state))
+        s, sz, szz, _ = series_sums(self.series, z, self._xmap(state))
         bracket = h * h * z * z * s - 2 * h * z * sz - h * s + szz
         return math.exp(-0.5 * h * z * z + float(state.r)) * bracket
 
@@ -204,35 +209,18 @@ class WideSolution:
     series: BareSeries
     state_at: Callable[[float], tuple[float, Mapping[int, float]]]
 
-    def _series_sums(self, z: float, x: Mapping[int, float]) -> tuple[float, float]:
-        delta, K = self.series.delta, self.series.truncation
-        s = float(z) ** delta
-        szz = 0.0
-        for k in range(1, K + 1):
-            pk = self.series.coeff(k)
-            if not pk:
-                continue
-            v = float(pk.eval(x))
-            e = 2 * k + delta
-            s += v * z ** e / math.factorial(e)
-            szz += v * z ** (e - 2) / math.factorial(e - 2)
-        return s, szz
-
     def psi(self, z: float, t: float) -> float:
         r, x = self.state_at(t)
-        return math.exp(r) * self._series_sums(z, x)[0]
+        return math.exp(r) * series_sums(self.series, z, x)[0]
 
     def psi_parts(self, z: float, t: float) -> tuple[float, float]:
         r, x = self.state_at(t)
-        s, _ = self._series_sums(z, x)
-        K, delta = self.series.truncation, self.series.delta
-        tail = abs(float(self.series.coeff(K).eval(x))) \
-            * abs(z) ** (2 * K + delta) / math.factorial(2 * K + delta)
+        s, _, _, tail = series_sums(self.series, z, x)
         return math.exp(r) * s, math.exp(r) * tail
 
     def dzz(self, z: float, t: float) -> float:
         r, x = self.state_at(t)
-        return math.exp(r) * self._series_sums(z, x)[1]
+        return math.exp(r) * series_sums(self.series, z, x)[2]
 
 
 def trajectory_provider(spec: SystemSpec, s0: SystemState,

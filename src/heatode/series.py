@@ -22,25 +22,12 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Mapping, Sequence
 
-from .algebra import GradedPoly, Mono, Q, WeightMismatch, mono
+from .algebra import GradedPoly, Mono, Q, WeightMismatch, check_closing, mono
 
 
 def default_c(delta: int) -> Fraction:
     """The normalisation c = -2(1+2*delta) used by the dynamical systems."""
     return Q(-2 * (1 + 2 * delta))
-
-
-def _check_closing(n: int, closing: GradedPoly | None) -> GradedPoly:
-    closing = closing if closing is not None else GradedPoly.zero()
-    if closing:
-        if n < 2:
-            raise WeightMismatch(f"no nonzero closing exists at level n = {n}")
-        if closing.weight != 2 * (n + 2):
-            raise WeightMismatch(
-                f"closing weight {closing.weight} is not {2 * (n + 2)}")
-        if any(k < 2 or k > n + 1 for m in closing.terms for k, _ in m):
-            raise WeightMismatch("closing must use x_2..x_{n+1}")
-    return closing
 
 
 @dataclass(frozen=True)
@@ -97,7 +84,7 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
     if K < 2:
         raise ValueError("K must be at least 2")
     c = Q(c)
-    closing = _check_closing(n, closing)
+    closing = check_closing(n, closing)
     if n == 0:
         return AnsatzSeries(0, delta, c, K, tuple(GradedPoly.zero() for _ in range(K - 1)))
     # p[k] is the flow of x_k: x_{k+1} below the top, the closing at the top
@@ -161,7 +148,7 @@ def _indices_up_to(n: int, max_weight: int) -> list[Index]:
 
 def closing_index_map(n: int, closing: GradedPoly | None) -> dict[Index, Fraction]:
     """Closing polynomial as a dense multiindex -> coefficient map."""
-    closing = _check_closing(n, closing)
+    closing = check_closing(n, closing)
     out: dict[Index, Fraction] = {}
     for m, coeff in closing.terms.items():
         dense = [0] * n
@@ -295,6 +282,20 @@ def bare_series(p_list: Sequence[GradedPoly], psi1: GradedPoly, K: int,
         nxt = nxt.scale(2) + psi1 * prev
         coeffs.append(nxt)
     return BareSeries(n, delta, K, tuple(coeffs))
+
+
+def three_pole_flows() -> tuple[GradedPoly, GradedPoly, GradedPoly]:
+    """Flows of x_1, x_2, x_3 in the wide-ansatz three-pole example.
+
+    x_1' = x_2, x_2' = x_3, x_3' = -12 x1 x3 - 9 x2^2 - 54 x1^2 x2 - 27 x1^4:
+    the jet (h, h', h'') of a sum of three simple poles with b = 3.
+    """
+    x1 = GradedPoly.variable(1)
+    x2 = GradedPoly.variable(2)
+    x3 = GradedPoly.variable(3)
+    return (x2, x3,
+            (x1 * x3).scale(-12) + (x2 * x2).scale(-9)
+            + (x2 * x1 * x1).scale(-54) + (x1 * x1 * x1 * x1).scale(-27))
 
 
 # -- Weierstrass sigma --------------------------------------------------------

@@ -28,9 +28,7 @@ from .jets import (
     match_pole_ode,
     necessary_pole_strength,
     pole_sum_ode,
-    raise_closing,
     rescale_dependent,
-    shifted_derivative,
     total_derivative,
 )
 from .mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_h, act_on_psi, act_on_r, act_on_x, transformed_h_jet
@@ -43,19 +41,18 @@ from .series import (
     series_from_table,
     sigma_l2,
     sigma_series,
+    three_pole_flows,
 )
-from .systems import SystemSpec, SystemState, ode_residual, pole_sum, sigma_reduction
+from .systems import SystemSpec, SystemState, pole_sum, sigma_reduction
 from .heat import (
     AnsatzSolution,
     WideSolution,
-    conserved_integral,
-    fundamental_psi,
-    gaussian_halfwidth,
     grid_heat_residual,
     pole_state_provider,
     polynomial_solution_check,
     predicted_failure_order,
     series_heat_residual,
+    series_sums,
     trajectory_provider,
 )
 
@@ -114,13 +111,13 @@ def suite_rational(seed: int = 0, max_n: int = 6, trials: int = 20) -> dict:
             ps = pole_sum(n + 1, _random_poles(rng, n + 1))
             t = Q(rng.randint(97, 300), rng.randint(1, 4))
             jet = ps.jet(t, n + 1)
-            if ode_residual(ode, jet) == 0:
+            if ode.eval(jet) == 0:
                 zeros += 1
             for off in off_odes:
                 if off is None:
                     continue
                 perturbed_total += 1
-                if ode_residual(off, jet) != 0:
+                if off.eval(jet) != 0:
                     perturbed_nonzero += 1
         cases.append({
             "case": f"pole-sum-n{n}",
@@ -230,7 +227,7 @@ def suite_sl2(seed: int = 0, pairs: int = 20) -> dict:
                 jet = transformed_h_jet(m, ps.jet, t, n + 1)
             except (PoleOfAction, ZeroDivisionError):
                 continue
-            preserved &= ode_residual(ode, jet) == 0
+            preserved &= ode.eval(jet) == 0
             done += 1
     cases.append({"case": "transformed-residuals", "mode": "exact", "pass": preserved})
 
@@ -258,11 +255,7 @@ def _consistency_square_error() -> float:
                 r_hat = act_on_r(m, r, 1, t)
                 x_hat = {k: act_on_x(m, (lambda kk: lambda s: float(provider(s).x[kk - 2]))(k), k, t)
                          for k in (2, 3)}
-                total = z
-                for k in range(2, 11):
-                    pk = series.coeff(k)
-                    if pk:
-                        total += float(pk.eval(x_hat)) * z ** (2 * k + 1) / math.factorial(2 * k + 1)
+                total = series_sums(series, z, x_hat)[0]
                 state_side = math.exp(-0.5 * h_hat * z * z + r_hat) * total
                 psi_side = act_on_psi(m, sol.psi, z, t)
                 worst = max(worst, abs(state_side - psi_side) / max(1.0, abs(psi_side)))
@@ -401,13 +394,7 @@ def suite_addendum(seed: int = 0) -> dict:
         flow_ok &= x3dot == -3 * (4 * x1 * x3v + 3 * x2v ** 2 + 18 * x2v * x1 ** 2 + 9 * x1 ** 4)
     cases.append({"case": "three-pole-flow", "mode": "exact", "pass": flow_ok})
 
-    x1p = GradedPoly.variable(1)
-    x2p = GradedPoly.variable(2)
-    x3p = GradedPoly.variable(3)
-    flows = (x2p, x3p,
-             (x1p * x3p).scale(-12) + (x2p * x2p).scale(-9)
-             + (x2p * x1p * x1p).scale(-54) + (x1p * x1p * x1p * x1p).scale(-27))
-    series = bare_series(flows, x1p.scale(Q(-1, 2)), 12)
+    series = bare_series(three_pole_flows(), GradedPoly.variable(1, Q(-1, 2)), 12)
     poles = [Q(-1), Q(-2), Q(-3)]
     ps = pole_sum(3, poles)
 

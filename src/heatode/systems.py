@@ -17,12 +17,13 @@ mode is decided by the state values, never by a flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import GradedPoly, Q, WeightMismatch
-from .jets import JetPoly, JetTooShort, hierarchy_ode
+from .algebra import GradedPoly, Q, WeightMismatch, check_closing
+from .jets import JetTooShort, hierarchy_ode
 from .series import default_c
 
 
@@ -68,10 +69,7 @@ class SystemSpec:
     def reduced(cls, n: int, delta: int = 0, closing: GradedPoly | None = None,
                 c: Fraction | int | None = None) -> SystemSpec:
         """The normal form: p_k = x_k below the top, the closing on top."""
-        closing = closing if closing is not None else GradedPoly.zero()
-        if closing and closing.weight != 2 * (n + 2):
-            raise WeightMismatch(
-                f"closing weight {closing.weight} is not {2 * (n + 2)}")
+        closing = check_closing(n, closing)
         flows = tuple(GradedPoly.variable(k) for k in range(3, n + 2))
         if n >= 1:
             flows = flows + (closing,)
@@ -127,21 +125,23 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
     """Classical fixed-step fourth-order trajectory from s0.t to t_end.
 
     Exact when the state, step and spec are rational (the method is pure
-    rational arithmetic).  Raises BlowUp when |h| exceeds h_bound, the
-    expected signal of a movable pole.
+    rational arithmetic).  Raises BlowUp when |h| exceeds h_bound or
+    stops being a number, the expected signal of a movable pole.
     """
+    if any(not isinstance(v, Fraction) and not math.isfinite(v)
+           for v in (*s0.row(), t_end, step)):
+        raise ValueError("initial state, t_end and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     span = t_end - s0.t
     steps = span / step
+    nsteps = round(steps)
     if isinstance(steps, Fraction):
-        if steps.denominator != 1:
-            raise ValueError("for exact runs (t_end - t0) must be a multiple of step")
-        nsteps = int(steps)
+        off_grid = steps != nsteps
     else:
-        nsteps = round(steps)
-        if nsteps <= 0 or abs(nsteps * step - span) > 1e-9 * abs(step):
-            raise ValueError("(t_end - t0) must be a positive multiple of step")
+        off_grid = abs(nsteps * step - span) > 1e-9 * abs(step)
+    if nsteps <= 0 or off_grid:
+        raise ValueError("(t_end - t0) must be a positive multiple of step")
 
     def rhs(t, vec):
         state = SystemState(t, vec[0], vec[1], tuple(vec[2:]))
@@ -163,7 +163,7 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
             raise BlowUp(t, out) from None
         t_next = s0.t + (i + 1) * step
         state = SystemState(t_next, vec[0], vec[1], tuple(vec[2:]))
-        if abs(state.h) > h_bound:
+        if not abs(state.h) <= h_bound:
             raise BlowUp(t_next, out)
         out.append(state)
     return out
@@ -215,11 +215,6 @@ def lift_jet(h_jet: Sequence, n: int) -> tuple:
     if len(h_jet) < n + 1:
         raise JetTooShort(f"need the jet through order {n}, got {len(h_jet) - 1}")
     return tuple(hierarchy_ode(k - 1).eval(h_jet) for k in range(2, n + 2))
-
-
-def ode_residual(ode: JetPoly, jet: Sequence, b=None):
-    """Evaluate a differential polynomial at a jet; exact in rational mode."""
-    return ode.eval(jet, b=b)
 
 
 # -- changes of variables -------------------------------------------------------

@@ -1,0 +1,152 @@
+"""Input validation: the closing check, integration inputs and CLI options."""
+
+import math
+from fractions import Fraction as Q
+
+import pytest
+
+from heatode.algebra import GradedPoly, WeightMismatch, check_closing, closing_monomials
+from heatode.cli import main
+from heatode.jets import JetPoly, family_ode
+from heatode.series import ansatz_series, closing_index_map, coeff_table
+from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4
+
+x1 = GradedPoly.variable(1)
+x2 = GradedPoly.variable(2)
+x3 = GradedPoly.variable(3)
+
+
+# -- the closing validator ------------------------------------------------------
+
+def test_reduced_rejects_closing_at_level_zero():
+    # weight 4 = 2(0+2), but level 0 has no closing variables at all
+    with pytest.raises(WeightMismatch):
+        SystemSpec.reduced(0, closing=GradedPoly.variable(2))
+
+
+BAD_CLOSINGS = [
+    (2, x2 * x3),          # weight 10, level 2 wants 8
+    (2, x1 * x1 * x2),     # weight 8, but uses x_1
+    (2, x3 * x1),          # weight 8, but uses x_1
+    (3, x2 * x2 * x1),     # weight 10, but uses x_1
+    (1, x3),               # weight 6, but x_3 is beyond x_{n+1}
+]
+
+
+@pytest.mark.parametrize("n, closing", BAD_CLOSINGS)
+def test_every_caller_rejects_bad_closing(n, closing):
+    with pytest.raises(WeightMismatch):
+        check_closing(n, closing)
+    with pytest.raises(WeightMismatch):
+        SystemSpec.reduced(n, closing=closing)
+    with pytest.raises(WeightMismatch):
+        family_ode(n, closing)
+    with pytest.raises(WeightMismatch):
+        ansatz_series(n, closing, Q(1), 0, 4)
+    with pytest.raises(WeightMismatch):
+        closing_index_map(n, closing)
+    with pytest.raises(WeightMismatch):
+        coeff_table(n, closing, Q(1), 0, 4)
+
+
+def test_closing_none_is_zero():
+    for n in range(5):
+        assert check_closing(n, None) == GradedPoly.zero()
+        assert check_closing(n, GradedPoly.zero()) == GradedPoly.zero()
+    for n in range(2, 6):
+        p = GradedPoly({m: Q(i + 1) for i, m in enumerate(closing_monomials(n))})
+        assert check_closing(n, p) is p
+
+
+def test_gradings_never_compare_equal():
+    assert JetPoly.zero() != GradedPoly.zero()
+    assert JetPoly.one() != GradedPoly.one()
+    assert JetPoly({((1, 1),): Q(1)}) != GradedPoly({((1, 1),): Q(1)})
+    assert JetPoly.h(1) == JetPoly.variable(1)
+
+
+# -- integrate_rk4 inputs ---------------------------------------------------------
+
+EXACT = SystemState(Q(0), Q(0), Q(1), ())
+FLOAT = SystemState(0.0, 0.0, 1.0, ())
+
+
+@pytest.mark.parametrize("s0, t_end, step", [
+    (EXACT, Q(0), Q(1, 4)), (EXACT, Q(-1), Q(1, 4)),
+    (FLOAT, 0.0, 0.25), (FLOAT, -1.0, 0.25),
+])
+def test_rk4_rejects_empty_or_backward_span(s0, t_end, step):
+    with pytest.raises(ValueError):
+        integrate_rk4(SystemSpec.reduced(0), s0, t_end, step)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rk4_rejects_non_finite_input(bad):
+    spec = SystemSpec.reduced(1)
+    for s0 in (SystemState(0.0, 0.0, bad, (0.5,)), SystemState(0.0, 0.0, 1.0, (bad,)),
+               SystemState(bad, 0.0, 1.0, (0.5,))):
+        with pytest.raises(ValueError):
+            integrate_rk4(spec, s0, 1.0, 0.25)
+    with pytest.raises(ValueError):
+        integrate_rk4(spec, SystemState(0.0, 0.0, 1.0, (0.5,)), bad, 0.25)
+
+
+def test_rk4_nan_during_run_trips_guard():
+    # x2 and x3 overflow against each other and make h NaN in the first step
+    spec = SystemSpec.reduced(2)
+    s0 = SystemState(0.0, 0.0, 0.0, (1e308, -1e308))
+    with pytest.raises(BlowUp) as err:
+        integrate_rk4(spec, s0, 0.01, 0.001)
+    assert err.value.t_star == 0.001
+    assert err.value.trajectory == [s0]
+
+
+# -- command-line options and errors ----------------------------------------------
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("ode", "basis", "--n", "2", "--seed", "5"),
+    ("ode", "basis", "--n", "2", "--mode", "exact"),
+    ("series", "phi", "--n", "2", "--K", "4", "--seed", "5"),
+    ("series", "psi", "--K", "2", "--seed", "5"),  # not an abbreviation of --seed-coeff
+    ("verify", "dims", "--mode", "exact"),
+    ("integrate", "--n", "0", "--state", "0,1", "--t-end", "1", "--step", "1/4",
+     "--seed", "5"),
+])
+def test_seed_and_mode_only_where_used(argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("mode, t_end", [
+    ("exact", "0"), ("exact", "-1"), ("float", "0"), ("float", "-1"),
+])
+def test_integrate_empty_span_exits_2(capsys, mode, t_end):
+    code, captured = run(capsys, "integrate", "--n", "0", "--state", "0,1",
+                         f"--t-end={t_end}", "--step", "1/4" if mode == "exact" else "0.25",
+                         "--mode", mode)
+    assert code == 2
+    assert captured.out == ""
+
+
+def test_integrate_nan_state_exits_2(capsys):
+    code, captured = run(capsys, "integrate", "--n", "0", "--state", "0,nan",
+                         "--t-end", "1", "--step", "0.25")
+    assert code == 2
+    assert "finite" in captured.err
+
+
+def test_type_error_in_command_propagates(monkeypatch):
+    import heatode.cli as cli
+
+    def broken(n):
+        raise TypeError("a bug, not a usage error")
+
+    monkeypatch.setattr(cli, "closing_dim", broken)
+    with pytest.raises(TypeError):
+        main(["ode", "basis", "--n", "2"])
