@@ -168,11 +168,21 @@ class GradedPoly:
         for m, c in self.terms.items():
             d = dict(m)
             j = d.get(k, 0)
-            if j == 0:
-                continue
-            d[k] = j - 1
-            out[self._mono(d)] = out.get(self._mono(d), Q(0)) + c * j
+            if j:
+                d[k] = j - 1
+                out[self._mono(d)] = c * j  # lowering x_k is injective: no two terms collide
         return type(self)(out)
+
+    def derive(self, field: Mapping[int, GradedPoly]) -> GradedPoly:
+        """The derivation sum_k field[k] * d/dx_k applied to self; zero entries are skipped.
+
+        Every field[k] must shift the weight by one common amount (else WeightMismatch).
+        """
+        out = type(self).zero()
+        for k, v in field.items():
+            if v:
+                out = out + v * self.partial(k)
+        return out
 
     def subst(self, values: Mapping[int, GradedPoly]) -> GradedPoly:
         """Substitute polynomials for variables (weight-preserving).
@@ -182,10 +192,7 @@ class GradedPoly:
         """
         cls = type(self)
         for k, v in values.items():
-            expected = cls.variable(k).weight
-            if v and v.weight != expected:
-                raise WeightMismatch(
-                    f"substitute for variable {k} has weight {v.weight}, expected {expected}")
+            check_homogeneous(v, cls.variable(k).weight, None, f"substitute for variable {k}")
         total = cls.zero()
         for m, c in self.terms.items():
             factor = cls({(): c})
@@ -239,7 +246,7 @@ class GradedPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> GradedPoly:
-        return cls({tuple((int(k), int(j)) for k, j in t["m"]): Q(t["c"])
+        return cls({cls._mono({int(k): int(j) for k, j in t["m"]}): Q(t["c"])
                     for t in data["terms"]})
 
     def __repr__(self) -> str:
@@ -297,6 +304,22 @@ def closing_monomials(n: int) -> list[Mono]:
     return monomial_basis(n + 2, 2, n + 1) if n >= 1 else []
 
 
+def check_homogeneous(p: GradedPoly, weight: int, variables: range | None,
+                      what: str) -> GradedPoly:
+    """Pass zero through; otherwise p must have `weight` and use only `variables`.
+
+    `variables` is a range of variable indices, or None for any; a violation
+    raises WeightMismatch naming `what`.
+    """
+    if p:
+        if p.weight != weight:
+            raise WeightMismatch(f"{what} has weight {p.weight}, expected {weight}")
+        if variables is not None and any(k not in variables for m in p.terms for k, _ in m):
+            raise WeightMismatch(
+                f"{what} must use x_{variables.start}..x_{variables.stop - 1} only")
+    return p
+
+
 def check_closing(n: int, closing: GradedPoly | None) -> GradedPoly:
     """The closing polynomial at level n, validated; None stands for zero.
 
@@ -306,13 +329,7 @@ def check_closing(n: int, closing: GradedPoly | None) -> GradedPoly:
     """
     if closing is None:
         return GradedPoly.zero()
-    if closing:
-        if closing.weight != 2 * (n + 2):
-            raise WeightMismatch(
-                f"closing weight {closing.weight} is not 2(n+2) = {2 * (n + 2)}")
-        if any(k < 2 or k > n + 1 for m in closing.terms for k, _ in m):
-            raise WeightMismatch(f"closing at level {n} must use x_2..x_{n + 1} only")
-    return closing
+    return check_homogeneous(closing, 2 * (n + 2), range(2, n + 2), f"closing at level {n}")
 
 
 def closing_dim(n: int) -> int:

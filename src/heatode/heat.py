@@ -92,11 +92,11 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
     def coeff(m: int) -> GradedPoly:
         if m < delta or (m - delta) % 2:
             return GradedPoly.zero()
-        k = (m - delta) // 2
-        if k == 1:
-            return GradedPoly.zero()
-        return series.coeff(k).scale(Q(1, math.factorial(m)))
+        return series.coeff((m - delta) // 2).scale(Q(1, math.factorial(m)))
 
+    # d/dt along the flow: x_k' = p_{k+1} - 2k h x_k
+    flow = {k: p - (h * GradedPoly.variable(k)).scale(2 * k)
+            for k, p in enumerate(spec.flows, start=2)}
     orders = list(range(delta, 2 * K + delta - 1, 2))
     failures: dict[int, GradedPoly] = {}
     for m in orders:
@@ -105,12 +105,7 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
         if n >= 1:
             x2cm = GradedPoly.variable(2) * coeff(m - 2)
             residual = residual + x2cm.scale(c / Q(4 * (1 + 2 * delta)))
-        for i in range(n):
-            k = i + 2
-            dk = cm.partial(k)
-            if dk:
-                residual = residual + spec.flows[i] * dk
-                residual = residual - (h * GradedPoly.variable(k) * dk).scale(2 * k)
+        residual = residual + cm.derive(flow)
         residual = residual - coeff(m + 2).scale(Q((m + 2) * (m + 1), 2))
         if residual:
             failures[m] = residual

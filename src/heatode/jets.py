@@ -149,18 +149,13 @@ class JetPoly(GradedPoly):
         need = self.order()
         if len(jet) <= need:
             raise JetTooShort(f"need jet through order {need}, got {len(jet) - 1}")
-        total = None
-        for m, c in self.terms.items():
-            term = c
-            for q, e in m:
-                if q == PARAM:
-                    if b is None:
-                        raise ValueError("polynomial carries the symbolic b; pass b=")
-                    term = term * b ** e
-                else:
-                    term = term * jet[q] ** e
-            total = term if total is None else total + term
-        return Q(0) if total is None else total
+        values = dict(enumerate(jet))
+        if b is not None:
+            values[PARAM] = b
+        try:
+            return super().eval(values)
+        except KeyError:  # the jet covers every order, so only b can be missing
+            raise ValueError("polynomial carries the symbolic b; pass b=") from None
 
     def to_json(self) -> dict:
         out = []
@@ -173,21 +168,17 @@ class JetPoly(GradedPoly):
             out.append(entry)
         return {"degree": self.degree, "terms": out}
 
+    @classmethod
+    def from_json(cls, data: dict) -> JetPoly:
+        return cls({jet_mono({**{int(q): int(e) for q, e in t["m"]}, PARAM: int(t.get("b", 0))}):
+                    Q(t["c"]) for t in data["terms"]})
+
 
 # -- derivations ------------------------------------------------------------
 
 def total_derivative(p: JetPoly) -> JetPoly:
-    """d/dt on jet polynomials: h^(q) contributes d(p)/dh^(q) * h^(q+1)."""
-    out = JetPoly.zero()
-    for m, c in p.terms.items():
-        for q, e in m:
-            if q == PARAM:
-                continue
-            d = dict(m)
-            d[q] = e - 1
-            d[q + 1] = d.get(q + 1, 0) + 1
-            out = out + JetPoly({jet_mono(d): c * e})
-    return out
+    """d/dt on jet polynomials: the derivation sum_q h^(q+1) d/dh^(q); b is constant."""
+    return p.derive({q: JetPoly.h(q + 1) for q in range(p.order() + 1)})
 
 
 def shifted_derivative(p: JetPoly, m: Fraction | int) -> JetPoly:
@@ -249,10 +240,8 @@ def raise_closing(p: GradedPoly) -> GradedPoly:
     Applies sum_k x_{k+1} d/dx_k, which matches the action of
     (d/dt + 2(n+2)h) on the family: the weight rises by 2.
     """
-    out = GradedPoly.zero()
-    for k in sorted({k for m in p.terms for k, _ in m}):
-        out = out + GradedPoly.variable(k + 1) * p.partial(k)
-    return out
+    return p.derive({k: GradedPoly.variable(k + 1)
+                     for k in sorted({k for m in p.terms for k, _ in m})})
 
 
 # -- the pole matrix family -------------------------------------------------

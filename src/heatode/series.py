@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Mapping, Sequence
 
-from .algebra import GradedPoly, Mono, Q, WeightMismatch, check_closing, mono
+from .algebra import GradedPoly, Mono, Q, WeightMismatch, check_closing, check_homogeneous, mono
 
 
 def default_c(delta: int) -> Fraction:
@@ -76,8 +76,9 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
         P_q = 2 sum_k p_{k+1} dP_{q-1}/dx_k
               + (2q+delta-3)(2q+delta-2)/(2(1+2*delta)) * P_2 * P_{q-2}
 
-    with P_2 = c*x_2 and P_3 = 2c*p_3.  At n = 1 there is no x_3 and the
-    closing space is zero, so p_3 = 0 and every odd coefficient vanishes.
+    from P_1 = 0 and P_2 = c*x_2, so P_3 = 2c*p_3.  At n = 1 there is no x_3
+    and the closing space is zero, so p_3 = 0 and every odd coefficient
+    vanishes.
     """
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
@@ -90,23 +91,16 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
     # p[k] is the flow of x_k: x_{k+1} below the top, the closing at the top
     p = {k: GradedPoly.variable(k + 1) for k in range(2, n + 1)}
     p[n + 1] = closing
-    coeffs = [GradedPoly.variable(2, c)]
-    if K >= 3:
-        coeffs.append(p[2].scale(2 * c) if n >= 2 else GradedPoly.zero())
+    coeffs = [GradedPoly.zero(), GradedPoly.variable(2, c)]  # P_1, P_2
     two_delta = Q(2 * (1 + 2 * delta))
-    for q in range(4, K + 1):
-        prev, prev2 = coeffs[-1], coeffs[-2]
-        term = GradedPoly.zero()
-        for k in range(2, n + 2):
-            if p[k]:
-                term = term + p[k] * prev.partial(k)
-        term = term.scale(2)
+    for q in range(3, K + 1):
+        term = coeffs[-1].derive(p).scale(2)
         factor = Q((2 * q + delta - 3) * (2 * q + delta - 2)) / two_delta
-        term = term + (coeffs[0] * prev2).scale(factor)
+        term = term + (coeffs[1] * coeffs[-2]).scale(factor)
         if term and term.weight != 2 * q:
             raise WeightMismatch(f"coefficient {q} has weight {term.weight}")
         coeffs.append(term)
-    return AnsatzSeries(n, delta, c, K, tuple(coeffs))
+    return AnsatzSeries(n, delta, c, K, tuple(coeffs[1:]))
 
 
 # -- the discrete route -------------------------------------------------------
@@ -125,7 +119,7 @@ class CoeffTable:
     entries: Mapping[Index, Fraction]
 
     def to_json(self) -> dict:
-        rows = sorted(self.entries.items(), key=lambda t: (sum(2 * (i + 2) * j for i, j in enumerate(t[0])), t[0]))
+        rows = sorted(self.entries.items(), key=lambda t: (_index_weight(self.n, t[0]), t[0]))
         return {
             "n": self.n,
             "delta": self.delta,
@@ -137,6 +131,13 @@ class CoeffTable:
 
 def _index_weight(n: int, j: Index) -> int:
     return sum(2 * (i + 2) * e for i, e in enumerate(j))
+
+
+def _index_mono(n: int, j: Index) -> Mono:
+    """The monomial x_2^j[0] ... x_{n+1}^j[n-1] of a dense index."""
+    if len(j) != n:
+        raise ValueError(f"index {tuple(j)} must have {n} entries (x_2..x_{n + 1})")
+    return mono({i + 2: e for i, e in enumerate(j)})
 
 
 def _indices_up_to(n: int, max_weight: int) -> list[Index]:
@@ -173,13 +174,9 @@ def coeff_table(n: int, closing: GradedPoly | Mapping[Index, Fraction] | None,
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
     c = Q(c)
-    if isinstance(closing, GradedPoly) or closing is None:
-        pmap = closing_index_map(n, closing)
-    else:
-        pmap = {tuple(k): Q(v) for k, v in closing.items()}
-        for s in pmap:
-            if _index_weight(n, s) != 2 * (n + 2):
-                raise WeightMismatch(f"closing monomial {s} has wrong weight")
+    if not (isinstance(closing, GradedPoly) or closing is None):
+        closing = GradedPoly({_index_mono(n, s): v for s, v in closing.items()})
+    pmap = closing_index_map(n, closing)
     entries: dict[Index, Fraction] = {}
 
     def get(j: tuple[int, ...]) -> Fraction:
@@ -216,8 +213,7 @@ def series_from_table(table: CoeffTable) -> AnsatzSeries:
         w = _index_weight(table.n, j)
         if w == 0 or a == 0:
             continue
-        m = mono({i + 2: e for i, e in enumerate(j) if e})
-        buckets.setdefault(w // 2, {})[m] = a
+        buckets.setdefault(w // 2, {})[_index_mono(table.n, j)] = a
     coeffs = tuple(GradedPoly(buckets.get(k, {}))
                    for k in range(2, table.truncation + 1))
     return AnsatzSeries(table.n, table.delta, table.c, table.truncation, coeffs)
@@ -266,21 +262,14 @@ def bare_series(p_list: Sequence[GradedPoly], psi1: GradedPoly, K: int,
     n = len(p_list) - 1
     if n < 0:
         raise ValueError("p_list must cover x_1..x_{n+1}")
-    for j, p in enumerate(p_list, start=1):
-        if p and p.weight != 2 * (j + 1):
-            raise WeightMismatch(
-                f"flow of x_{j} has weight {p.weight}, expected {2 * (j + 1)}")
-    if psi1 and psi1.weight != 2:
-        raise WeightMismatch("the seed coefficient must have weight 2")
+    flows = dict(enumerate(p_list, start=1))
+    for j, p in flows.items():
+        check_homogeneous(p, 2 * (j + 1), range(1, n + 2), f"flow of x_{j}")
+    check_homogeneous(psi1, 2, range(1, n + 2), "the seed coefficient")
     coeffs = [psi1]
     for _ in range(1, K):
         prev = coeffs[-1]
-        nxt = GradedPoly.zero()
-        for j, p in enumerate(p_list, start=1):
-            if p:
-                nxt = nxt + p * prev.partial(j)
-        nxt = nxt.scale(2) + psi1 * prev
-        coeffs.append(nxt)
+        coeffs.append(prev.derive(flows).scale(2) + psi1 * prev)
     return BareSeries(n, delta, K, tuple(coeffs))
 
 
@@ -325,15 +314,12 @@ def sigma_series(K: int) -> list[GradedPoly]:
 def sigma_l2(p: GradedPoly) -> GradedPoly:
     """The lowering field 6 g3 d/dg2 + (1/3) g2^2 d/dg3 on (g2, g3) polynomials."""
     g2 = GradedPoly.variable(2)
-    g3 = GradedPoly.variable(3)
-    return g3.scale(6) * p.partial(2) + (g2 * g2).scale(Q(1, 3)) * p.partial(3)
+    return p.derive({2: GradedPoly.variable(3, 6), 3: (g2 * g2).scale(Q(1, 3))})
 
 
 def sigma_l0(p: GradedPoly) -> GradedPoly:
     """The scaling field 4 g2 d/dg2 + 6 g3 d/dg3."""
-    g2 = GradedPoly.variable(2)
-    g3 = GradedPoly.variable(3)
-    return g2.scale(4) * p.partial(2) + g3.scale(6) * p.partial(3)
+    return p.derive({2: GradedPoly.variable(2, 4), 3: GradedPoly.variable(3, 6)})
 
 
 # -- Hermite polynomials ------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import GradedPoly, Q, WeightMismatch, check_closing
+from .algebra import GradedPoly, Q, check_closing, check_homogeneous
 from .jets import JetTooShort, hierarchy_ode
 from .series import default_c
 
@@ -58,12 +58,8 @@ class SystemSpec:
             raise ValueError("delta must be 0 or 1")
         if len(self.flows) != self.n:
             raise ValueError(f"expected {self.n} flows, got {len(self.flows)}")
-        for i, p in enumerate(self.flows):
-            if p and p.weight != 2 * (i + 3):
-                raise WeightMismatch(
-                    f"flow of x_{i + 2} has weight {p.weight}, expected {2 * (i + 3)}")
-            if p and any(k < 2 or k > self.n + 1 for m in p.terms for k, _ in m):
-                raise WeightMismatch(f"flow of x_{i + 2} uses variables outside x_2..x_{self.n + 1}")
+        for k, p in enumerate(self.flows, start=2):
+            check_homogeneous(p, 2 * (k + 1), range(2, self.n + 2), f"flow of x_{k}")
 
     @classmethod
     def reduced(cls, n: int, delta: int = 0, closing: GradedPoly | None = None,
@@ -231,35 +227,22 @@ def transform_system(spec: SystemSpec,
         raise ValueError(f"expected {spec.n} transform rows")
     scales: list[Fraction] = []
     shears: list[GradedPoly] = []
-    for i, (ck, qk) in enumerate(transform):
+    for k, (ck, qk) in enumerate(transform, start=2):
         ck = Q(ck)
         if ck == 0:
-            raise SingularTransform(f"diagonal entry for x_{i + 2} vanishes")
-        qk = qk if qk is not None else GradedPoly.zero()
-        k = i + 2
-        if qk:
-            if qk.weight != 2 * k:
-                raise WeightMismatch(f"shear for x_{k} has weight {qk.weight}")
-            if any(v >= k for m in qk.terms for v, _ in m):
-                raise WeightMismatch(f"shear for x_{k} must use x_2..x_{k - 1}")
+            raise SingularTransform(f"diagonal entry for x_{k} vanishes")
         scales.append(ck)
-        shears.append(qk)
+        shears.append(check_homogeneous(qk or GradedPoly.zero(), 2 * k, range(2, k),
+                                        f"shear for x_{k}"))
     # invert the triangle bottom-up: x_k = (X_k - q_k(x_2(X), ...))/c_k
     inverse: dict[int, GradedPoly] = {}
-    for i in range(spec.n):
-        k = i + 2
-        expr = GradedPoly.variable(k) - shears[i].subst(inverse)
-        inverse[k] = expr.scale(1 / scales[i])
-    new_flows = []
-    for i in range(spec.n):
-        k = i + 2
-        rate = spec.flows[i].scale(scales[i])
-        for j in range(2, k):
-            dq = shears[i].partial(j)
-            if dq:
-                rate = rate + dq * spec.flows[j - 2]
-        new_flows.append(rate.subst(inverse))
-    return SystemSpec(spec.n, spec.delta, spec.c / scales[0], tuple(new_flows))
+    for k, ck, q in zip(range(2, spec.n + 2), scales, shears):
+        inverse[k] = (GradedPoly.variable(k) - q.subst(inverse)).scale(1 / ck)
+    # X_k' = c_k p_{k+1} + (derivative of q_k along the old flows), then back to X
+    old_flows = dict(enumerate(spec.flows, start=2))
+    new_flows = tuple((p.scale(ck) + q.derive(old_flows)).subst(inverse)
+                      for p, ck, q in zip(spec.flows, scales, shears))
+    return SystemSpec(spec.n, spec.delta, spec.c / scales[0], new_flows)
 
 
 def weierstrass_system() -> SystemSpec:

@@ -2,17 +2,20 @@
 
 GradedPoly grades x_k with weight 2k; JetPoly grades h^(q) with weight
 2(q+1) and the symbolic b with weight 0.  Every ring operation is shared,
-so each law is checked once per grading.
+so each law is checked once per grading.  The two series routes and the
+group law of the matrix action are checked on random inputs as well.
 """
 
 import json
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from heatode.algebra import GradedPoly, WeightMismatch, monomial_basis
+from heatode.algebra import GradedPoly, WeightMismatch, closing_monomials, monomial_basis
 from heatode.jets import PARAM, JetPoly, jet_mono, total_derivative
+from heatode.mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_psi
+from heatode.series import ansatz_series, closing_index_map, coeff_table, series_from_table
 
 CLASSES = [GradedPoly, JetPoly]
 WEIGHTS = (0, 2, 4, 6)
@@ -106,3 +109,104 @@ def test_total_derivative_leibniz(data, w, u):
     # d/dt raises the weight by 2 (one more derivative)
     if total_derivative(a):
         assert total_derivative(a).weight == w + 2
+
+
+@SETTINGS
+@given(data=st.data(), w=st.sampled_from(WEIGHTS))
+def test_jet_json_round_trip(data, w):
+    p = data.draw(polys(JetPoly, w))
+    back = JetPoly.from_json(json.loads(json.dumps(p.to_json())))
+    assert back == p and back.weight == p.weight
+
+
+@SETTINGS
+@given(data=st.data(), w=st.sampled_from(WEIGHTS),
+       jet=st.lists(st.floats(-2, 2), min_size=4, max_size=4), b=st.floats(-2, 2))
+def test_jet_eval_is_the_term_by_term_sum(data, w, jet, b):
+    # the float result must be bit-identical to summing the terms in storage order
+    p = data.draw(polys(JetPoly, w))
+    expect = None
+    for m, c in p.terms.items():
+        term = c
+        for q, e in m:
+            term = term * (b if q == PARAM else jet[q]) ** e
+        expect = term if expect is None else expect + term
+    got = p.eval(jet, b=b)
+    expect = Q(0) if expect is None else expect
+    assert type(got) is type(expect) and repr(got) == repr(expect)
+
+
+# -- the derivation ------------------------------------------------------------------
+
+def fields(cls, shift):
+    """Fields {k: v_k} on the first four variables (and b for jets), each v_k of
+    the weight of x_k plus `shift`, so the derivation raises weights by `shift`."""
+    keys = (1, 2, 3, 4) if cls is GradedPoly else (PARAM, 0, 1, 2, 3)
+    return st.fixed_dictionaries({k: polys(cls, cls.variable(k).weight + shift) for k in keys})
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), w=st.sampled_from(WEIGHTS[:3]), u=st.sampled_from(WEIGHTS[:3]),
+       shift=st.sampled_from((0, 2)))
+def test_derive_leibniz_and_linearity(cls, data, w, u, shift):
+    a, a2 = data.draw(polys(cls, w)), data.draw(polys(cls, w))
+    b = data.draw(polys(cls, u))
+    f, g = data.draw(fields(cls, shift)), data.draw(fields(cls, shift))
+    d = a.derive(f)
+    assert (a * b).derive(f) == d * b + a * b.derive(f)
+    assert (a + a2).derive(f) == d + a2.derive(f)
+    assert a.scale(Q(-3, 2)).derive(f) == d.scale(Q(-3, 2))
+    assert a.derive({k: f[k] + g[k] for k in f}) == d + a.derive(g)
+    if d:
+        assert d.weight == w + shift
+
+
+# -- the two series routes -------------------------------------------------------------
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(0, 4), K=st.integers(2, 10),
+       delta=st.sampled_from((0, 1)), dense=st.booleans(),
+       c=coefficients.filter(bool))
+def test_series_routes_agree(data, n, K, delta, dense, c):
+    monos = closing_monomials(n)
+    closing = GradedPoly(dict(zip(monos, data.draw(
+        st.lists(coefficients, min_size=len(monos), max_size=len(monos))))))
+    handed = closing_index_map(n, closing) if dense else closing
+    table = coeff_table(n, handed, c, delta, K)
+    assert series_from_table(table) == ansatz_series(n, closing, c, delta, K)
+
+
+# -- the group law on exact samplers ------------------------------------------------------
+
+shears = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def shear_product(pairs):
+    m = Mobius.identity()
+    for up, low in pairs:
+        m = m @ Mobius(Q(1), up, Q(0), Q(1)) @ Mobius(Q(1), Q(0), low, Q(1))
+    return m
+
+
+mobius = st.lists(st.tuples(shears, shears), min_size=1, max_size=3).map(shear_product)
+
+SAMPLERS = [
+    lambda z, t: ExactHeatValue.plain(Q(1) / (1 + t * t) + z * z * t - z ** 4),
+    lambda z, t: ExactHeatValue(t, -z * z / (2 * t), Q(1)),  # the heat kernel
+]
+
+
+@pytest.mark.parametrize("psi", SAMPLERS, ids=["rational", "heat-kernel"])
+@SETTINGS
+@given(m1=mobius, m2=mobius, z=shears, t=shears)
+def test_mobius_group_law(psi, m1, m2, z, t):
+    try:
+        lhs = act_on_psi(m2, lambda zz, tt: act_on_psi(m1, psi, zz, tt), z, t)
+        rhs = act_on_psi(m1 @ m2, psi, z, t)
+        unit = act_on_psi(m1 @ m1.inverse(), psi, z, t)
+        plain = psi(z, t)
+    except (PoleOfAction, ZeroDivisionError):
+        assume(False)
+    assert lhs == rhs
+    assert unit == plain

@@ -7,8 +7,8 @@ import pytest
 
 from heatode.algebra import GradedPoly, WeightMismatch, check_closing, closing_monomials
 from heatode.cli import main
-from heatode.jets import JetPoly, family_ode
-from heatode.series import ansatz_series, closing_index_map, coeff_table
+from heatode.jets import JetPoly, family_ode, pole_sum_ode
+from heatode.series import ansatz_series, bare_series, closing_index_map, coeff_table
 from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4
 
 x1 = GradedPoly.variable(1)
@@ -56,6 +56,35 @@ def test_closing_none_is_zero():
     for n in range(2, 6):
         p = GradedPoly({m: Q(i + 1) for i, m in enumerate(closing_monomials(n))})
         assert check_closing(n, p) is p
+
+
+@pytest.mark.parametrize("index_map", [
+    {(5, -2): 1},     # weight 8 = 2(2+2), but x_3 has exponent -2
+    {(2, 0, 0): 1},   # three entries at level 2, which has only x_2, x_3
+    {(2,): 1},        # one entry at level 2
+])
+def test_coeff_table_rejects_bad_index_map(index_map):
+    with pytest.raises(ValueError):
+        coeff_table(2, index_map, Q(1), 0, 6)
+
+
+def test_bare_series_rejects_flow_outside_its_variables():
+    # at n = 1 the series lives on x_1, x_2; nothing differentiates by x_3
+    with pytest.raises(WeightMismatch):
+        bare_series([x2, x3], x1.scale(Q(-1, 2)), 4)
+
+
+def test_jet_json_round_trip_keeps_b():
+    p = pole_sum_ode(0)
+    assert p.has_param()
+    assert JetPoly.from_json(p.to_json()) == p
+
+
+def test_graded_json_reads_monomials_canonically():
+    unsorted = {"terms": [{"m": [[3, 1], [2, 1]], "c": "1"}]}
+    assert GradedPoly.from_json(unsorted) == x2 * x3
+    with pytest.raises(ValueError):
+        GradedPoly.from_json({"terms": [{"m": [[3, 2], [2, -1]], "c": "1"}]})
 
 
 def test_gradings_never_compare_equal():
