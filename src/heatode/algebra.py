@@ -6,13 +6,15 @@ deg x_k = -4k.  A monomial x^J with multiindex J = (j_k) has weight
 handled here is homogeneous: all stored monomials share one weight.
 
 Coefficients are `fractions.Fraction` throughout, so equality tests are
-exact and no rounding ever occurs.
+exact and no rounding ever occurs.  For float evaluation a polynomial is
+lowered once (GradedPoly.lower) to float coefficients, which
+eval_lowered sums with the same bits as the Fraction coefficients would.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 # A monomial is a sorted tuple of (variable index, exponent) pairs with
 # positive exponents; () is the constant monomial.
@@ -52,6 +54,27 @@ def mono_text(m: Mono) -> str:
     if not m:
         return "1"
     return "*".join(f"x{k}" if j == 1 else f"x{k}^{j}" for k, j in m)
+
+
+# A polynomial's terms with converted coefficients (GradedPoly.lower).
+Lowered = tuple[tuple[Mono, object], ...]
+
+
+def eval_lowered(terms: Iterable[tuple[Mono, object]],
+                 values: Mapping[int, object] | Sequence[object], zero):
+    """Sum of c * prod_k values[k]**j over (monomial, c) pairs, in their order; zero if none.
+
+    The one scalar evaluator: GradedPoly.eval hands it the exact terms,
+    float callers the terms lowered once.  `values` is anything indexed
+    by the variable index, a mapping or a sequence.
+    """
+    total = None
+    for m, c in terms:
+        term = c
+        for k, j in m:
+            term = term * values[k] ** j
+        total = term if total is None else total + term
+    return zero if total is None else total
 
 
 class GradedPoly:
@@ -203,15 +226,18 @@ class GradedPoly:
             total = total + factor
         return total
 
+    def lower(self, num: Callable[[Fraction], object]) -> Lowered:
+        """The terms as (monomial, num(c)) pairs, each coefficient converted once.
+
+        eval_lowered sums them in the order and with the operations of
+        eval, so lower(float) at float values gives eval's bits:
+        Fraction * float computes float(Fraction) * float.
+        """
+        return tuple((m, num(c)) for m, c in self.terms.items())
+
     def eval(self, values: Mapping[int, Fraction | float | int]):
         """Evaluate at a point; exact when all values are Fractions."""
-        total = None
-        for m, c in self.terms.items():
-            term = c
-            for k, j in m:
-                term = term * values[k] ** j
-            total = term if total is None else total + term
-        return Q(0) if total is None else total
+        return eval_lowered(self.terms.items(), values, Q(0))
 
     def coefficient(self, m: Mono) -> Fraction:
         return self.terms.get(m, Q(0))

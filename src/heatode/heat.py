@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from scipy.integrate import quad
-
-from .algebra import GradedPoly, Q
+from .algebra import GradedPoly, Q, eval_lowered
 from .series import AnsatzSeries, BareSeries, hermite
 from .systems import SystemSpec, SystemState, integrate_rk4, lift_jet, pole_sum
 
@@ -114,23 +112,28 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
 
 # -- assembled solutions ---------------------------------------------------------
 
-def series_sums(series: AnsatzSeries | BareSeries, z: float,
+def lower_series(series: AnsatzSeries | BareSeries) -> tuple:
+    """(delta, K, ((k, P_k lowered to float), ...)) over the nonzero P_k, for series_sums."""
+    K = series.truncation
+    return series.delta, K, tuple((k, pk.lower(float))
+                                  for k in range(1, K + 1) if (pk := series.coeff(k)))
+
+
+def series_sums(lowered: tuple, z: float,
                 x: Mapping[int, float]) -> tuple[float, float, float, float]:
     """Float sums at z of z^delta + sum_k P_k(x) z^e/e!, e = 2k + delta.
 
+    `lowered` is lower_series(series) and x maps indices to floats.
     Returns the value, its first and second z-derivatives, and the
     magnitude of the last retained term (the truncation estimate).
     Coefficients that vanish are skipped.
     """
-    delta, K = series.delta, series.truncation
+    delta, K, coeffs = lowered
     s = float(z) ** delta
     sz = 1.0 if delta else 0.0  # d/dz z^delta for delta in {0, 1}
     szz = tail = 0.0
-    for k in range(1, K + 1):
-        pk = series.coeff(k)
-        if not pk:
-            continue
-        v = float(pk.eval(x))
+    for k, pk in coeffs:
+        v = eval_lowered(pk, x, 0.0)
         e = 2 * k + delta
         s += v * z ** e / math.factorial(e)
         sz += v * z ** (e - 1) / math.factorial(e - 1)
@@ -152,19 +155,20 @@ class AnsatzSolution:
         s = self.series
         if (s.n, s.delta, s.c) != (self.spec.n, self.spec.delta, self.spec.c):
             raise ValueError("series parameters do not match the system")
+        self._lowered = lower_series(s)
 
     def _xmap(self, state: SystemState) -> dict[int, float]:
         return {k: float(v) for k, v in enumerate(state.x, start=2)}
 
     def psi(self, z: float, t: float) -> float:
         state = self.state_at(t)
-        s = series_sums(self.series, z, self._xmap(state))[0]
+        s = series_sums(self._lowered, z, self._xmap(state))[0]
         return math.exp(-0.5 * float(state.h) * z * z + float(state.r)) * s
 
     def psi_parts(self, z: float, t: float) -> tuple[float, float]:
         """Value and the magnitude of the last retained series term."""
         state = self.state_at(t)
-        s, _, _, tail = series_sums(self.series, z, self._xmap(state))
+        s, _, _, tail = series_sums(self._lowered, z, self._xmap(state))
         envelope = math.exp(-0.5 * float(state.h) * z * z + float(state.r))
         return envelope * s, envelope * tail
 
@@ -172,7 +176,7 @@ class AnsatzSolution:
         """Exact-in-z second derivative of the assembled solution."""
         state = self.state_at(t)
         h = float(state.h)
-        s, sz, szz, _ = series_sums(self.series, z, self._xmap(state))
+        s, sz, szz, _ = series_sums(self._lowered, z, self._xmap(state))
         bracket = h * h * z * z * s - 2 * h * z * sz - h * s + szz
         return math.exp(-0.5 * h * z * z + float(state.r)) * bracket
 
@@ -204,18 +208,21 @@ class WideSolution:
     series: BareSeries
     state_at: Callable[[float], tuple[float, Mapping[int, float]]]
 
+    def __post_init__(self):
+        self._lowered = lower_series(self.series)
+
     def psi(self, z: float, t: float) -> float:
         r, x = self.state_at(t)
-        return math.exp(r) * series_sums(self.series, z, x)[0]
+        return math.exp(r) * series_sums(self._lowered, z, x)[0]
 
     def psi_parts(self, z: float, t: float) -> tuple[float, float]:
         r, x = self.state_at(t)
-        s, _, _, tail = series_sums(self.series, z, x)
+        s, _, _, tail = series_sums(self._lowered, z, x)
         return math.exp(r) * s, math.exp(r) * tail
 
     def dzz(self, z: float, t: float) -> float:
         r, x = self.state_at(t)
-        return math.exp(r) * series_sums(self.series, z, x)[2]
+        return math.exp(r) * series_sums(self._lowered, z, x)[2]
 
 
 def trajectory_provider(spec: SystemSpec, s0: SystemState,
@@ -328,6 +335,8 @@ def gaussian_halfwidth(s: float, tol: float = 1e-13) -> float:
 def conserved_integral(psi: Callable[[float, float], float], t: float,
                        half_width: float) -> float:
     """The z-integral of a solution at time t over [-Z, Z], adaptively."""
+    from scipy.integrate import quad  # the only scipy use; imported here to keep startup light
+
     value, _ = quad(lambda z: psi(z, t), -half_width, half_width,
                     epsabs=1e-13, epsrel=1e-13, limit=300)
     return value

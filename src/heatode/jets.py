@@ -146,16 +146,18 @@ class JetPoly(GradedPoly):
         usual binary arithmetic.  The b slot is read from `b`, never from
         the jet (jet[-1] would be the top derivative).
         """
-        need = self.order()
-        if len(jet) <= need:
-            raise JetTooShort(f"need jet through order {need}, got {len(jet) - 1}")
         values = dict(enumerate(jet))
         if b is not None:
             values[PARAM] = b
         try:
-            return super().eval(values)
-        except KeyError:  # the jet covers every order, so only b can be missing
-            raise ValueError("polynomial carries the symbolic b; pass b=") from None
+            if len(jet):  # an empty jet is too short even for a constant
+                return super().eval(values)
+        except KeyError:  # a missing order or a missing b; order() tells which
+            pass
+        need = self.order()
+        if len(jet) <= need:
+            raise JetTooShort(f"need jet through order {need}, got {len(jet) - 1}")
+        raise ValueError("polynomial carries the symbolic b; pass b=")
 
     def to_json(self) -> dict:
         out = []

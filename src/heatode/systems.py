@@ -12,7 +12,13 @@ reduced normal form used everywhere in the special cases.
 
 Everything runs in two modes through one code path: exact Fractions (for
 the residual-zero theorems) and binary floats (for trajectories).  The
-mode is decided by the state values, never by a flag.
+mode is decided by the values, never by a flag: vector_field and
+integrate_rk4 run exact iff every scalar of the state (and of t_end and
+step) is an int or a Fraction; otherwise they convert every scalar, t
+included, to float once at entry, so no Fraction reaches a float row.
+build_field converts the system's constants once to the mode's number
+type; floats converted early give the same bits, because Fraction * float
+computes float(Fraction) * float.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .algebra import GradedPoly, Q, check_closing, check_homogeneous
+from .algebra import GradedPoly, Q, check_closing, check_homogeneous, eval_lowered
 from .jets import JetTooShort, hierarchy_ode
 from .series import default_c
 
@@ -101,59 +107,83 @@ class SystemState:
         return [self.t, self.r, self.h, *self.x]
 
 
-def vector_field(spec: SystemSpec, state: SystemState) -> tuple:
-    """Right-hand side (dr, dh, dx_2, ..., dx_{n+1}) at a state."""
+def _in_mode(spec: SystemSpec, state: SystemState, *extra) -> tuple:
+    """(number type, state, extra) under the module's number-mode rule, every scalar converted."""
     if len(state.x) != spec.n:
         raise ValueError(f"state has {len(state.x)} coordinates, spec wants {spec.n}")
-    values = {k: v for k, v in enumerate(state.x, start=2)}
-    h = state.h
-    dr = -(Q(spec.delta) + Q(1, 2)) * h
-    dh = -h * h
-    if spec.n >= 1:
-        dh = dh - spec.c / Q(2 * (1 + 2 * spec.delta)) * state.x[0]
-    dx = tuple(spec.flows[i].eval(values) - 2 * (i + 2) * h * state.x[i]
-               for i in range(spec.n))
-    return (dr, dh) + dx
+    num = Q if all(isinstance(v, (int, Fraction)) for v in (*state.row(), *extra)) else float
+    try:
+        t, r, h, *x = (num(v) for v in state.row())
+        extra = [num(v) for v in extra]
+    except OverflowError:  # an int or Fraction beyond the float range, in float mode
+        raise ValueError("every scalar must be finite as a float") from None
+    return num, SystemState(t, r, h, tuple(x)), extra
+
+
+def build_field(spec: SystemSpec, num: Callable) -> Callable[[Sequence], tuple]:
+    """The right-hand side as a function of (r, h, x_2, ..., x_{n+1}).
+
+    The constants and the flows are converted once by `num` (Fraction or
+    float); the returned function keeps vector_field's operation order.
+    """
+    rate_r = num(-(Q(spec.delta) + Q(1, 2)))
+    coupling = num(spec.c / Q(2 * (1 + 2 * spec.delta))) if spec.n >= 1 else None
+    zero = num(0)
+    rows = [(k, num(2 * k), p.lower(num)) for k, p in enumerate(spec.flows, start=2)]
+
+    def field(vec: Sequence) -> tuple:
+        h = vec[1]
+        dh = -h * h
+        if coupling is not None:
+            dh = dh - coupling * vec[2]
+        # vec[k] is x_k for k >= 2, so vec serves as the flows' value map
+        return (rate_r * h, dh,
+                *[eval_lowered(flow, vec, zero) - rate * h * vec[k] for k, rate, flow in rows])
+
+    return field
+
+
+def vector_field(spec: SystemSpec, state: SystemState) -> tuple:
+    """Right-hand side (dr, dh, dx_2, ..., dx_{n+1}) at a state."""
+    num, state, _ = _in_mode(spec, state)
+    return build_field(spec, num)([state.r, state.h, *state.x])
 
 
 def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
                   h_bound=10 ** 8) -> list[SystemState]:
     """Classical fixed-step fourth-order trajectory from s0.t to t_end.
 
-    Exact when the state, step and spec are rational (the method is pure
+    Exact when the state, t_end and step are rational (the method is pure
     rational arithmetic).  Raises BlowUp when |h| exceeds h_bound or
     stops being a number, the expected signal of a movable pole.
     """
-    if any(not isinstance(v, Fraction) and not math.isfinite(v)
-           for v in (*s0.row(), t_end, step)):
+    num, s0, (t_end, step) = _in_mode(spec, s0, t_end, step)
+    if num is float and not all(math.isfinite(v) for v in (*s0.row(), t_end, step)):
         raise ValueError("initial state, t_end and step must be finite")
     if step <= 0:
         raise ValueError("step must be positive")
     span = t_end - s0.t
     steps = span / step
     nsteps = round(steps)
-    if isinstance(steps, Fraction):
+    if num is Q:
         off_grid = steps != nsteps
     else:
         off_grid = abs(nsteps * step - span) > 1e-9 * abs(step)
     if nsteps <= 0 or off_grid:
         raise ValueError("(t_end - t0) must be a positive multiple of step")
 
-    def rhs(t, vec):
-        state = SystemState(t, vec[0], vec[1], tuple(vec[2:]))
-        return vector_field(spec, state)
-
-    half, sixth = Q(1, 2), Q(1, 6)
+    field = build_field(spec, num)
+    half, sixth = Q(1, 2) * step, Q(1, 6) * step
     out = [s0]
     vec = [s0.r, s0.h, *s0.x]
     for i in range(nsteps):
         t = s0.t + i * step
         try:
-            k1 = rhs(t, vec)
-            k2 = rhs(t + half * step, [v + half * step * d for v, d in zip(vec, k1)])
-            k3 = rhs(t + half * step, [v + half * step * d for v, d in zip(vec, k2)])
-            k4 = rhs(t + step, [v + step * d for v, d in zip(vec, k3)])
-            vec = [v + sixth * step * (a + 2 * b + 2 * c + d)
+            k1 = field(vec)
+            k2 = field([v + half * d for v, d in zip(vec, k1)])
+            k3 = field([v + half * d for v, d in zip(vec, k2)])
+            k4 = field([v + step * d for v, d in zip(vec, k3)])
+            vec = [v + sixth * (a + 2 * b + 2 * c + d)
                    for v, a, b, c, d in zip(vec, k1, k2, k3, k4)]
         except (OverflowError, ZeroDivisionError):
             raise BlowUp(t, out) from None

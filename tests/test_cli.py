@@ -1,6 +1,10 @@
 """Command-line behaviour: output forms, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,26 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["passed"]
+
+
+# -- the package as a program ----------------------------------------------------
+
+def run_python(*args):
+    """A fresh interpreter with this checkout's src/ first on the import path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_python("-m", "heatode", "ode", "basis", "--n", "4")
+    assert done.returncode == 0, done.stderr
+    assert "dim = 3" in done.stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only heat.conserved_integral, which imports it on first use
+    done = run_python("-c", "import sys, heatode; print('scipy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

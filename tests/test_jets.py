@@ -315,6 +315,16 @@ def test_eval_requires_param_value():
     assert p.eval([Q(1), Q(0), Q(0), Q(0)], b=Q(3)) == 27
 
 
+def test_eval_tells_short_jet_from_missing_param():
+    with pytest.raises(ValueError) as err:
+        pole_sum_ode(2).eval([Q(1)] * 4)
+    assert not isinstance(err.value, JetTooShort)
+    with pytest.raises(JetTooShort):
+        pole_sum_ode(2).eval([Q(1)] * 3)  # too short and no b: the jet is reported
+    with pytest.raises(JetTooShort):
+        JetPoly.one().eval([])
+
+
 def test_text_forms():
     assert hierarchy_ode(2).text() == "h'' + 6*h*h' + 4*h^3"
     assert hierarchy_ode(5).text().startswith("h^(5) + 30*h*h''''")
