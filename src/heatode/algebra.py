@@ -13,6 +13,7 @@ eval_lowered sums with the same bits as the Fraction coefficients would.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -372,44 +373,71 @@ def bare_monomials(n: int) -> list[Mono]:
 
 # -- exact linear solving ---------------------------------------------------
 
+def _integer_row(values: Sequence) -> tuple[list[int], int]:
+    """The values times the lcm of their denominators, as ints, and that lcm."""
+    fracs = [Q(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _catch_up(row: list[int], pivots: list[list[int]], width: int, stop: int) -> list[int]:
+    """The row after the fraction-free elimination steps it has not had, up to step stop-1.
+
+    A row of a width-column matrix that has had t steps holds its entries
+    from column t on; pivots[t] has had t steps and starts with its pivot.
+    Each step divides exactly by the previous pivot (Bareiss).
+    """
+    t = width - len(row)
+    prev = pivots[t - 1][0] if t else 1
+    for t in range(t, stop):
+        p_row = pivots[t]
+        p, f = p_row[0], row[0]
+        row = [(p * u - f * v) // prev for u, v in zip(row[1:], p_row[1:])]
+        prev = p
+    return row
+
+
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]
                  ) -> tuple[list[Fraction] | None, list[Fraction]]:
-    """Solve rows * x = rhs exactly by Gaussian elimination.
+    """Solve rows * x = rhs exactly by fraction-free integer elimination.
 
-    Returns (solution, residual).  For a consistent full-column-rank
-    system the residual is all zeros.  For an inconsistent system the
-    solution of the pivot rows is returned (free columns set to 0) and
+    Returns (solution, residual), both in Fractions.  For a consistent
+    full-column-rank system the residual is all zeros.  For an
+    inconsistent system the solution of the pivot rows is returned and
     the residual shows where the remaining rows fail; if the column rank
-    is deficient the solution is None.
+    is deficient the solution is None (and the residual zeros).  Column by
+    column the pivot is the first row at or below the current one with a
+    nonzero entry, as in Gauss-Jordan elimination.
+
+    Each row is scaled by the lcm of its denominators (which changes
+    neither the solutions nor the pivots) and eliminated on ints.  A row
+    is brought up to date only when the pivot search reaches it, so rows
+    the search never reaches are never eliminated.  With D the last
+    pivot (the determinant of the pivot rows), D * solution is integral,
+    so back-substitution and the residual against the original rows
+    stay in ints until the final division.
     """
     m = len(rows)
+    if len(rhs) != m:
+        raise ValueError(f"rhs has {len(rhs)} entries for {m} rows")
     ncols = len(rows[0]) if m else 0
-    a = [[Q(v) for v in row] + [Q(b)] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"rows must all have {ncols} entries")
+    scaled = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
+    a = [ints for ints, _ in scaled]
     for col in range(ncols):
-        pivot = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    solution: list[Fraction] | None = [Q(0)] * ncols
-    for row_i, col in pivots:
-        solution[col] = a[row_i][ncols]
-    if len(pivots) < ncols:
-        solution = None
-    if solution is None:
-        residual = [Q(0)] * m
-    else:
-        residual = [sum((rows[i][j] * solution[j] for j in range(ncols)), Q(0)) - rhs[i]
-                    for i in range(m)]
-    return solution, residual
+        for i in range(col, m):
+            a[i] = _catch_up(a[i], a, ncols + 1, col)
+            if a[i][0]:
+                break
+        else:
+            return None, [Q(0)] * m
+        a[col], a[i] = a[i], a[col]
+    det = a[ncols - 1][0] if ncols else 1
+    xs = [0] * ncols                      # det * solution
+    for i in reversed(range(ncols)):
+        row = a[i]
+        xs[i] = (det * row[-1] - sum(u * x for u, x in zip(row[1:], xs[i + 1:]))) // row[0]
+    residual = [Q(sum(u * x for u, x in zip(ints, xs)) - ints[-1] * det, den * det)
+                for ints, den in scaled]
+    return [Q(x, det) for x in xs], residual

@@ -233,7 +233,8 @@ def cmd_sl2_orbit(args) -> int:
     t = parse_rational(args.t)
     order = args.order if args.order is not None else n + 1
     jet = transformed_h_jet(m, ps.jet, t, order)
-    match = match_pole_ode(n) if n >= 1 else None
+    # only a jet long enough for the level-n member needs the matched closing
+    match = match_pole_ode(n) if n >= 1 and order >= n + 1 else None
     body = {
         "n": n,
         "t": str(t),
@@ -242,7 +243,7 @@ def cmd_sl2_orbit(args) -> int:
     }
     if n == 0:
         body["residual"] = str(hierarchy_ode(1).eval(jet))
-    elif match is not None and match.matched and order >= n + 1:
+    elif match is not None and match.matched:
         ode = family_ode(n, match.closing)
         body["closing"] = match.closing.text() if match.closing else "0"
         body["residual"] = str(ode.eval(jet))

@@ -164,8 +164,13 @@ def suite_phi_equiv(seed: int = 0, max_n: int = 4, K: int = 12, trials: int = 5)
     for n in range(1, max_n + 1):
         for delta in (0, 1):
             agree = True
+            seen = set()          # closings already compared at this (n, delta)
             for _ in range(trials):
                 closing = _random_closing(rng, n)
+                key = frozenset(closing.terms.items())
+                if key in seen:
+                    continue
+                seen.add(key)
                 for c in (default_c(delta), Q(3)):
                     a = ansatz_series(n, closing, c, delta, K)
                     b = series_from_table(coeff_table(n, closing, c, delta, K))

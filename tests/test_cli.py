@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from heatode import cli
 from heatode.cli import main, parse_closing, parse_rational, CliError
 from heatode.algebra import GradedPoly, Q, closing_monomials
 
@@ -197,6 +198,24 @@ def test_sl2_orbit_zero_residual(capsys):
     data = json.loads(out)
     assert data["residual"] == "0"
     assert data["closing"] == "-3*x2^2"
+
+
+def test_sl2_orbit_short_jet_skips_the_match(capsys, monkeypatch):
+    # a jet shorter than the level-n member needs no closing: no match is computed
+    argv = ("sl2", "orbit", "--mobius", "1,1/2,1/3,7/6", "--poles", "0,1,2", "--t", "5")
+    full = json.loads(run(capsys, *argv)[1])
+
+    def no_match(n):
+        raise AssertionError("match_pole_ode called for a short jet")
+
+    monkeypatch.setattr(cli, "match_pole_ode", no_match)
+    code, out, _ = run(capsys, *argv, "--order", "2", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["jet"] == ["-23/44", "-2643/1936", "-226543/42592"] == full["jet"][:3]
+    assert "closing" not in data and "residual" not in data
+    same = ("command", "config", "mobius", "n", "t")
+    assert {k: data[k] for k in same} == {k: full[k] for k in same}
 
 
 def test_sl2_orbit_rejects_non_unimodular(capsys):

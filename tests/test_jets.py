@@ -251,6 +251,28 @@ def test_match_higher_levels_complete():
             assert m.residual
 
 
+# The closings match_pole_ode found at levels 5..10 with the Gauss-Jordan solver
+# it used before fraction-free elimination, in the basis order of each level.
+GOLDEN_CLOSINGS = {
+    5: [-576, -118, -52],
+    6: [-1575, -2776, -1654, -153, -226, -80],
+    7: [-36864, -4960, -17728, -3904, -658, -390, -116],
+    8: [-99225, -353268, -140274, -52228, -31123, -45978, -784, -8134, -1258, -626, -161],
+    9: [-3686400, -1629568, -2911360, -199764, -427264, -147508, -175896, -104288, -3288,
+        -15504, -2214, -952, -216],
+    10: [-9823275, -58673880, -3033080, -17469279, -21672792, -6455395, -275499, -9537326,
+         -1220526, -268824, -1124488, -361620, -431456, -3750, -214804, -6294, -27615,
+         -3661, -1388, -282],
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_CLOSINGS))
+def test_match_golden_closings(n):
+    m = match_pole_ode(n)
+    assert m.matched and m.b == n + 1
+    assert m.closing == closing(n, GOLDEN_CLOSINGS[n])
+
+
 # -- dependent-variable changes ----------------------------------------------
 
 def test_rescale_chazy3():

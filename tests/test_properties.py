@@ -3,16 +3,19 @@
 GradedPoly grades x_k with weight 2k; JetPoly grades h^(q) with weight
 2(q+1) and the symbolic b with weight 0.  Every ring operation is shared,
 so each law is checked once per grading.  The two series routes and the
-group law of the matrix action are checked on random inputs as well.
+group law of the matrix action are checked on random inputs as well, and
+the fraction-free linear solver against Gauss-Jordan elimination.
 """
 
 import json
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from heatode.algebra import GradedPoly, WeightMismatch, closing_monomials, monomial_basis
+from heatode.algebra import (
+    GradedPoly, WeightMismatch, closing_monomials, monomial_basis, solve_linear,
+)
 from heatode.jets import PARAM, JetPoly, jet_mono, total_derivative
 from heatode.mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_psi
 from heatode.series import ansatz_series, closing_index_map, coeff_table, series_from_table
@@ -210,3 +213,88 @@ def test_mobius_group_law(psi, m1, m2, z, t):
         assume(False)
     assert lhs == rhs
     assert unit == plain
+
+
+# -- the exact linear solver ------------------------------------------------------------
+
+def gauss_jordan(rows, rhs):
+    """Reference oracle: the Fraction Gauss-Jordan solver solve_linear replaced."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    a = [[Q(v) for v in row] + [Q(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, m) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [u - f * v for u, v in zip(a[i], a[r])]
+        pivots.append((r, col))
+        r += 1
+        if r == m:
+            break
+    solution = [Q(0)] * ncols
+    for row_i, col in pivots:
+        solution[col] = a[row_i][ncols]
+    if len(pivots) < ncols:
+        solution = None
+    if solution is None:
+        residual = [Q(0)] * m
+    else:
+        residual = [sum((rows[i][j] * solution[j] for j in range(ncols)), Q(0)) - rhs[i]
+                    for i in range(m)]
+    return solution, residual
+
+
+entries = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=6))
+SHAPES = ("random", "consistent", "zero row", "zero column", "dependent column",
+          "repeated row")
+
+
+@st.composite
+def linear_systems(draw):
+    """Square, tall and wide systems of ints and Fractions, bent into a shape."""
+    m, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 6))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(m)]
+    rhs = draw(st.lists(entries, min_size=m, max_size=m))
+    shape = draw(st.sampled_from(SHAPES))
+    if shape == "consistent":
+        x = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+        rhs = [sum((Q(u) * v for u, v in zip(row, x)), Q(0)) for row in rows]
+    elif shape == "zero row" and m:
+        rows[draw(st.integers(0, m - 1))] = [0] * ncols
+    elif shape == "zero column" and ncols:
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    elif shape == "dependent column" and ncols >= 2:
+        i, j = draw(st.lists(st.integers(0, ncols - 1), min_size=2, max_size=2, unique=True))
+        k = draw(entries)
+        for row in rows:
+            row[j] = k * row[i]
+    elif shape == "repeated row" and m >= 2:
+        # the same row with another right-hand side: inconsistent unless the sides agree
+        i, j = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = list(rows[i])
+    return rows, rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=linear_systems())
+@example(system=([], []))
+@example(system=([[], []], [1, Q(-1, 2)]))
+@example(system=([[0, 0], [0, 0]], [0, 1]))
+@example(system=([[1], [1]], [1, 2]))
+@example(system=([[2, 1], [4, 2], [0, 1]], [1, 3, 5]))
+def test_solve_linear_matches_gauss_jordan(system):
+    rows, rhs = system
+    solution, residual = solve_linear(rows, rhs)
+    assert (solution, residual) == gauss_jordan(rows, rhs)
+    assert all(type(v) is Q for v in (solution or []) + residual)

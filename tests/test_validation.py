@@ -1,11 +1,13 @@
-"""Input validation: the closing check, integration inputs and CLI options."""
+"""Input validation: the closing check, integration inputs, the linear solver and CLI options."""
 
 import math
 from fractions import Fraction as Q
 
 import pytest
 
-from heatode.algebra import GradedPoly, WeightMismatch, check_closing, closing_monomials
+from heatode.algebra import (
+    GradedPoly, WeightMismatch, check_closing, closing_monomials, solve_linear,
+)
 from heatode.cli import main
 from heatode.jets import JetPoly, family_ode, pole_sum_ode
 from heatode.series import ansatz_series, bare_series, closing_index_map, coeff_table
@@ -179,3 +181,19 @@ def test_type_error_in_command_propagates(monkeypatch):
     monkeypatch.setattr(cli, "closing_dim", broken)
     with pytest.raises(TypeError):
         main(["ode", "basis", "--n", "2"])
+
+
+# -- the exact linear solver ----------------------------------------------------
+
+def test_solve_linear_rejects_ragged_rows():
+    # a short row used to be read as if padded, and [3, -1] came back
+    with pytest.raises(ValueError):
+        solve_linear([[1, 2], [3, 4, 5]], [1, 2])
+    with pytest.raises(ValueError):
+        solve_linear([[1, 2, 3], [4, 5]], [1, 2])
+
+
+@pytest.mark.parametrize("rhs", [[1], [1, 2, 3], []])
+def test_solve_linear_rejects_rhs_of_wrong_length(rhs):
+    with pytest.raises(ValueError):
+        solve_linear([[1, 0], [0, 1]], rhs)
