@@ -5,10 +5,11 @@ deg x_k = -4k.  A monomial x^J with multiindex J = (j_k) has weight
 ||J|| = sum 2k*j_k, so its grading degree is -2*||J||.  Every polynomial
 handled here is homogeneous: all stored monomials share one weight.
 
-Coefficients are `fractions.Fraction` throughout, so equality tests are
-exact and no rounding ever occurs.  For float evaluation a polynomial is
-lowered once (GradedPoly.lower) to float coefficients, which
-eval_lowered sums with the same bits as the Fraction coefficients would.
+Coefficients are exact: an `int` when integral, else a `fractions.Fraction`
+(printed alike: str(3) is str(Fraction(3))), so no rounding ever occurs and
+integral arithmetic skips Fraction's gcd work.  For float evaluation a
+polynomial is lowered once (GradedPoly.lower) to float coefficients, which
+eval_lowered sums with the same bits as the exact coefficients would.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 Mono = tuple[tuple[int, int], ...]
 
 Q = Fraction
+Coeff = int | Fraction
 
 
 class WeightMismatch(ValueError):
@@ -81,6 +83,7 @@ def eval_lowered(terms: Iterable[tuple[Mono, object]],
 class GradedPoly:
     """Homogeneous sparse polynomial with exact rational coefficients.
 
+    Only __init__ stores terms: nonzero, an int when integral, else a Fraction.
     The base grading is that of the variables x_1, x_2, ...; a subclass
     (jets.JetPoly) supplies another grading and presentation through the
     monomial hooks below, so every ring operation is written once.
@@ -99,20 +102,26 @@ class GradedPoly:
     _display_key = staticmethod(mono_key)
     _descending = False                     # display order of sorted_terms
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None,
+    def __init__(self, terms: Mapping[Mono, Coeff] | None = None,
                  weight: int | None = None):
-        clean: dict[Mono, Fraction] = {}
-        weigh = self._weight
+        """Without `weight` the monomials are weighed and must agree (else
+        WeightMismatch); a caller that knows their weight, as a product does, passes it."""
+        clean: dict[Mono, Coeff] = {}
+        weigh = self._weight if weight is None else None
         for m, c in (terms or {}).items():
-            c = Q(c)
-            if c == 0:
+            if type(c) is not int:
+                c = Q(c)
+                if c.denominator == 1:
+                    c = c.numerator
+            if not c:
                 continue
-            w = weigh(m)
-            if weight is None:
-                weight = w
-            elif w != weight:
-                raise WeightMismatch(
-                    f"monomial {self._mono_text(m)} has weight {w}, expected {weight}")
+            if weigh is not None:
+                w = weigh(m)
+                if weight is None:
+                    weight = w
+                elif w != weight:
+                    raise WeightMismatch(
+                        f"monomial {self._mono_text(m)} has weight {w}, expected {weight}")
             clean[m] = c
         self.terms = clean
         self.weight = weight if clean else None
@@ -124,18 +133,18 @@ class GradedPoly:
 
     @classmethod
     def one(cls) -> GradedPoly:
-        return cls({(): Q(1)})
+        return cls({(): 1})
 
     @classmethod
-    def variable(cls, k: int, coeff: Fraction | int = 1) -> GradedPoly:
-        return cls({cls._mono({k: 1}): Q(coeff)})
+    def variable(cls, k: int, coeff: Coeff = 1) -> GradedPoly:
+        return cls({cls._mono({k: 1}): coeff})
 
     @classmethod
-    def from_exponents(cls, entries: Iterable[tuple[Mapping[int, int], Fraction | int]]) -> GradedPoly:
-        acc: dict[Mono, Fraction] = {}
+    def from_exponents(cls, entries: Iterable[tuple[Mapping[int, int], Coeff]]) -> GradedPoly:
+        acc: dict[Mono, Coeff] = {}
         for exps, c in entries:
             m = cls._mono(exps)
-            acc[m] = acc.get(m, Q(0)) + Q(c)
+            acc[m] = acc.get(m, 0) + Q(c)
         return cls(acc)
 
     # -- ring operations -------------------------------------------------
@@ -149,7 +158,7 @@ class GradedPoly:
         return self.terms == other.terms
 
     def __neg__(self) -> GradedPoly:
-        return type(self)({m: -c for m, c in self.terms.items()})
+        return type(self)({m: -c for m, c in self.terms.items()}, self.weight)
 
     def __add__(self, other: GradedPoly) -> GradedPoly:
         if not self:
@@ -161,8 +170,8 @@ class GradedPoly:
                 f"cannot add weight {self.weight} to weight {other.weight}")
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Q(0)) + c
-        return type(self)(out)
+            out[m] = out.get(m, 0) + c
+        return type(self)(out, self.weight)
 
     def __sub__(self, other: GradedPoly) -> GradedPoly:
         return self + (-other)
@@ -170,32 +179,31 @@ class GradedPoly:
     def __mul__(self, other: GradedPoly) -> GradedPoly:
         if not self or not other:
             return type(self).zero()
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Coeff] = {}
         for ma, ca in self.terms.items():
+            pairs = {kj[0]: kj for kj in ma}  # share the factors' (k, j) pairs: less memory
             for mb, cb in other.terms.items():
-                d = dict(ma)
-                for k, j in mb:
-                    d[k] = d.get(k, 0) + j
-                m = tuple(sorted(d.items()))
-                out[m] = out.get(m, Q(0)) + ca * cb
-        return type(self)(out)
+                d = pairs.copy()
+                for kj in mb:
+                    k = kj[0]
+                    d[k] = (k, d[k][1] + kj[1]) if k in d else kj
+                m = tuple(sorted(d.values()))
+                out[m] = out.get(m, 0) + ca * cb
+        return type(self)(out, self.weight + other.weight)
 
-    def scale(self, c: Fraction | int) -> GradedPoly:
-        c = Q(c)
-        if c == 0:
-            return type(self).zero()
-        return type(self)({m: c * v for m, v in self.terms.items()})
+    def scale(self, c: Coeff) -> GradedPoly:
+        if type(c) is not int:
+            c = Q(c)  # exact before multiplying: a float factor must not round the product
+        return type(self)({m: c * v for m, v in self.terms.items()}, self.weight)
 
     def partial(self, k: int) -> GradedPoly:
         """Formal derivative by variable k; the weight drops by that variable's."""
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Coeff] = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            j = d.get(k, 0)
-            if j:
-                d[k] = j - 1
-                out[self._mono(d)] = c * j  # lowering x_k is injective: no two terms collide
-        return type(self)(out)
+            for i, (v, j) in enumerate(m):
+                if v == k:  # lowering x_k is injective: no two terms collide
+                    out[m[:i] + (((k, j - 1),) if j > 1 else ()) + m[i + 1:]] = c * j
+        return type(self)(out, (self.weight or 0) - self._weight(((k, 1),)))
 
     def derive(self, field: Mapping[int, GradedPoly]) -> GradedPoly:
         """The derivation sum_k field[k] * d/dx_k applied to self; zero entries are skipped.
@@ -208,31 +216,53 @@ class GradedPoly:
                 out = out + v * self.partial(k)
         return out
 
-    def subst(self, values: Mapping[int, GradedPoly]) -> GradedPoly:
-        """Substitute polynomials for variables (weight-preserving).
+    def images(self, values: Mapping[int, GradedPoly], target: type[GradedPoly] | None = None
+               ) -> Iterator[tuple[Mono, GradedPoly]]:
+        """(m, image of m) for each monomial m of self when values[k] replaces x_k.
 
-        Every substituted value must be homogeneous of the weight of the
-        variable it replaces (or zero), so the result stays homogeneous.
+        Images are of class `target` (default: self's); variables without a value
+        are kept.  Values must weigh what their variables do (or be zero), and kept
+        variables the same in both classes.  Each image is one factor times a product
+        built earlier in the call (held while it runs), so no product is built twice.
         """
-        cls = type(self)
-        for k, v in values.items():
-            check_homogeneous(v, cls.variable(k).weight, None, f"substitute for variable {k}")
-        total = cls.zero()
-        for m, c in self.terms.items():
-            factor = cls({(): c})
-            for k, j in m:
-                base = values.get(k, cls.variable(k))
-                for _ in range(j):
-                    factor = factor * base
-            total = total + factor
-        return total
+        target = target or type(self)
+        bases = {k: check_homogeneous(v, self._weight(((k, 1),)), None,
+                                      f"substitute for variable {k}") for k, v in values.items()}
+        made: dict[Mono, GradedPoly] = {(): target.one()}
+        for top in self.terms:
+            m, pending = top, []  # (monomial, the one below it, factor), down to one already made
+            while m not in made:
+                kept = tuple(kj for kj in m if kj[0] not in bases)
+                if kept:
+                    rest = tuple(kj for kj in m if kj[0] in bases)
+                    factor = check_homogeneous(target({kept: 1}), self._weight(kept), None,
+                                               f"kept monomial {self._mono_text(kept)}")
+                else:
+                    (k, j), rest = m[0], m[1:]
+                    factor = bases[k]
+                    if j > 1:
+                        rest = ((k, j - 1),) + rest
+                pending.append((m, rest, factor))
+                m = rest
+            for m, rest, factor in reversed(pending):
+                made[m] = made[rest] * factor if rest else factor
+            yield top, made.pop(top) if pending else made[top]
 
-    def lower(self, num: Callable[[Fraction], object]) -> Lowered:
+    def subst(self, values: Mapping[int, GradedPoly],
+              target: type[GradedPoly] | None = None) -> GradedPoly:
+        """Substitute polynomials for variables (weight-preserving), as in images()."""
+        out: dict[Mono, Coeff] = {}
+        for m, p in self.images(values, target):
+            for mm, v in p.terms.items():
+                out[mm] = out.get(mm, 0) + self.terms[m] * v
+        return (target or type(self))(out, self.weight)
+
+    def lower(self, num: Callable[[Coeff], object]) -> Lowered:
         """The terms as (monomial, num(c)) pairs, each coefficient converted once.
 
         eval_lowered sums them in the order and with the operations of
         eval, so lower(float) at float values gives eval's bits:
-        Fraction * float computes float(Fraction) * float.
+        int * float and Fraction * float both compute float(c) * float.
         """
         return tuple((m, num(c)) for m, c in self.terms.items())
 
@@ -240,11 +270,11 @@ class GradedPoly:
         """Evaluate at a point; exact when all values are Fractions."""
         return eval_lowered(self.terms.items(), values, Q(0))
 
-    def coefficient(self, m: Mono) -> Fraction:
-        return self.terms.get(m, Q(0))
+    def coefficient(self, m: Mono) -> Coeff:
+        return self.terms.get(m, 0)
 
     # -- presentation -----------------------------------------------------
-    def sorted_terms(self) -> list[tuple[Mono, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Mono, Coeff]]:
         key = self._display_key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=self._descending)
 
@@ -373,11 +403,10 @@ def bare_monomials(n: int) -> list[Mono]:
 
 # -- exact linear solving ---------------------------------------------------
 
-def _integer_row(values: Sequence) -> tuple[list[int], int]:
-    """The values times the lcm of their denominators, as ints, and that lcm."""
-    fracs = [Q(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (den // f.denominator) for f in fracs], den
+def _integer_row(values: Sequence[Coeff]) -> tuple[list[int], int]:
+    """The values (ints or Fractions) times the lcm of their denominators, as ints, and that lcm."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _catch_up(row: list[int], pivots: list[list[int]], width: int, stop: int) -> list[int]:
@@ -397,7 +426,7 @@ def _catch_up(row: list[int], pivots: list[list[int]], width: int, stop: int) ->
     return row
 
 
-def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]
+def solve_linear(rows: list[list[Coeff]], rhs: list[Coeff]
                  ) -> tuple[list[Fraction] | None, list[Fraction]]:
     """Solve rows * x = rhs exactly by fraction-free integer elimination.
 

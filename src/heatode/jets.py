@@ -91,8 +91,9 @@ def jet_mono_text(m: JetMono) -> str:
 class JetPoly(GradedPoly):
     """Homogeneous differential polynomial with exact rational coefficients.
 
-    The ring operations are GradedPoly's; this class supplies the jet
-    grading (weight 2(q+1) for h^(q), so degree = -2*weight), the jet
+    Coefficients follow GradedPoly's rule (an int when integral).  The
+    ring operations are GradedPoly's; this class supplies the jet grading
+    (weight 2(q+1) for h^(q), so degree = -2*weight), the jet
     presentation and the operations that only make sense on jets.
     """
 
@@ -127,17 +128,6 @@ class JetPoly(GradedPoly):
 
     def has_param(self) -> bool:
         return any(q == PARAM for m in self.terms for q, _ in m)
-
-    def subst_param(self, b: Fraction | int) -> JetPoly:
-        """Specialise the symbolic b to a rational value."""
-        b = Q(b)
-        out: dict[JetMono, Fraction] = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            p = d.pop(PARAM, 0)
-            key = tuple(sorted(d.items()))
-            out[key] = out.get(key, Q(0)) + c * b ** p
-        return JetPoly(out)
 
     def eval(self, jet, b: Fraction | float | None = None):
         """Evaluate at a jet (sequence indexed by derivative order).
@@ -200,15 +190,7 @@ def hierarchy_ode(n: int) -> JetPoly:
 
 def closing_in_jets(p: GradedPoly) -> JetPoly:
     """Evaluate a closing polynomial on the hierarchy: x_k -> F_{k-1}."""
-    total = JetPoly.zero()
-    for m, c in p.terms.items():
-        factor = JetPoly({(): c})
-        for k, j in m:
-            base = hierarchy_ode(k - 1)
-            for _ in range(j):
-                factor = factor * base
-        total = total + factor
-    return total
+    return p.subst({k: hierarchy_ode(k - 1) for m in p.terms for k, _ in m}, JetPoly)
 
 
 def family_ode(n: int, closing: GradedPoly | None = None) -> JetPoly:
@@ -250,22 +232,19 @@ def raise_closing(p: GradedPoly) -> GradedPoly:
 
 @lru_cache(maxsize=None)
 def _pole_det(size: int) -> JetPoly:
-    """Determinant of the leading size x size block of the pole matrix.
+    """(1/b) det of the leading size x size block of the pole matrix, size >= 1.
 
     The matrix is lower Hessenberg: row i carries b h^(i-j)/(i-j)! up to
-    the diagonal and -i on the superdiagonal.  Expanding along the last
-    row gives
-        d_m = b * sum_i C(m-1, i) h^(m-1-i) d_i,
-    the sign of the superdiagonal cancelling the cofactor sign exactly.
+    the diagonal and -i on the superdiagonal.  Expanding the determinant
+    d_m along the last row gives
+        d_m = b * sum_{i<m} C(m-1, i) h^(m-1-i) d_i,   d_0 = 1,
+    the sign of the superdiagonal cancelling the cofactor sign exactly;
+    so D_m = d_m/b is h^(m-1) + b * sum_{0<i<m} C(m-1, i) h^(m-1-i) D_i.
     """
-    if size == 0:
-        return JetPoly.one()
-    b = JetPoly.param()
     acc = JetPoly.zero()
-    for i in range(size):
-        term = JetPoly.h(size - 1 - i).scale(math.comb(size - 1, i)) * _pole_det(i)
-        acc = acc + term
-    return b * acc
+    for i in range(1, size):
+        acc = acc + JetPoly.h(size - 1 - i).scale(math.comb(size - 1, i)) * _pole_det(i)
+    return JetPoly.h(size - 1) + JetPoly.param() * acc
 
 
 def pole_sum_ode(n: int, b: Fraction | int | None = None) -> JetPoly:
@@ -276,19 +255,13 @@ def pole_sum_ode(n: int, b: Fraction | int | None = None) -> JetPoly:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    det = _pole_det(n + 2)
-    out: dict[JetMono, Fraction] = {}
-    for m, c in det.terms.items():
-        d = dict(m)
-        d[PARAM] -= 1  # every term of the determinant carries b at least once
-        out[jet_mono(d)] = c
-    sym = JetPoly(out)
+    sym = _pole_det(n + 2)
     if b is None:
         return sym
     b = Q(b)
     if b == 0:
         raise ValueError("b must be nonzero")
-    return sym.subst_param(b)
+    return sym.subst({PARAM: JetPoly({(): b})})
 
 
 def necessary_pole_strength(n: int) -> Fraction:
@@ -300,17 +273,13 @@ def necessary_pole_strength(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    sym = pole_sum_ode(n, None)
-    cross: dict[int, Fraction] = {}
-    for m, c in sym.terms.items():
-        d = dict(m)
-        p = d.pop(PARAM, 0)
-        if tuple(sorted(d.items())) == jet_mono({0: 1, n: 1}):
-            cross[p] = cross.get(p, Q(0)) + c
-    if set(cross) != {1}:
-        raise ArithmeticError(f"h*h^({n}) coefficient is not linear in b: {cross}")
+    # the h*h^(n) coefficient as a polynomial in b: differentiate, then set every h^(q) to 0
+    cross = pole_sum_ode(n, None).partial(0).partial(n).subst(
+        {q: JetPoly.zero() for q in range(n + 2)})
+    if set(cross.terms) != {jet_mono({PARAM: 1})}:
+        raise ArithmeticError(f"h*h^({n}) coefficient is not linear in b: {cross.text()}")
     fam = hierarchy_ode(n + 1).coefficient(jet_mono({0: 1, n: 1}))
-    return fam / cross[1]
+    return Q(fam) / cross.coefficient(jet_mono({PARAM: 1}))
 
 
 @dataclass
@@ -339,17 +308,20 @@ def match_pole_ode(n: int) -> PoleMatch:
     b = Q(n + 1)
     target = hierarchy_ode(n + 1) - pole_sum_ode(n, b)
     basis = closing_monomials(n)
-    basis_jets = [closing_in_jets(GradedPoly({m: Q(1)})) for m in basis]
+    if not basis:
+        return PoleMatch(n, b, GradedPoly.zero() if not target else None, target)
+    # all basis monomials in one substitution, so shared products are built once
+    images = dict(GradedPoly(dict.fromkeys(basis, 1)).images(
+        {k: hierarchy_ode(k - 1) for k in range(2, n + 2)}, JetPoly))
+    basis_jets = [images[m] for m in basis]
     monos = sorted({m for p in basis_jets for m in p.terms} | set(target.terms))
     rows = [[p.coefficient(m) for p in basis_jets] for m in monos]
     rhs = [target.coefficient(m) for m in monos]
-    if not basis:
-        return PoleMatch(n, b, GradedPoly.zero() if not target else None, target)
     coeffs, _ = solve_linear(rows, rhs)
     if coeffs is None:
         return PoleMatch(n, b, None, target)
-    closing = GradedPoly({m: c for m, c in zip(basis, coeffs)})
-    residual = target - closing_in_jets(closing)
+    closing = GradedPoly(dict(zip(basis, coeffs)))
+    residual = target - sum((images[m].scale(c) for m, c in closing.terms.items()), JetPoly.zero())
     if residual:
         return PoleMatch(n, b, None, residual)
     return PoleMatch(n, b, closing, residual)
@@ -370,15 +342,11 @@ def rescale_dependent(p: JetPoly, lam: Fraction | int) -> Rescaled:
     lam = Q(lam)
     if lam == 0:
         raise ZeroScale("lam must be nonzero")
-    out: dict[JetMono, Fraction] = {}
-    for m, c in p.terms.items():
-        deg = sum(e for q, e in m if q >= 0)
-        out[m] = c / lam ** deg
-    raw = JetPoly(out)
+    raw = p.subst({q: JetPoly.h(q).scale(1 / lam) for q in range(p.order() + 1)})
     if not raw:
         return Rescaled(raw, raw)
     lead = raw.sorted_terms()[0][1]
-    return Rescaled(raw, raw.scale(1 / lead))
+    return Rescaled(raw, raw.scale(1 / Q(lead)))
 
 
 def chazy12_parameter(c4: Fraction | int) -> Fraction:

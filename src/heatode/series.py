@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Mapping, Sequence
 
 from .algebra import GradedPoly, Mono, Q, WeightMismatch, check_closing, check_homogeneous, mono
@@ -140,10 +139,18 @@ def _index_mono(n: int, j: Index) -> Mono:
     return mono({i + 2: e for i, e in enumerate(j)})
 
 
-def _indices_up_to(n: int, max_weight: int) -> list[Index]:
-    ranges = [range(max_weight // (2 * (i + 2)) + 1) for i in range(n)]
-    out = [j for j in iter_product(*ranges) if _index_weight(n, j) <= max_weight]
-    out.sort(key=lambda j: (_index_weight(n, j), j))
+def _indices_up_to(n: int, max_weight: int) -> list[tuple[int, Index]]:
+    """(weight, index) for every dense index of weight <= max_weight, in that order.
+
+    Each exponent in turn ranges only up to what the weight left by the
+    earlier ones allows, so no index beyond the bound is built.
+    """
+    out: list[tuple[int, Index]] = [(0, ())]
+    for i in range(n):
+        step = 2 * (i + 2)
+        out = [(w + e * step, j + (e,))
+               for w, j in out for e in range((max_weight - w) // step + 1)]
+    out.sort()
     return out
 
 
@@ -184,8 +191,7 @@ def coeff_table(n: int, closing: GradedPoly | Mapping[Index, Fraction] | None,
             return Q(0)
         return entries[tuple(j)]
 
-    for j in _indices_up_to(n, 2 * K):
-        w = _index_weight(n, j)
+    for w, j in _indices_up_to(n, 2 * K):
         if w == 0:
             entries[j] = Q(1)
             continue
@@ -209,11 +215,13 @@ def coeff_table(n: int, closing: GradedPoly | Mapping[Index, Fraction] | None,
 def series_from_table(table: CoeffTable) -> AnsatzSeries:
     """Regroup table entries by weight into series coefficients."""
     buckets: dict[int, dict[Mono, Fraction]] = {}
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (k, e) object shared by all terms
     for j, a in table.entries.items():
         w = _index_weight(table.n, j)
         if w == 0 or a == 0:
             continue
-        buckets.setdefault(w // 2, {})[_index_mono(table.n, j)] = a
+        m = tuple(pairs.setdefault(kj, kj) for kj in _index_mono(table.n, j))
+        buckets.setdefault(w // 2, {})[m] = a
     coeffs = tuple(GradedPoly(buckets.get(k, {}))
                    for k in range(2, table.truncation + 1))
     return AnsatzSeries(table.n, table.delta, table.c, table.truncation, coeffs)

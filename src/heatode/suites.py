@@ -376,10 +376,9 @@ def suite_detmatch(seed: int = 0, max_n: int = 6) -> dict:
         }
         if match.matched:
             entry["closing"] = match.closing.text()
-            ok = family_ode(n, match.closing) == pole_sum_ode(n, n + 1)
         else:
             entry["residual"] = match.residual.text()
-            ok = bool(match.residual)
+        ok = match.matched and family_ode(n, match.closing) == pole_sum_ode(n, n + 1)
         if n in expected:
             ok &= match.matched and match.closing == _closing(n, expected[n])
         ok &= necessary_pole_strength(n) == n + 1

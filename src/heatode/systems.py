@@ -81,10 +81,6 @@ class SystemSpec:
     def closing(self) -> GradedPoly:
         return self.flows[-1] if self.flows else GradedPoly.zero()
 
-    def is_reduced(self) -> bool:
-        return all(self.flows[i] == GradedPoly.variable(i + 3)
-                   for i in range(max(self.n - 1, 0)))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

@@ -156,6 +156,21 @@ def test_subst_diagonal():
     assert q == (x2 * x2).scale(Q(1, 6))
 
 
+def test_subst_into_another_grading():
+    # x_k -> F_{k-1} keeps the weight in the jet grading; a kept variable must
+    # weigh the same in both gradings (x_2 is weight 4, h'' weight 6)
+    from heatode.jets import JetPoly, hierarchy_ode
+    p = (x2 * x2 * x3).scale(Q(3, 2)) + (x3 * x4).scale(-2)
+    f1, f2, f3 = hierarchy_ode(1), hierarchy_ode(2), hierarchy_ode(3)
+    q = p.subst({2: f1, 3: f2, 4: f3}, JetPoly)
+    assert type(q) is JetPoly and q.weight == p.weight
+    assert q == (f1 * f1 * f2).scale(Q(3, 2)) + (f2 * f3).scale(-2)
+    with pytest.raises(WeightMismatch):
+        x2.subst({}, JetPoly)
+    with pytest.raises(WeightMismatch):
+        x2.subst({2: f2}, JetPoly)
+
+
 def test_eval_exact():
     p = x2 * x3 - (x2 * x3).scale(2)
     assert p.eval({2: Q(3), 3: Q(1, 2)}) == Q(-3, 2)

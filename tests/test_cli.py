@@ -177,6 +177,21 @@ def test_verify_detmatch_reports_constants(capsys):
     assert by_case["detmatch-n4"]["closing"] == "-45*x2^3 - 26*x3^2 - 31*x2*x4"
 
 
+def test_verify_detmatch_fails_on_an_unmatched_level(capsys, monkeypatch):
+    from heatode import suites
+    from heatode.jets import PoleMatch, hierarchy_ode
+    # a level with no closing and a nonzero residual, as an inconsistent match reports it
+    monkeypatch.setattr(suites, "match_pole_ode",
+                        lambda n: PoleMatch(n, Q(n + 1), None, hierarchy_ode(n + 1)))
+    report = suites.run_suite("detmatch", max_n=3)
+    assert report["passed"] is False
+    assert not any(c["pass"] for c in report["cases"])
+    assert all(c["matched"] is False and c["residual"] != "0" for c in report["cases"])
+    code, out, _ = run(capsys, "verify", "detmatch", "--n", "3", "--json")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
 def test_verify_report_deterministic(capsys):
     outs = []
     for _ in range(2):

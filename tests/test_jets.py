@@ -1,7 +1,9 @@
 """Jet calculus: the ODE hierarchy, pole determinants, variable changes."""
 
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -251,26 +253,18 @@ def test_match_higher_levels_complete():
             assert m.residual
 
 
-# The closings match_pole_ode found at levels 5..10 with the Gauss-Jordan solver
-# it used before fraction-free elimination, in the basis order of each level.
-GOLDEN_CLOSINGS = {
-    5: [-576, -118, -52],
-    6: [-1575, -2776, -1654, -153, -226, -80],
-    7: [-36864, -4960, -17728, -3904, -658, -390, -116],
-    8: [-99225, -353268, -140274, -52228, -31123, -45978, -784, -8134, -1258, -626, -161],
-    9: [-3686400, -1629568, -2911360, -199764, -427264, -147508, -175896, -104288, -3288,
-        -15504, -2214, -952, -216],
-    10: [-9823275, -58673880, -3033080, -17469279, -21672792, -6455395, -275499, -9537326,
-         -1220526, -268824, -1124488, -361620, -431456, -3750, -214804, -6294, -27615,
-         -3661, -1388, -282],
-}
+# The closings match_pole_ode gave at levels 1..12 with all-Fraction coefficients
+# (levels 5..10 also agree with the Gauss-Jordan solver used before fraction-free
+# elimination), each term as [monomial, coefficient] in display order.
+GOLDEN_CLOSINGS = json.loads((Path(__file__).parent / "detmatch_closings.json").read_text())
 
 
-@pytest.mark.parametrize("n", sorted(GOLDEN_CLOSINGS))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_match_golden_closings(n):
     m = match_pole_ode(n)
     assert m.matched and m.b == n + 1
-    assert m.closing == closing(n, GOLDEN_CLOSINGS[n])
+    expect = [(tuple(map(tuple, mono)), Q(c)) for mono, c in GOLDEN_CLOSINGS[str(n)]]
+    assert m.closing.sorted_terms() == expect
 
 
 # -- dependent-variable changes ----------------------------------------------
@@ -365,6 +359,20 @@ def test_homogeneity_of_everything():
         assert hierarchy_ode(n).degree == -4 * (n + 1)
         # order n+1 equation, one step up the grading ladder
         assert pole_sum_ode(n).degree == -4 * (n + 2)
+
+
+def test_basis_images_share_products(monkeypatch):
+    # one images() call builds each shared power and cofactor once: the level-8
+    # basis needs fewer products than a chain of multiplies per monomial
+    basis = closing_monomials(8)
+    values = {k: hierarchy_ode(k - 1) for k in range(2, 10)}
+    calls = []
+    mul = JetPoly.__mul__
+    monkeypatch.setattr(JetPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    images = dict(GradedPoly(dict.fromkeys(basis, 1)).images(values, JetPoly))
+    assert len(calls) < sum(j for m in basis for _, j in m)
+    monkeypatch.undo()
+    assert all(images[m] == closing_in_jets(GradedPoly({m: 1})) for m in basis)
 
 
 def test_closing_in_jets_degree():

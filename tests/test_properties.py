@@ -2,7 +2,8 @@
 
 GradedPoly grades x_k with weight 2k; JetPoly grades h^(q) with weight
 2(q+1) and the symbolic b with weight 0.  Every ring operation is shared,
-so each law is checked once per grading.  The two series routes and the
+so each law is checked once per grading, and so is the coefficient rule
+(an int when integral) against an all-Fraction reference.  The two series routes and the
 group law of the matrix action are checked on random inputs as well, and
 the fraction-free linear solver against Gauss-Jordan elimination.
 """
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from heatode.algebra import (
-    GradedPoly, WeightMismatch, closing_monomials, monomial_basis, solve_linear,
+    GradedPoly, WeightMismatch, closing_monomials, eval_lowered, monomial_basis, solve_linear,
 )
 from heatode.jets import PARAM, JetPoly, jet_mono, total_derivative
 from heatode.mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_psi
@@ -163,6 +164,99 @@ def test_derive_leibniz_and_linearity(cls, data, w, u, shift):
     assert a.derive({k: f[k] + g[k] for k in f}) == d + a.derive(g)
     if d:
         assert d.weight == w + shift
+
+
+# -- the coefficient rule -------------------------------------------------------------
+
+def variables(cls):
+    return (1, 2, 3, 4) if cls is GradedPoly else (PARAM, 0, 1, 2, 3)
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Q(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(cls, a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            d = dict(ma)
+            for k, j in mb:
+                d[k] = d.get(k, 0) + j
+            m = cls._mono(d)
+            out[m] = out.get(m, Q(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_partial(cls, a, k):
+    out = {}
+    for m, c in a.items():
+        d = dict(m)
+        if d.get(k):
+            d[k] -= 1
+            out[cls._mono(d)] = c * (d[k] + 1)
+    return out
+
+
+def ref_subst(cls, a, values):
+    out = {}
+    for m, c in a.items():
+        image = {(): c}
+        for k, j in m:
+            base = values.get(k, {cls._mono({k: 1}): Q(1)})
+            for _ in range(j):
+                image = ref_mul(cls, image, base)
+        out = ref_add(out, image)
+    return out
+
+
+def fraction_terms(p):
+    return {m: Q(c) for m, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), w=st.sampled_from(WEIGHTS[:3]), u=st.sampled_from(WEIGHTS[:3]),
+       c=coefficients, point=st.lists(st.floats(-2, 2), min_size=5, max_size=5))
+def test_integral_coefficients_are_ints(cls, data, w, u, c, point):
+    """Every operation stores integral coefficients as ints and otherwise agrees,
+    term by term, in print and in float evaluation, with all-Fraction arithmetic."""
+    a, b = data.draw(polys(cls, w)), data.draw(polys(cls, w))
+    d = data.draw(polys(cls, u))
+    k = data.draw(st.sampled_from(variables(cls)))
+    field, values = data.draw(fields(cls, 2)), data.draw(fields(cls, 0))
+    A, B, D = fraction_terms(a), fraction_terms(b), fraction_terms(d)
+    F = {v: fraction_terms(p) for v, p in field.items()}
+    V = {v: fraction_terms(p) for v, p in values.items()}
+    derived = {}
+    for v in F:
+        derived = ref_add(derived, ref_mul(cls, F[v], ref_partial(cls, A, v)))
+    cases = [
+        (a + b, ref_add(A, B)),
+        (a - b, ref_add(A, {m: -v for m, v in B.items()})),
+        (a * d, ref_mul(cls, A, D)),
+        (a.scale(c), {m: c * v for m, v in A.items() if c}),
+        (a.partial(k), ref_partial(cls, A, k)),
+        (a.derive(field), derived),
+        (a.subst(values), ref_subst(cls, A, V)),
+        (cls.from_json(json.loads(json.dumps(a.to_json()))), A),
+    ]
+    at = dict(zip(variables(cls), point))
+    for got, ref in cases:
+        assert all(type(v) is int or (type(v) is Q and v.denominator != 1)
+                   for v in got.terms.values())
+        assert got.terms == ref and homogeneous(got, cls)
+        # the reference, as a polynomial holding Fractions, in the result's storage order
+        ref_poly = cls.__new__(cls)
+        ref_poly.terms, ref_poly.weight = {m: ref[m] for m in got.terms}, got.weight
+        assert got.text() == ref_poly.text()
+        assert json.dumps(got.to_json()) == json.dumps(ref_poly.to_json())
+        got_f = eval_lowered(got.lower(float), at, 0.0)
+        ref_f = eval_lowered(ref_poly.lower(float), at, 0.0)
+        assert repr(got_f) == repr(ref_f)
 
 
 # -- the two series routes -------------------------------------------------------------

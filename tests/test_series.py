@@ -1,5 +1,6 @@
 """Series builders: cross-oracle equality, sigma expansion, Hermite, eigen checks."""
 
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -141,6 +142,17 @@ def test_table_n2_literal_recursion_oracle():
             + 2 * (j2 + 1) * a(j2 + 1, j3 - 1)
             + 2 * (j3 + 1) * p20 * a(j2 - 2, j3 + 1))
     assert dict(table.entries) == oracle
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_table_fills_the_weight_bounded_indices_in_order(n):
+    # every index of weight <= 2K and no other, filled by (weight, index) as the
+    # recursion needs: the filtered box of all exponent ranges is the reference
+    K = 9
+    weight = lambda j: sum(2 * (i + 2) * e for i, e in enumerate(j))
+    box = itertools.product(*(range(2 * K // (2 * (i + 2)) + 1) for i in range(n)))
+    expect = sorted((j for j in box if weight(j) <= 2 * K), key=lambda j: (weight(j), j))
+    assert list(coeff_table(n, None, Q(3), 0, K).entries) == expect
 
 
 def test_table_nonnegativity():
