@@ -361,6 +361,14 @@ def closing_monomials(n: int) -> list[Mono]:
     return monomial_basis(n + 2, 2, n + 1) if n >= 1 else []
 
 
+def closing_from_coeffs(n: int, coeffs: Sequence) -> GradedPoly:
+    """The level-n closing with one coefficient per closing_monomials(n), in order."""
+    basis = closing_monomials(n)
+    if len(coeffs) != len(basis):
+        raise ValueError(f"level {n} closing needs {len(basis)} coefficients, got {len(coeffs)}")
+    return GradedPoly({m: Q(c) for m, c in zip(basis, coeffs)})
+
+
 def check_homogeneous(p: GradedPoly, weight: int, variables: range | None,
                       what: str) -> GradedPoly:
     """Pass zero through; otherwise p must have `weight` and use only `variables`.

@@ -27,7 +27,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import GradedPoly, Q, closing_dim, closing_monomials, mono_text
+from .algebra import GradedPoly, Q, closing_dim, closing_from_coeffs, closing_monomials, mono_text
 from .jets import family_ode, hierarchy_ode, match_pole_ode
 from .series import ansatz_series, bare_series, coeff_table, default_c, sigma_series, three_pole_flows
 from .systems import BlowUp, SystemSpec, SystemState, integrate_rk4, pole_sum
@@ -55,9 +55,8 @@ def parse_closing(n: int, text: str | None) -> GradedPoly | None:
     """Closing from `name=value` pairs tied to the basis order at level n."""
     if not text:
         return None
-    basis = closing_monomials(n)
     names = CLOSING_NAMES.get(n, [])
-    coeffs = [Q(0)] * len(basis)
+    coeffs = [Q(0)] * closing_dim(n)
     for chunk in text.split(","):
         name, sep, value = chunk.partition("=")
         name = name.strip()
@@ -69,10 +68,10 @@ def parse_closing(n: int, text: str | None) -> GradedPoly | None:
             idx = int(name[1:])
         else:
             raise CliError(f"unknown closing coefficient {name!r} at level {n}")
-        if idx >= len(basis):
+        if idx >= len(coeffs):
             raise CliError(f"coefficient {name!r} is outside the level-{n} basis")
         coeffs[idx] = parse_rational(value)
-    return GradedPoly({m: c for m, c in zip(basis, coeffs)})
+    return closing_from_coeffs(n, coeffs)
 
 
 def _emit(args, payload) -> None:
@@ -197,16 +196,17 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = {}
+    config = {"suite": args.suite, "seed": args.seed}
     if args.n is not None:
-        params["max_n"] = args.n
+        if args.suite == "all":
+            raise CliError("--max-n bounds the levels of one suite; `verify all` takes none")
+        config["max_n"] = args.n
     try:
         report = run_all(seed=args.seed) if args.suite == "all" \
-            else run_suite(args.suite, seed=args.seed, **params)
+            else run_suite(args.suite, seed=args.seed, max_n=args.n)
     except UnknownSuite as err:
         raise CliError(str(err)) from None
-    payload = _stamped(args, f"verify {args.suite}",
-                       {"suite": args.suite, "seed": args.seed, **params}, report)
+    payload = _stamped(args, f"verify {args.suite}", config, report)
     if args.json or args.out:
         _emit(args, payload)
     else:
@@ -225,8 +225,7 @@ def cmd_sl2_orbit(args) -> int:
     if len(parts) != 4:
         raise CliError("--mobius needs four rationals a,b,c,d")
     m = Mobius(*(parse_rational(v) for v in parts))
-    if m.det() != 1:
-        raise CliError(f"matrix determinant {m.det()} is not 1")
+    m.require_unimodular()
     poles = [parse_rational(v) for v in args.poles.split(",")]
     n = len(poles) - 1
     ps = pole_sum(Q(n + 1), poles)
@@ -310,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES) + ["all"])
     p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     p.add_argument("--max-n", "--n", dest="n", type=int,
-                   help="override the maximal level where applicable")
+                   help="highest level for rational, phi-equiv, dims or detmatch")
     p.set_defaults(func=cmd_verify)
 
     sl2 = sub.add_parser("sl2", help="matrix actions on solutions")

@@ -70,21 +70,18 @@ def predicted_failure_order(k: int, delta: int) -> int:
 
 
 def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
-                         K: int | None = None, case: str = "") -> SymbolicHeatReport:
+                         case: str = "") -> SymbolicHeatReport:
     """Check the heat equation order by order as exact polynomial identities.
 
     The residual of exp(-h z^2/2 + r) * S(z; x(t)) is expanded in z with
     every time derivative replaced through the flow; the coefficient of
     z^m is a polynomial in (h, x_2..x_{n+1}) (h occupies slot 1 of the
-    grading) and must be exactly zero for every m <= 2K + delta - 2 of
-    the series parity (opposite-parity coefficients vanish structurally).
+    grading) and must be exactly zero for every m <= 2K + delta - 2 of the
+    series parity, K the truncation (opposite-parity ones vanish structurally).
     """
     if (series.n, series.delta, series.c) != (spec.n, spec.delta, spec.c):
         raise ValueError("series parameters do not match the system")
-    K = K if K is not None else series.truncation
-    if K > series.truncation:
-        raise OutOfRange(f"series truncated at {series.truncation}")
-    n, delta, c = spec.n, spec.delta, spec.c
+    n, delta, c, K = spec.n, spec.delta, spec.c, series.truncation
     h = GradedPoly.variable(1)
 
     def coeff(m: int) -> GradedPoly:
@@ -303,7 +300,7 @@ def grid_heat_residual(sol, z_values: Sequence[float], t_values: Sequence[float]
             value = sol.psi(z, t)
             scale = max(abs(value), abs(dt), abs(dzz) / 2, 1e-300)
             rel = abs(dt - dzz / 2) / scale
-            if rel >= worst:
+            if rel >= worst or math.isnan(rel):  # a NaN point becomes the worst and stays
                 worst = rel
                 worst_point = (z, t, scale)
     z, t, scale = worst_point

@@ -76,12 +76,15 @@ class Mobius:
     def denom(self, t):
         return self.c * t + self.d
 
-    def apply(self, t):
-        """The time map (at+b)/(ct+d)."""
+    def _nonzero_denom(self, t):
         w = self.denom(t)
         if w == 0:
             raise PoleOfAction(f"ct + d vanishes at t = {t}")
-        return (self.a * t + self.b) / w
+        return w
+
+    def apply(self, t):
+        """The time map (at+b)/(ct+d)."""
+        return (self.a * t + self.b) / self._nonzero_denom(t)
 
 
 class ExactHeatValue(NamedTuple):
@@ -107,9 +110,7 @@ class ExactHeatValue(NamedTuple):
 
 def act_on_h(m: Mobius, h: Callable, t):
     """Transformed quadratic coefficient: h(t~)/(ct+d)^2 + c/(ct+d)."""
-    w = m.denom(t)
-    if w == 0:
-        raise PoleOfAction(f"ct + d vanishes at t = {t}")
+    w = m._nonzero_denom(t)
     return h(m.apply(t)) / w ** 2 + m.c / w
 
 
@@ -119,9 +120,7 @@ def act_on_r(m: Mobius, r: Callable, delta: int, t) -> float:
     Float-valued by nature of the logarithm; restricted to ct + d > 0
     (the principal branch), with BranchCut raised otherwise.
     """
-    w = m.denom(t)
-    if w == 0:
-        raise PoleOfAction(f"ct + d vanishes at t = {t}")
+    w = m._nonzero_denom(t)
     if w < 0:
         raise BranchCut(f"ct + d = {w} is negative; principal branch undefined")
     return r(m.apply(t)) - (delta + 0.5) * math.log(float(w))
@@ -129,9 +128,7 @@ def act_on_r(m: Mobius, r: Callable, delta: int, t) -> float:
 
 def act_on_x(m: Mobius, x: Callable, k: int, t):
     """Transformed series argument: x_k(t~)/(ct+d)^(2k)."""
-    w = m.denom(t)
-    if w == 0:
-        raise PoleOfAction(f"ct + d vanishes at t = {t}")
+    w = m._nonzero_denom(t)
     return x(m.apply(t)) / w ** (2 * k)
 
 
@@ -141,9 +138,7 @@ def act_on_psi(m: Mobius, psi: Callable, z, t):
     If psi returns ExactHeatValue triples the composition is exact; a
     float-returning sampler gets the principal-branch float value.
     """
-    w = m.denom(t)
-    if w == 0:
-        raise PoleOfAction(f"ct + d vanishes at t = {t}")
+    w = m._nonzero_denom(t)
     inner = psi(z / w, m.apply(t))
     if isinstance(inner, ExactHeatValue):
         return ExactHeatValue(
@@ -190,9 +185,7 @@ def transformed_h_jet(m: Mobius, h_jet_at: Callable[[object, int], Sequence],
     in the offset, and the q-th derivative is q! times a coefficient.
     `h_jet_at(s, q)` must return the exact jet of h at s through order q.
     """
-    w0 = m.denom(t)
-    if w0 == 0:
-        raise PoleOfAction(f"ct + d vanishes at t = {t}")
+    w0 = m._nonzero_denom(t)
     # w(eps) = (ct+d) + c eps and its reciprocal
     w = [w0, Q(m.c)] + [Q(0)] * max(order - 1, 0)
     invw = _series_inv(w, order)

@@ -241,6 +241,8 @@ class BareSeries:
     def coeff(self, k: int) -> GradedPoly:
         if k == 0:
             return GradedPoly.one()
+        if k < 0:
+            return GradedPoly.zero()
         if k > self.truncation:
             raise IndexError(f"series truncated at K = {self.truncation}")
         return self.coeffs[k - 1]

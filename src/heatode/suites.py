@@ -1,12 +1,13 @@
 """Named verification suites behind the command-line `verify` command.
 
-Each suite is a function (seed, **params) -> report dict with a boolean
-"passed" and a list of per-case entries.  Suites are deterministic in
-the seed: identical inputs give identical reports.
+Each suite maps a seed, and max_n (its highest level) if it has levels, to
+a report dict: per-case entries and "passed", false when a case fails or
+there is none.  Suites are deterministic: identical inputs, identical reports.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from .algebra import (
     Q,
     bare_monomials,
     closing_dim,
+    closing_from_coeffs,
     closing_monomials,
     partition_count,
 )
@@ -62,12 +64,8 @@ class UnknownSuite(KeyError):
     """The requested verification suite does not exist."""
 
 
-def _closing(n: int, coeffs) -> GradedPoly:
-    return GradedPoly({m: Q(c) for m, c in zip(closing_monomials(n), coeffs)})
-
-
-def _random_closing(rng: random.Random, n: int, bound: int = 5) -> GradedPoly:
-    return _closing(n, [rng.randint(-bound, bound) for _ in closing_monomials(n)])
+def _random_closing(rng: random.Random, n: int) -> GradedPoly:
+    return closing_from_coeffs(n, [rng.randint(-5, 5) for _ in closing_monomials(n)])
 
 
 def _random_poles(rng: random.Random, count: int) -> list[Fraction]:
@@ -79,9 +77,9 @@ def _random_poles(rng: random.Random, count: int) -> list[Fraction]:
     return out
 
 
-def _random_mobius(rng: random.Random, steps: int = 3) -> Mobius:
+def _random_mobius(rng: random.Random) -> Mobius:
     m = Mobius.identity()
-    for _ in range(steps):
+    for _ in range(3):
         m = m @ Mobius(Q(1), Q(rng.randint(-3, 3), rng.randint(1, 4)), Q(0), Q(1))
         m = m @ Mobius(Q(1), Q(0), Q(rng.randint(-3, 3), rng.randint(1, 4)), Q(1))
     return m
@@ -91,16 +89,17 @@ def _report(name: str, seed: int, cases: list[dict]) -> dict:
     return {
         "suite": name,
         "seed": seed,
-        "passed": all(c.get("pass", False) for c in cases),
+        "passed": bool(cases) and all(c.get("pass", False) for c in cases),
         "cases": cases,
     }
 
 
 # -- suites --------------------------------------------------------------------
 
-def suite_rational(seed: int = 0, max_n: int = 6, trials: int = 20) -> dict:
+def suite_rational(seed: int = 0, max_n: int = 6) -> dict:
     """Pole sums annihilate the determinant family exactly; wrong b does not."""
     rng = random.Random(seed)
+    trials = 20
     cases = []
     for n in range(max_n + 1):
         ode = pole_sum_ode(n, n + 1)
@@ -133,12 +132,12 @@ def suite_rational(seed: int = 0, max_n: int = 6, trials: int = 20) -> dict:
 def suite_chazy(seed: int = 0) -> dict:
     """Rescaling identities, the Chazy-12 parameter and head/tail coefficients."""
     cases = []
-    ode24 = family_ode(2, _closing(2, [24]))
+    ode24 = family_ode(2, closing_from_coeffs(2, [24]))
     chazy3 = rescale_dependent(ode24, -6).monic
     expect3 = {((0, 1), (2, 1)): Q(-2), ((1, 2),): Q(3), ((3, 1),): Q(1)}
     cases.append({"case": "chazy3-form", "mode": "exact",
                   "pass": chazy3.terms == expect3})
-    ode6 = family_ode(2, _closing(2, [6]))
+    ode6 = family_ode(2, closing_from_coeffs(2, [6]))
     linear = rescale_dependent(ode6, -6).monic
     expect6 = {((3, 1),): Q(1), ((0, 1), (2, 1)): Q(-2),
                ((0, 2), (1, 1)): Q(1), ((0, 4),): Q(-1, 12)}
@@ -157,15 +156,16 @@ def suite_chazy(seed: int = 0) -> dict:
     return _report("chazy", seed, cases)
 
 
-def suite_phi_equiv(seed: int = 0, max_n: int = 4, K: int = 12, trials: int = 5) -> dict:
+def suite_phi_equiv(seed: int = 0, max_n: int = 4) -> dict:
     """The polynomial and discrete series routes agree exactly; corollaries hold."""
     rng = random.Random(seed)
+    K = 12
     cases = []
     for n in range(1, max_n + 1):
         for delta in (0, 1):
             agree = True
             seen = set()          # closings already compared at this (n, delta)
-            for _ in range(trials):
+            for _ in range(5):
                 closing = _random_closing(rng, n)
                 key = frozenset(closing.terms.items())
                 if key in seen:
@@ -178,10 +178,12 @@ def suite_phi_equiv(seed: int = 0, max_n: int = 4, K: int = 12, trials: int = 5)
                         agree = False
             cases.append({"case": f"cross-oracle-n{n}-delta{delta}", "mode": "exact",
                           "K": K, "pass": agree})
+    if not cases:  # no level to compare: the corollaries alone do not pass the suite
+        return _report("phi-equiv", seed, cases)
     nonneg = True
     integral = True
     for n in (2, 3):
-        closing = _closing(n, [rng.randint(0, 4) for _ in closing_monomials(n)])
+        closing = closing_from_coeffs(n, [rng.randint(0, 4) for _ in closing_monomials(n)])
         table = coeff_table(n, closing, Q(3), 0, 8)
         nonneg &= all(a >= 0 for a in table.entries.values())
         for delta in (0, 1):
@@ -195,7 +197,7 @@ def suite_phi_equiv(seed: int = 0, max_n: int = 4, K: int = 12, trials: int = 5)
     return _report("phi-equiv", seed, cases)
 
 
-def suite_sl2(seed: int = 0, pairs: int = 20) -> dict:
+def suite_sl2(seed: int = 0) -> dict:
     """Group law, preserved residuals and the state-versus-solution square."""
     rng = random.Random(seed)
     cases = []
@@ -205,7 +207,7 @@ def suite_sl2(seed: int = 0, pairs: int = 20) -> dict:
 
     checked = 0
     law_ok = True
-    while checked < pairs:
+    while checked < 20:
         m1, m2 = _random_mobius(rng), _random_mobius(rng)
         z = Q(rng.randint(-3, 3), rng.randint(1, 5))
         t = Q(rng.randint(-9, 9), rng.randint(1, 5))
@@ -216,10 +218,11 @@ def suite_sl2(seed: int = 0, pairs: int = 20) -> dict:
             continue
         law_ok &= lhs == rhs
         checked += 1
-    cases.append({"case": "group-law", "mode": "exact", "pairs": pairs, "pass": law_ok})
+    cases.append({"case": "group-law", "mode": "exact", "pairs": checked, "pass": law_ok})
 
     families = {0: hierarchy_ode(1), 1: hierarchy_ode(2),
-                2: family_ode(2, _closing(2, [-3])), 3: family_ode(3, _closing(3, [-16]))}
+                2: family_ode(2, closing_from_coeffs(2, [-3])),
+                3: family_ode(3, closing_from_coeffs(3, [-16]))}
     preserved = True
     for n, ode in families.items():
         done = 0
@@ -227,8 +230,6 @@ def suite_sl2(seed: int = 0, pairs: int = 20) -> dict:
             ps = pole_sum(n + 1, _random_poles(rng, n + 1))
             m = _random_mobius(rng)
             t = Q(rng.randint(97, 240), rng.randint(1, 4))
-            if m.denom(t) == 0:
-                continue
             try:
                 jet = transformed_h_jet(m, ps.jet, t, n + 1)
             except (PoleOfAction, ZeroDivisionError):
@@ -244,7 +245,7 @@ def suite_sl2(seed: int = 0, pairs: int = 20) -> dict:
 
 
 def _consistency_square_error() -> float:
-    closing = _closing(2, [24])
+    closing = closing_from_coeffs(2, [24])
     spec = SystemSpec.reduced(2, delta=1, closing=closing)
     series = ansatz_series(2, closing, default_c(1), 1, 10)
     provider = pole_state_provider(2, 3, [Q(-1), Q(-2), Q(-3)], 1)
@@ -265,27 +266,28 @@ def _consistency_square_error() -> float:
                 total = series_sums(lowered, z, x_hat)[0]
                 state_side = math.exp(-0.5 * h_hat * z * z + r_hat) * total
                 psi_side = act_on_psi(m, sol.psi, z, t)
-                worst = max(worst, abs(state_side - psi_side) / max(1.0, abs(psi_side)))
+                gap = abs(state_side - psi_side) / max(1.0, abs(psi_side))
+                worst = gap if math.isnan(gap) else max(worst, gap)  # NaN sticks
     return worst
 
 
-def suite_heat(seed: int = 0, K: int = 8) -> dict:
+def suite_heat(seed: int = 0) -> dict:
     """Symbolic all-zero residuals, fault detection and the numeric grid case."""
     rng = random.Random(seed)
     cases = []
     symbolic = [(1, 0, None), (1, 1, None), (2, 1, [24]), (3, 0, [48]), (3, 1, [48])]
     for n, delta, coeffs in symbolic:
-        closing = _closing(n, coeffs) if coeffs else None
+        closing = closing_from_coeffs(n, coeffs) if coeffs else None
         spec = SystemSpec.reduced(n, delta=delta, closing=closing)
-        series = ansatz_series(n, closing, default_c(delta), delta, K)
+        series = ansatz_series(n, closing, default_c(delta), delta, 8)
         report = series_heat_residual(spec, series, case=f"n={n},delta={delta}")
         entry = report.to_json()
         entry["pass"] = report.all_ok
         cases.append(entry)
 
     from .algebra import monomial_basis
-    spec = SystemSpec.reduced(2, delta=1, closing=_closing(2, [24]))
-    series = ansatz_series(2, _closing(2, [24]), Q(-6), 1, K)
+    spec = SystemSpec.reduced(2, delta=1, closing=closing_from_coeffs(2, [24]))
+    series = ansatz_series(2, closing_from_coeffs(2, [24]), Q(-6), 1, 8)
     fault_ok = True
     for k in (3, 4, 5):
         bump = GradedPoly({monomial_basis(k, 2, 3)[0]: Q(1)})
@@ -309,13 +311,13 @@ def suite_heat(seed: int = 0, K: int = 8) -> dict:
     return _report("heat", seed, cases)
 
 
-def suite_sigma(seed: int = 0, K: int = 8) -> dict:
+def suite_sigma(seed: int = 0) -> dict:
     """Sigma expansion: operator annihilation, scaling weights, the bridge."""
     cases = []
-    S = sigma_series(K)
+    S = sigma_series(8)
     g2 = GradedPoly.variable(2)
     annihilated = True
-    for m in range(K - 1):
+    for m in range(7):
         prev = S[m - 1] if m >= 1 else GradedPoly.zero()
         residual = S[m + 1].scale(Q(1, 2)) \
             + (g2 * prev).scale(Q((2 * m + 1) * (2 * m), 24)) - sigma_l2(S[m])
@@ -324,7 +326,7 @@ def suite_sigma(seed: int = 0, K: int = 8) -> dict:
     weights = all((not s) or s.weight == 2 * k for k, s in enumerate(S))
     cases.append({"case": "scaling-operator", "mode": "exact", "pass": weights})
 
-    phi = ansatz_series(2, _closing(2, [24]), Q(-6), 1, 6)
+    phi = ansatz_series(2, closing_from_coeffs(2, [24]), Q(-6), 1, 6)
     sub = {2: GradedPoly.variable(2, Q(1, 12)), 3: GradedPoly.variable(3, Q(1, 2))}
     bridge = all(phi.coeff(k).subst(sub) == S[k] for k in range(2, 7))
     cases.append({"case": "bridge-to-level-two", "mode": "exact", "K": 6, "pass": bridge})
@@ -335,10 +337,10 @@ def suite_sigma(seed: int = 0, K: int = 8) -> dict:
     return _report("sigma", seed, cases)
 
 
-def suite_hermite(seed: int = 0, max_k: int = 10) -> dict:
+def suite_hermite(seed: int = 0) -> dict:
     """Gaussian-times-Hermite solutions, exactly, plus fault rejection."""
     cases = []
-    for k in range(max_k + 1):
+    for k in range(11):
         cases.append({"case": f"hermite-k{k}", "mode": "exact",
                       "pass": polynomial_solution_check(k)})
     faults = all(not polynomial_solution_check(k, [Q(0)] * k + [Q(1)]) for k in (2, 3, 4))
@@ -380,7 +382,7 @@ def suite_detmatch(seed: int = 0, max_n: int = 6) -> dict:
             entry["residual"] = match.residual.text()
         ok = match.matched and family_ode(n, match.closing) == pole_sum_ode(n, n + 1)
         if n in expected:
-            ok &= match.matched and match.closing == _closing(n, expected[n])
+            ok &= match.matched and match.closing == closing_from_coeffs(n, expected[n])
         ok &= necessary_pole_strength(n) == n + 1
         entry["pass"] = ok
         cases.append(entry)
@@ -436,10 +438,13 @@ SUITES: dict[str, Callable[..., dict]] = {
 }
 
 
-def run_suite(name: str, seed: int = 0, **params) -> dict:
+def run_suite(name: str, seed: int = 0, max_n: int | None = None) -> dict:
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name](seed=seed, **params)
+    suite = SUITES[name]  # looked up per call: a tracer may have wrapped it
+    if max_n is not None and "max_n" not in inspect.signature(suite).parameters:
+        raise ValueError(f"suite {name!r} has no levels, so it takes no max_n")
+    return suite(seed=seed) if max_n is None else suite(seed=seed, max_n=max_n)
 
 
 def run_all(seed: int = 0) -> dict:

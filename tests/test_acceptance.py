@@ -14,6 +14,7 @@ from heatode.algebra import (
     GradedPoly,
     bare_monomials,
     closing_dim,
+    closing_from_coeffs as closing,
     closing_monomials,
     monomial_basis,
     partition_count,
@@ -49,10 +50,6 @@ from heatode.suites import run_suite
 
 def ok(num, text):
     print(f"[criterion {num:02d}] {text}: PASS")
-
-
-def closing(n, coeffs):
-    return GradedPoly({m: Q(c) for m, c in zip(closing_monomials(n), coeffs)})
 
 
 def jp(entries):
@@ -258,7 +255,7 @@ def test_criterion_11_numeric_heat_residual():
 
 
 def test_criterion_12_sl2_suite():
-    report = run_suite("sl2", seed=113, pairs=20)
+    report = run_suite("sl2", seed=113)
     assert report["passed"]
     cases = {c["case"]: c for c in report["cases"]}
     assert cases["state-vs-solution"]["max_gap"] <= 1e-10

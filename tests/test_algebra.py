@@ -10,6 +10,7 @@ from heatode.algebra import (
     WeightMismatch,
     bare_monomials,
     closing_dim,
+    closing_from_coeffs,
     closing_monomials,
     mono,
     monomial_basis,
@@ -135,6 +136,14 @@ def test_closing_basis_explicit():
     assert closing_monomials(2) == [mono({2: 2})]
     assert closing_monomials(3) == [mono({2: 1, 3: 1})]
     assert closing_monomials(4) == [mono({2: 3}), mono({3: 2}), mono({2: 1, 4: 1})]
+
+
+def test_closing_from_coeffs_checks_the_count():
+    assert closing_from_coeffs(4, [-45, -26, -31]).text() == "-45*x2^3 - 26*x3^2 - 31*x2*x4"
+    assert not closing_from_coeffs(1, [])
+    for n, coeffs in ((2, [24, 1]), (4, [1, 2]), (1, [3])):
+        with pytest.raises(ValueError):
+            closing_from_coeffs(n, coeffs)
 
 
 def test_closing_basis_weights():

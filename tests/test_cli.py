@@ -1,6 +1,8 @@
 """Command-line behaviour: output forms, exit codes, determinism."""
 
+import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -190,6 +192,43 @@ def test_verify_detmatch_fails_on_an_unmatched_level(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "detmatch", "--n", "3", "--json")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_verify_sl2_fails_on_a_nan_gap(capsys, monkeypatch):
+    from heatode import suites
+    monkeypatch.setattr(suites, "act_on_psi", lambda *args: math.nan)
+    report = suites.run_suite("sl2")
+    square = next(c for c in report["cases"] if c["case"] == "state-vs-solution")
+    assert math.isnan(square["max_gap"]) and square["pass"] is False
+    assert report["passed"] is False
+
+
+LEVELLED = ("rational", "phi-equiv", "dims", "detmatch")
+
+
+def test_suites_take_a_seed_and_max_n_only_with_levels():
+    from heatode import suites
+    for name, suite in suites.SUITES.items():
+        expect = ["seed", "max_n"] if name in LEVELLED else ["seed"]
+        assert list(inspect.signature(suite).parameters) == expect, name
+    assert len(suites.run_suite("dims", max_n=3)["cases"]) == 4
+    with pytest.raises(ValueError):
+        suites.run_suite("chazy", max_n=3)
+
+
+def test_verify_max_n_without_levels_exits_two(capsys):
+    for suite in sorted(set(cli.SUITES) - set(LEVELLED)) + ["all"]:
+        code, out, err = run(capsys, "verify", suite, "--max-n", "3", "--json")
+        assert code == 2, suite
+        assert out == "" and err.startswith("error: ") and "max" in err
+
+
+def test_verify_empty_level_range_fails(capsys):
+    for suite, max_n in (("detmatch", "0"), ("rational", "-1"), ("dims", "-5"),
+                         ("phi-equiv", "0")):
+        code, out, _ = run(capsys, "verify", suite, "--max-n", max_n)
+        assert code == 1, suite
+        assert out.startswith(f"suite {suite}: FAIL")
 
 
 def test_verify_report_deterministic(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from heatode.algebra import GradedPoly, closing_monomials
+from heatode.algebra import GradedPoly, closing_from_coeffs as closing
 from heatode.series import ansatz_series, bare_series, default_c
 from heatode.systems import SystemSpec, SystemState, pole_sum
 from heatode.heat import (
@@ -26,10 +26,6 @@ from heatode.heat import (
 x1 = GradedPoly.variable(1)
 x2 = GradedPoly.variable(2)
 x3 = GradedPoly.variable(3)
-
-
-def closing(n, coeffs):
-    return GradedPoly({m: Q(c) for m, c in zip(closing_monomials(n), coeffs)})
 
 
 def reduced_case(n, delta, coeffs=None, K=8):
@@ -140,6 +136,32 @@ def test_truncation_dominated_regime_improves_with_order():
         return grid_heat_residual(sol, [1.4, 1.6], [0.05, 0.1], 1e-5).max_residual
 
     assert run(5) > 3 * run(7)
+
+
+class GaussianStub:
+    """exp(-z^2/(2t))/sqrt(t) with its exact dzz, replaced by NaN where `bad(z, t)`."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def psi(self, z, t):
+        return math.exp(-z * z / (2 * t)) / math.sqrt(t)
+
+    def dzz(self, z, t):
+        return math.nan if self.bad(z, t) else (z * z / t - 1) / t * self.psi(z, t)
+
+    def psi_parts(self, z, t):
+        return self.psi(z, t), 0.0
+
+
+def test_grid_residual_reports_a_nan_point():
+    zg, tg = [0.0, 0.2, 0.4], [1.0]
+    finite = grid_heat_residual(GaussianStub(lambda z, t: False), zg, tg, 1e-3)
+    assert 0 < finite.max_residual <= 1e-6
+    for bad in (lambda z, t: z == 0.2, lambda z, t: z == 0.0, lambda z, t: True):
+        report = grid_heat_residual(GaussianStub(bad), zg, tg, 1e-3)
+        assert math.isnan(report.max_residual)
+        assert not report.max_residual <= 1e-6  # the numeric cases' gate fails
 
 
 def test_psi_parts_tail():

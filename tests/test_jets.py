@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from heatode.algebra import GradedPoly, WeightMismatch, closing_monomials, partition_count
+from heatode.algebra import (GradedPoly, WeightMismatch, closing_from_coeffs as closing,
+                             closing_monomials, partition_count)
 from heatode.jets import (
     JetPoly,
     JetTooShort,
@@ -34,12 +35,6 @@ h1 = JetPoly.h(1)
 
 def jp(entries):
     return JetPoly.from_exponents(entries)
-
-
-def closing(n, coeffs):
-    basis = closing_monomials(n)
-    assert len(coeffs) == len(basis)
-    return GradedPoly({m: Q(c) for m, c in zip(basis, coeffs)})
 
 
 def random_closing(rng, n):

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from heatode.algebra import GradedPoly, closing_monomials
+from heatode.algebra import closing_from_coeffs as closing
 from heatode.jets import family_ode, hierarchy_ode
 from heatode.mobius import (
     BranchCut,
@@ -21,10 +21,6 @@ from heatode.mobius import (
 )
 from heatode.series import ansatz_series, default_c
 from heatode.systems import pole_sum
-
-
-def closing(n, coeffs):
-    return GradedPoly({m: Q(c) for m, c in zip(closing_monomials(n), coeffs)})
 
 
 def rand_mobius(rng, steps=3):
@@ -90,6 +86,20 @@ def test_act_on_h_pole_of_action():
     m = Mobius(Q(1), Q(0), Q(1), Q(-2))
     with pytest.raises(PoleOfAction):
         act_on_h(m, lambda t: Q(0), Q(2))
+
+
+def test_every_action_raises_at_its_pole():
+    m = Mobius(Q(1), Q(0), Q(1), Q(-2))  # ct + d vanishes at t = 2
+    calls = [lambda: m.apply(Q(2)),
+             lambda: act_on_h(m, lambda t: Q(0), Q(2)),
+             lambda: act_on_r(m, lambda t: 0.0, 0, Q(2)),
+             lambda: act_on_x(m, lambda t: Q(1), 2, Q(2)),
+             lambda: act_on_psi(m, lambda z, t: ExactHeatValue.plain(Q(1)), Q(0), Q(2)),
+             lambda: transformed_h_jet(m, lambda s, q: [Q(0)] * (q + 1), Q(2), 2)]
+    for call in calls:
+        with pytest.raises(PoleOfAction):
+            call()
+    assert m.denom(Q(2)) == 0
 
 
 def test_act_on_r_inversion():

@@ -7,7 +7,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from heatode.algebra import GradedPoly, WeightMismatch, closing_monomials
+from heatode.algebra import (GradedPoly, WeightMismatch, closing_from_coeffs as closing,
+                             closing_monomials)
 from heatode.series import (
     AnsatzSeries,
     ansatz_series,
@@ -26,11 +27,6 @@ from heatode.series import (
 x1 = GradedPoly.variable(1)
 x2 = GradedPoly.variable(2)
 x3 = GradedPoly.variable(3)
-
-
-def closing(n, coeffs):
-    basis = closing_monomials(n)
-    return GradedPoly({m: Q(c) for m, c in zip(basis, coeffs)})
 
 
 def random_closing(rng, n, bound=5):
@@ -207,6 +203,12 @@ def test_bare_series_matches_operator_powers():
 def test_bare_series_zero_seed():
     s = bare_series(addendum_flows(), GradedPoly.zero(), 5)
     assert all(not s.coeff(k) for k in range(1, 6))
+
+
+def test_bare_series_is_zero_below_order_zero():
+    s = bare_series(addendum_flows(), x1.scale(Q(-1, 2)), 4)
+    assert s.coeff(3)  # the coefficient a negative index must not wrap around to
+    assert all(not s.coeff(k) for k in (-1, -2, -4))
 
 
 def test_bare_series_one_step():

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from heatode.algebra import GradedPoly, closing_monomials
+from heatode.algebra import GradedPoly, closing_from_coeffs as closing
 from heatode.jets import JetTooShort, family_ode, hierarchy_ode, pole_sum_ode
 from heatode.series import default_c
 from heatode.systems import (
@@ -23,11 +23,6 @@ from heatode.systems import (
     vector_field,
     weierstrass_system,
 )
-
-
-def closing(n, coeffs):
-    basis = closing_monomials(n)
-    return GradedPoly({m: Q(c) for m, c in zip(basis, coeffs)})
 
 
 def rand_rationals(rng, count, distinct=True):
