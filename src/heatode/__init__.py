@@ -6,159 +6,7 @@ equation, builds the associated series (including the Weierstrass sigma
 expansion), exposes the unimodular group action on all of it, and
 verifies every identity exactly where exact arithmetic applies and
 numerically elsewhere.  See the README for the command-line interface.
+
+The library is used through its submodules (algebra, jets, series,
+systems, mobius, heat, suites, cli); this file imports none of them.
 """
-
-from .algebra import (
-    GradedPoly,
-    Q,
-    WeightMismatch,
-    bare_monomials,
-    closing_dim,
-    closing_monomials,
-    monomial_basis,
-    partition_count,
-)
-from .jets import (
-    JetPoly,
-    JetTooShort,
-    NotChazy12,
-    PoleMatch,
-    ZeroScale,
-    chazy12_parameter,
-    family_ode,
-    head_tail_coefficients,
-    hierarchy_ode,
-    match_pole_ode,
-    necessary_pole_strength,
-    pole_sum_ode,
-    raise_closing,
-    rescale_dependent,
-    shifted_derivative,
-    total_derivative,
-)
-from .series import (
-    AnsatzSeries,
-    BareSeries,
-    CoeffTable,
-    ansatz_series,
-    bare_series,
-    coeff_table,
-    default_c,
-    hermite,
-    quartic_eigenfunction_check,
-    series_from_table,
-    sigma_series,
-)
-from .systems import (
-    BlowUp,
-    PoleHit,
-    PoleSum,
-    SingularTransform,
-    SystemSpec,
-    SystemState,
-    integrate_rk4,
-    lift_jet,
-    pole_sum,
-    sigma_reduction,
-    transform_system,
-    vector_field,
-)
-from .mobius import (
-    BranchCut,
-    ExactHeatValue,
-    Mobius,
-    PoleOfAction,
-    act_on_h,
-    act_on_psi,
-    act_on_r,
-    act_on_x,
-    transformed_h_jet,
-)
-from .heat import (
-    AnsatzSolution,
-    OutOfRange,
-    WideSolution,
-    conserved_integral,
-    fundamental_psi,
-    gaussian_halfwidth,
-    grid_heat_residual,
-    pole_state_provider,
-    polynomial_solution_check,
-    series_heat_residual,
-    trajectory_provider,
-)
-from .suites import SUITES, UnknownSuite, run_all, run_suite
-
-__all__ = [
-    "AnsatzSeries",
-    "AnsatzSolution",
-    "BareSeries",
-    "BlowUp",
-    "BranchCut",
-    "CoeffTable",
-    "ExactHeatValue",
-    "GradedPoly",
-    "JetPoly",
-    "JetTooShort",
-    "Mobius",
-    "NotChazy12",
-    "OutOfRange",
-    "PoleHit",
-    "PoleMatch",
-    "PoleOfAction",
-    "PoleSum",
-    "Q",
-    "SUITES",
-    "SingularTransform",
-    "SystemSpec",
-    "SystemState",
-    "UnknownSuite",
-    "WeightMismatch",
-    "WideSolution",
-    "ZeroScale",
-    "act_on_h",
-    "act_on_psi",
-    "act_on_r",
-    "act_on_x",
-    "ansatz_series",
-    "bare_monomials",
-    "bare_series",
-    "chazy12_parameter",
-    "closing_dim",
-    "closing_monomials",
-    "coeff_table",
-    "conserved_integral",
-    "default_c",
-    "family_ode",
-    "fundamental_psi",
-    "gaussian_halfwidth",
-    "grid_heat_residual",
-    "head_tail_coefficients",
-    "hermite",
-    "hierarchy_ode",
-    "integrate_rk4",
-    "lift_jet",
-    "match_pole_ode",
-    "monomial_basis",
-    "necessary_pole_strength",
-    "partition_count",
-    "pole_state_provider",
-    "pole_sum",
-    "pole_sum_ode",
-    "polynomial_solution_check",
-    "quartic_eigenfunction_check",
-    "raise_closing",
-    "rescale_dependent",
-    "run_all",
-    "run_suite",
-    "series_from_table",
-    "series_heat_residual",
-    "shifted_derivative",
-    "sigma_reduction",
-    "sigma_series",
-    "total_derivative",
-    "trajectory_provider",
-    "transform_system",
-    "transformed_h_jet",
-    "vector_field",
-]

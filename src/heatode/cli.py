@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -74,11 +75,22 @@ def parse_closing(n: int, text: str | None) -> GradedPoly | None:
     return closing_from_coeffs(n, coeffs)
 
 
+def _strict(value):
+    """The payload with each non-finite float as the string "NaN", "Infinity" or "-Infinity"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(args, payload) -> None:
     if isinstance(payload, str):
         text = payload
-    else:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:  # strict JSON: no bare NaN or Infinity tokens
+        text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

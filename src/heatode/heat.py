@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import GradedPoly, Q, eval_lowered
-from .series import AnsatzSeries, BareSeries, hermite
+from .series import AnsatzSeries, BareSeries, hermite, hermite_eval
 from .systems import SystemSpec, SystemState, integrate_rk4, lift_jet, pole_sum
 
 
@@ -289,8 +289,12 @@ def grid_heat_residual(sol, z_values: Sequence[float], t_values: Sequence[float]
     The time derivative is a central difference with the given step; the
     space derivative is exact in z.  The report decomposes the error
     budget into a Richardson estimate of the finite-difference component
-    and the series truncation bound at the worst grid point.
+    and the series truncation bound at the worst grid point.  An empty
+    grid axis raises ValueError.
     """
+    for axis, values in (("z", z_values), ("t", t_values)):
+        if len(values) == 0:
+            raise ValueError(f"the {axis} grid is empty")
     worst = 0.0
     worst_point = None
     for t in t_values:
@@ -347,10 +351,7 @@ def fundamental_psi(c: float, k: int = 0) -> Callable[[float, float], float]:
         s = t - c
         if s <= 0:
             raise OutOfRange(f"t = {t} is not beyond the center {c}")
-        u = z / math.sqrt(s)
-        poly = 0.0
-        for coeff in reversed(he):
-            poly = poly * u + coeff
+        poly = hermite_eval(he, z / math.sqrt(s))
         return (-1) ** k * s ** (-(k + 1) / 2) * math.exp(-z * z / (2 * s)) * poly
 
     return psi

@@ -54,11 +54,11 @@ class Mobius:
     def det(self):
         return self.a * self.d - self.b * self.c
 
-    def is_unimodular(self, tol: float = 0.0) -> bool:
-        return abs(self.det() - 1) <= tol
+    def is_unimodular(self) -> bool:
+        return self.det() == 1
 
-    def require_unimodular(self, tol: float = 0.0) -> None:
-        if not self.is_unimodular(tol):
+    def require_unimodular(self) -> None:
+        if not self.is_unimodular():
             raise ValueError(f"matrix determinant {self.det()} is not 1")
 
     def __matmul__(self, other: Mobius) -> Mobius:

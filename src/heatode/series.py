@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import GradedPoly, Mono, Q, WeightMismatch, check_closing, check_homogeneous, mono
+from .algebra import GradedPoly, Mono, Q, check_closing, check_homogeneous, mono
 
 
 def default_c(delta: int) -> Fraction:
@@ -96,9 +96,7 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
         term = coeffs[-1].derive(p).scale(2)
         factor = Q((2 * q + delta - 3) * (2 * q + delta - 2)) / two_delta
         term = term + (coeffs[1] * coeffs[-2]).scale(factor)
-        if term and term.weight != 2 * q:
-            raise WeightMismatch(f"coefficient {q} has weight {term.weight}")
-        coeffs.append(term)
+        coeffs.append(check_homogeneous(term, 2 * q, None, f"coefficient {q}"))
     return AnsatzSeries(n, delta, c, K, tuple(coeffs[1:]))
 
 
@@ -118,7 +116,7 @@ class CoeffTable:
     entries: Mapping[Index, Fraction]
 
     def to_json(self) -> dict:
-        rows = sorted(self.entries.items(), key=lambda t: (_index_weight(self.n, t[0]), t[0]))
+        rows = sorted(self.entries.items(), key=lambda t: (_index_weight(t[0]), t[0]))
         return {
             "n": self.n,
             "delta": self.delta,
@@ -128,15 +126,8 @@ class CoeffTable:
         }
 
 
-def _index_weight(n: int, j: Index) -> int:
+def _index_weight(j: Index) -> int:
     return sum(2 * (i + 2) * e for i, e in enumerate(j))
-
-
-def _index_mono(n: int, j: Index) -> Mono:
-    """The monomial x_2^j[0] ... x_{n+1}^j[n-1] of a dense index."""
-    if len(j) != n:
-        raise ValueError(f"index {tuple(j)} must have {n} entries (x_2..x_{n + 1})")
-    return mono({i + 2: e for i, e in enumerate(j)})
 
 
 def _indices_up_to(n: int, max_weight: int) -> list[tuple[int, Index]]:
@@ -154,20 +145,8 @@ def _indices_up_to(n: int, max_weight: int) -> list[tuple[int, Index]]:
     return out
 
 
-def closing_index_map(n: int, closing: GradedPoly | None) -> dict[Index, Fraction]:
-    """Closing polynomial as a dense multiindex -> coefficient map."""
-    closing = check_closing(n, closing)
-    out: dict[Index, Fraction] = {}
-    for m, coeff in closing.terms.items():
-        dense = [0] * n
-        for k, e in m:
-            dense[k - 2] = e
-        out[tuple(dense)] = coeff
-    return out
-
-
-def coeff_table(n: int, closing: GradedPoly | Mapping[Index, Fraction] | None,
-                c: Fraction | int, delta: int, K: int) -> CoeffTable:
+def coeff_table(n: int, closing: GradedPoly | None, c: Fraction | int,
+                delta: int, K: int) -> CoeffTable:
     """Fill a(J) for ||J|| <= 2K by the one-step discrete recursion.
 
     Each a(J) is a combination of values at strictly smaller weight:
@@ -181,9 +160,8 @@ def coeff_table(n: int, closing: GradedPoly | Mapping[Index, Fraction] | None,
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
     c = Q(c)
-    if not (isinstance(closing, GradedPoly) or closing is None):
-        closing = GradedPoly({_index_mono(n, s): v for s, v in closing.items()})
-    pmap = closing_index_map(n, closing)
+    pmap = {tuple(dict(m).get(k, 0) for k in range(2, n + 2)): v  # the closing by dense index
+            for m, v in check_closing(n, closing).terms.items()}
     entries: dict[Index, Fraction] = {}
 
     def get(j: tuple[int, ...]) -> Fraction:
@@ -217,10 +195,10 @@ def series_from_table(table: CoeffTable) -> AnsatzSeries:
     buckets: dict[int, dict[Mono, Fraction]] = {}
     pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (k, e) object shared by all terms
     for j, a in table.entries.items():
-        w = _index_weight(table.n, j)
+        w = _index_weight(j)
         if w == 0 or a == 0:
             continue
-        m = tuple(pairs.setdefault(kj, kj) for kj in _index_mono(table.n, j))
+        m = tuple(pairs.setdefault(kj, kj) for kj in mono({i + 2: e for i, e in enumerate(j)}))
         buckets.setdefault(w // 2, {})[m] = a
     coeffs = tuple(GradedPoly(buckets.get(k, {}))
                    for k in range(2, table.truncation + 1))
@@ -315,9 +293,7 @@ def sigma_series(K: int) -> list[GradedPoly]:
     out = [GradedPoly.one(), GradedPoly.zero()]
     for m in range(1, K):
         nxt = sigma_l2(out[m]).scale(2) - (g2 * out[m - 1]).scale(Q(m * (2 * m + 1), 6))
-        if nxt and nxt.weight != 2 * (m + 1):
-            raise WeightMismatch(f"sigma coefficient {m + 1} lost homogeneity")
-        out.append(nxt)
+        out.append(check_homogeneous(nxt, 2 * (m + 1), None, f"sigma coefficient {m + 1}"))
     return out[:K + 1]
 
 

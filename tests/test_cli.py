@@ -1,5 +1,6 @@
 """Command-line behaviour: output forms, exit codes, determinism."""
 
+import argparse
 import inspect
 import json
 import math
@@ -203,6 +204,22 @@ def test_verify_sl2_fails_on_a_nan_gap(capsys, monkeypatch):
     assert report["passed"] is False
 
 
+def test_verify_json_is_strict_on_non_finite_floats(capsys, monkeypatch):
+    def reject(token):
+        raise ValueError(f"bare {token} in the JSON")
+
+    from heatode import suites
+    monkeypatch.setattr(suites, "act_on_psi", lambda *args: math.nan)
+    code, out, _ = run(capsys, "verify", "sl2", "--json")
+    assert code == 1
+    report = json.loads(out, parse_constant=reject)
+    square = next(c for c in report["cases"] if c["case"] == "state-vs-solution")
+    assert square["max_gap"] == "NaN"
+    cli._emit(argparse.Namespace(out=None), {"up": math.inf, "down": [-math.inf, 1.5]})
+    assert json.loads(capsys.readouterr().out, parse_constant=reject) == \
+        {"up": "Infinity", "down": ["-Infinity", 1.5]}
+
+
 LEVELLED = ("rational", "phi-equiv", "dims", "detmatch")
 
 
@@ -306,6 +323,7 @@ def test_python_dash_m_runs_the_cli():
 
 def test_import_leaves_scipy_unloaded():
     # scipy serves only heat.conserved_integral, which imports it on first use
-    done = run_python("-c", "import sys, heatode; print('scipy' in sys.modules)")
+    # heatode.cli loads every module of the package
+    done = run_python("-c", "import sys, heatode.cli; print('scipy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

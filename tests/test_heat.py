@@ -164,6 +164,13 @@ def test_grid_residual_reports_a_nan_point():
         assert not report.max_residual <= 1e-6  # the numeric cases' gate fails
 
 
+def test_grid_residual_rejects_an_empty_axis():
+    stub = GaussianStub(lambda z, t: False)
+    for zg, tg, axis in (([], [1.0], "z"), ([0.0], [], "t")):
+        with pytest.raises(ValueError, match=f"the {axis} grid is empty"):
+            grid_heat_residual(stub, zg, tg, 1e-3)
+
+
 def test_psi_parts_tail():
     cl = closing(2, [24])
     spec = SystemSpec.reduced(2, delta=1, closing=cl)

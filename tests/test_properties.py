@@ -19,7 +19,7 @@ from heatode.algebra import (
 )
 from heatode.jets import PARAM, JetPoly, jet_mono, total_derivative
 from heatode.mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_psi
-from heatode.series import ansatz_series, closing_index_map, coeff_table, series_from_table
+from heatode.series import ansatz_series, coeff_table, series_from_table
 
 CLASSES = [GradedPoly, JetPoly]
 WEIGHTS = (0, 2, 4, 6)
@@ -263,14 +263,12 @@ def test_integral_coefficients_are_ints(cls, data, w, u, c, point):
 
 @settings(max_examples=15, deadline=None)
 @given(data=st.data(), n=st.integers(0, 4), K=st.integers(2, 10),
-       delta=st.sampled_from((0, 1)), dense=st.booleans(),
-       c=coefficients.filter(bool))
-def test_series_routes_agree(data, n, K, delta, dense, c):
+       delta=st.sampled_from((0, 1)), c=coefficients.filter(bool))
+def test_series_routes_agree(data, n, K, delta, c):
     monos = closing_monomials(n)
     closing = GradedPoly(dict(zip(monos, data.draw(
         st.lists(coefficients, min_size=len(monos), max_size=len(monos))))))
-    handed = closing_index_map(n, closing) if dense else closing
-    table = coeff_table(n, handed, c, delta, K)
+    table = coeff_table(n, closing, c, delta, K)
     assert series_from_table(table) == ansatz_series(n, closing, c, delta, K)
 
 

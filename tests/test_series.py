@@ -106,17 +106,10 @@ def test_table_matches_series_route():
                 assert a.coeff(k) == b.coeff(k)
 
 
-def test_table_accepts_index_map():
-    # the closing may be handed over as a raw multiindex map
-    t1 = coeff_table(2, {(2, 0): Q(5)}, Q(1), 0, 6)
-    t2 = coeff_table(2, closing(2, [5]), Q(1), 0, 6)
-    assert t1.entries == t2.entries
-
-
 def test_table_n2_literal_recursion_oracle():
     # independent route: the level-2 recursion written out by hand
     c, delta, p20, K = Q(5, 2), 1, Q(-3), 7
-    table = coeff_table(2, {(2, 0): p20}, c, delta, K)
+    table = coeff_table(2, closing(2, [p20]), c, delta, K)
 
     oracle = {}
 

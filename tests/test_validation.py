@@ -10,7 +10,7 @@ from heatode.algebra import (
 )
 from heatode.cli import main
 from heatode.jets import JetPoly, family_ode, pole_sum_ode
-from heatode.series import ansatz_series, bare_series, closing_index_map, coeff_table
+from heatode.series import ansatz_series, bare_series, coeff_table
 from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4
 
 x1 = GradedPoly.variable(1)
@@ -46,8 +46,6 @@ def test_every_caller_rejects_bad_closing(n, closing):
     with pytest.raises(WeightMismatch):
         ansatz_series(n, closing, Q(1), 0, 4)
     with pytest.raises(WeightMismatch):
-        closing_index_map(n, closing)
-    with pytest.raises(WeightMismatch):
         coeff_table(n, closing, Q(1), 0, 4)
 
 
@@ -58,16 +56,6 @@ def test_closing_none_is_zero():
     for n in range(2, 6):
         p = GradedPoly({m: Q(i + 1) for i, m in enumerate(closing_monomials(n))})
         assert check_closing(n, p) is p
-
-
-@pytest.mark.parametrize("index_map", [
-    {(5, -2): 1},     # weight 8 = 2(2+2), but x_3 has exponent -2
-    {(2, 0, 0): 1},   # three entries at level 2, which has only x_2, x_3
-    {(2,): 1},        # one entry at level 2
-])
-def test_coeff_table_rejects_bad_index_map(index_map):
-    with pytest.raises(ValueError):
-        coeff_table(2, index_map, Q(1), 0, 6)
 
 
 def test_bare_series_rejects_flow_outside_its_variables():
