@@ -98,7 +98,7 @@ def _emit(args, payload) -> None:
         print(text)
 
 
-def _stamped(args, command: str, config: dict, body: dict) -> dict:
+def _stamped(command: str, config: dict, body: dict) -> dict:
     return {
         "command": command,
         "config": config,
@@ -113,7 +113,7 @@ def cmd_ode_print(args) -> int:
     closing = parse_closing(args.n, args.p)
     ode = family_ode(args.n, closing)
     if args.json:
-        _emit(args, _stamped(args, "ode print",
+        _emit(args, _stamped("ode print",
                              {"n": args.n, "p": args.p or ""},
                              {"ode": ode.to_json(), "text": ode.text()}))
     else:
@@ -129,7 +129,7 @@ def cmd_ode_basis(args) -> int:
              "monomial": mono_text(m)}
             for i, m in enumerate(basis)]
     if args.json:
-        _emit(args, _stamped(args, "ode basis",
+        _emit(args, _stamped("ode basis",
                              {"n": args.n},
                              {"dim": closing_dim(args.n), "basis": rows}))
     else:
@@ -161,7 +161,7 @@ def cmd_series(args) -> int:
         raise CliError(f"unknown series kind {args.kind}")
     config = {k: v for k, v in vars(args).items()
               if k in ("kind", "n", "delta", "c", "p", "K", "seed_coeff") and v is not None}
-    _emit(args, _stamped(args, f"series {args.kind}", config, {"series": data}))
+    _emit(args, _stamped(f"series {args.kind}", config, {"series": data}))
     return 0
 
 
@@ -194,7 +194,7 @@ def cmd_integrate(args) -> int:
             "header": header,
             "rows": [[str(v) if exact else v for v in s.row()] for s in trajectory],
         }
-        _emit(args, _stamped(args, "integrate", {"state": args.state}, body))
+        _emit(args, _stamped("integrate", {"state": args.state}, body))
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -218,7 +218,7 @@ def cmd_verify(args) -> int:
             else run_suite(args.suite, seed=args.seed, max_n=args.n)
     except UnknownSuite as err:
         raise CliError(str(err)) from None
-    payload = _stamped(args, f"verify {args.suite}", config, report)
+    payload = _stamped(f"verify {args.suite}", config, report)
     if args.json or args.out:
         _emit(args, payload)
     else:
@@ -258,7 +258,7 @@ def cmd_sl2_orbit(args) -> int:
         ode = family_ode(n, match.closing)
         body["closing"] = match.closing.text() if match.closing else "0"
         body["residual"] = str(ode.eval(jet))
-    _emit(args, _stamped(args, "sl2 orbit", {"mobius": args.mobius, "poles": args.poles}, body))
+    _emit(args, _stamped("sl2 orbit", {"mobius": args.mobius, "poles": args.poles}, body))
     return 0
 
 

@@ -140,8 +140,32 @@ def series_sums(lowered: tuple, z: float,
     return s, sz, szz, tail
 
 
+def assemble(sums: tuple, z: float, h: float, r: float) -> tuple[float, float, float]:
+    """exp(-h z^2/2 + r) times the value, the exact d^2/dz^2 and the tail of a series.
+
+    `sums` is series_sums(...) at z; h = 0.0 gives the Gaussian-free shape.
+    """
+    s, sz, szz, tail = sums
+    envelope = math.exp(-0.5 * h * z * z + r)
+    return (envelope * s, envelope * (h * h * z * z * s - 2 * h * z * sz - h * s + szz),
+            envelope * tail)
+
+
+class _Assembled:
+    """psi_parts and dzz from a subclass's _parts(z, t), i.e. assemble at time t."""
+
+    def psi_parts(self, z: float, t: float) -> tuple[float, float]:
+        """Value and the magnitude of the last retained series term."""
+        value, _, tail = self._parts(z, t)
+        return value, tail
+
+    def dzz(self, z: float, t: float) -> float:
+        """Exact-in-z second derivative of the assembled solution."""
+        return self._parts(z, t)[1]
+
+
 @dataclass
-class AnsatzSolution:
+class AnsatzSolution(_Assembled):
     """A factored solution: system, series and a state provider t -> state."""
 
     spec: SystemSpec
@@ -154,28 +178,13 @@ class AnsatzSolution:
             raise ValueError("series parameters do not match the system")
         self._lowered = lower_series(s)
 
-    def _xmap(self, state: SystemState) -> dict[int, float]:
-        return {k: float(v) for k, v in enumerate(state.x, start=2)}
+    def _parts(self, z: float, t: float) -> tuple[float, float, float]:
+        state = self.state_at(t)
+        x = {k: float(v) for k, v in enumerate(state.x, start=2)}
+        return assemble(series_sums(self._lowered, z, x), z, float(state.h), float(state.r))
 
     def psi(self, z: float, t: float) -> float:
-        state = self.state_at(t)
-        s = series_sums(self._lowered, z, self._xmap(state))[0]
-        return math.exp(-0.5 * float(state.h) * z * z + float(state.r)) * s
-
-    def psi_parts(self, z: float, t: float) -> tuple[float, float]:
-        """Value and the magnitude of the last retained series term."""
-        state = self.state_at(t)
-        s, _, _, tail = series_sums(self._lowered, z, self._xmap(state))
-        envelope = math.exp(-0.5 * float(state.h) * z * z + float(state.r))
-        return envelope * s, envelope * tail
-
-    def dzz(self, z: float, t: float) -> float:
-        """Exact-in-z second derivative of the assembled solution."""
-        state = self.state_at(t)
-        h = float(state.h)
-        s, sz, szz, _ = series_sums(self._lowered, z, self._xmap(state))
-        bracket = h * h * z * z * s - 2 * h * z * sz - h * s + szz
-        return math.exp(-0.5 * h * z * z + float(state.r)) * bracket
+        return self._parts(z, t)[0]
 
     def validity_radius(self, t: float, ratio: float = 2 ** -40,
                         z_max: float = 4.0) -> float:
@@ -199,7 +208,7 @@ class AnsatzSolution:
 
 
 @dataclass
-class WideSolution:
+class WideSolution(_Assembled):
     """The Gaussian-free shape exp(r(t)) * (wide series in z)."""
 
     series: BareSeries
@@ -208,18 +217,12 @@ class WideSolution:
     def __post_init__(self):
         self._lowered = lower_series(self.series)
 
+    def _parts(self, z: float, t: float) -> tuple[float, float, float]:
+        r, x = self.state_at(t)
+        return assemble(series_sums(self._lowered, z, x), z, 0.0, r)
+
     def psi(self, z: float, t: float) -> float:
-        r, x = self.state_at(t)
-        return math.exp(r) * series_sums(self._lowered, z, x)[0]
-
-    def psi_parts(self, z: float, t: float) -> tuple[float, float]:
-        r, x = self.state_at(t)
-        s, _, _, tail = series_sums(self._lowered, z, x)
-        return math.exp(r) * s, math.exp(r) * tail
-
-    def dzz(self, z: float, t: float) -> float:
-        r, x = self.state_at(t)
-        return math.exp(r) * series_sums(self._lowered, z, x)[2]
+        return self._parts(z, t)[0]
 
 
 def trajectory_provider(spec: SystemSpec, s0: SystemState,
@@ -242,8 +245,7 @@ def trajectory_provider(spec: SystemSpec, s0: SystemState,
     return at
 
 
-def pole_state_provider(n: int, b, poles, delta: int,
-                        r0: float = 0.0) -> Callable[[float], SystemState]:
+def pole_state_provider(n: int, b, poles, delta: int) -> Callable[[float], SystemState]:
     """Closed-form states from a pole-sum h: the lift gives x, the log gives r."""
     ps = pole_sum(b, poles)
 
@@ -252,7 +254,7 @@ def pole_state_provider(n: int, b, poles, delta: int,
         for a in ps.poles:
             if t <= a:
                 raise OutOfRange(f"t = {t} is not to the right of the poles")
-        r = r0 - (delta + 0.5) / float(ps.b) * sum(math.log(float(t - a)) for a in ps.poles)
+        r = -(delta + 0.5) / float(ps.b) * sum(math.log(float(t - a)) for a in ps.poles)
         return SystemState(t, r, jet[0], lift_jet(jet, n))
 
     return at
@@ -306,10 +308,9 @@ def grid_heat_residual(sol, z_values: Sequence[float], t_values: Sequence[float]
             rel = abs(dt - dzz / 2) / scale
             if rel >= worst or math.isnan(rel):  # a NaN point becomes the worst and stays
                 worst = rel
-                worst_point = (z, t, scale)
-    z, t, scale = worst_point
+                worst_point = (z, t, scale, dt)
+    z, t, scale, dt_full = worst_point
     half = fd_step / 2
-    dt_full = (sol.psi(z, t + fd_step) - sol.psi(z, t - fd_step)) / (2 * fd_step)
     dt_half = (sol.psi(z, t + half) - sol.psi(z, t - half)) / (2 * half)
     fd_component = abs(dt_full - dt_half) * 4 / 3 / scale
     _, tail = sol.psi_parts(z, t)

@@ -329,24 +329,13 @@ def match_pole_ode(n: int) -> PoleMatch:
 
 # -- changes of the dependent variable ---------------------------------------
 
-@dataclass
-class Rescaled:
-    """Substitution h = y/lam: the raw result and its monic normalisation."""
-
-    raw: JetPoly
-    monic: JetPoly
-
-
-def rescale_dependent(p: JetPoly, lam: Fraction | int) -> Rescaled:
-    """Express p in the variable y = lam*h, normalising the top jet to 1."""
+def rescale_dependent(p: JetPoly, lam: Fraction | int) -> JetPoly:
+    """p in the variable y = lam*h, scaled so its top jet term is 1 (zero stays zero)."""
     lam = Q(lam)
     if lam == 0:
         raise ZeroScale("lam must be nonzero")
     raw = p.subst({q: JetPoly.h(q).scale(1 / lam) for q in range(p.order() + 1)})
-    if not raw:
-        return Rescaled(raw, raw)
-    lead = raw.sorted_terms()[0][1]
-    return Rescaled(raw, raw.scale(1 / Q(lead)))
+    return raw.scale(1 / Q(raw.sorted_terms()[0][1])) if raw else raw
 
 
 def chazy12_parameter(c4: Fraction | int) -> Fraction:

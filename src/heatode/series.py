@@ -239,8 +239,7 @@ class BareSeries:
         }
 
 
-def bare_series(p_list: Sequence[GradedPoly], psi1: GradedPoly, K: int,
-                delta: int = 0) -> BareSeries:
+def bare_series(p_list: Sequence[GradedPoly], psi1: GradedPoly, K: int) -> BareSeries:
     """Build the wide-ansatz series from its one-step recursion.
 
     `p_list` gives the flows p_2..p_{n+2} of x_1..x_{n+1} (each p_{j+1}
@@ -258,7 +257,7 @@ def bare_series(p_list: Sequence[GradedPoly], psi1: GradedPoly, K: int,
     for _ in range(1, K):
         prev = coeffs[-1]
         coeffs.append(prev.derive(flows).scale(2) + psi1 * prev)
-    return BareSeries(n, delta, K, tuple(coeffs))
+    return BareSeries(n, 0, K, tuple(coeffs))
 
 
 def three_pole_flows() -> tuple[GradedPoly, GradedPoly, GradedPoly]:
@@ -353,14 +352,6 @@ class QuarticEigenReport:
     @property
     def all_ok(self) -> bool:
         return self.first_failure is None
-
-    def to_json(self) -> dict:
-        return {
-            "K": self.truncation,
-            "second_derivative": {str(k): v for k, v in sorted(self.second_derivative_ok.items())},
-            "eigen": {str(k): v for k, v in sorted(self.eigen_ok.items())},
-            "first_failure": self.first_failure,
-        }
 
 
 def quartic_eigenfunction_check(K: int, delta: int,

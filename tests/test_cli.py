@@ -204,6 +204,24 @@ def test_verify_sl2_fails_on_a_nan_gap(capsys, monkeypatch):
     assert report["passed"] is False
 
 
+def test_verify_sigma_fails_on_a_wrong_reduction(capsys, monkeypatch):
+    from heatode import systems
+    from heatode.algebra import closing_from_coeffs
+    # every change of variables lands on a reduced system with the wrong closing constant
+    monkeypatch.setattr(systems, "transform_system", lambda spec, rows: systems.SystemSpec.reduced(
+        spec.n, 1, closing_from_coeffs(spec.n, [1])))
+    code, out, _ = run(capsys, "verify", "sigma", "--json")
+    assert code == 1
+    report = json.loads(out)
+    passes = {c["case"]: c["pass"] for c in report["cases"]}
+    assert passes == {"second-operator": True, "scaling-operator": True,
+                      "bridge-to-level-two": True, "system-reductions": False}
+    assert report["passed"] is False
+    code, out, _ = run(capsys, "verify", "sigma")
+    assert code == 1
+    assert out.startswith("suite sigma: FAIL") and "[FAIL] system-reductions" in out
+
+
 def test_verify_json_is_strict_on_non_finite_floats(capsys, monkeypatch):
     def reject(token):
         raise ValueError(f"bare {token} in the JSON")
@@ -327,3 +345,34 @@ def test_import_leaves_scipy_unloaded():
     done = run_python("-c", "import sys, heatode.cli; print('scipy' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_tracer_detach_restores_the_pinned_names():
+    # the benchmark's tracer rebinds these names and must find and restore each of them
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    script = f"""
+import sys
+sys.path.insert(0, {perfbench!r})
+from heatode import heat, suites, systems
+from heatode.jets import JetPoly
+from tracer import Tracer
+
+def pinned():
+    return [heat.AnsatzSolution.__dict__["psi"], heat.WideSolution.__dict__["psi"],
+            JetPoly.__dict__["__mul__"], systems.vector_field, dict(suites.SUITES)]
+
+before = pinned()
+tracer = Tracer()
+tracer.attach()
+during = pinned()
+assert all(a is not b for a, b in zip(during[:4], before)), "attach left a name unwrapped"
+assert all(during[4][k] is not v for k, v in before[4].items()), "attach left a suite unwrapped"
+tracer.detach()
+after = pinned()
+assert all(a is b for a, b in zip(after[:4], before)), "detach left a name wrapped"
+assert after[4] == before[4], "detach left a suite wrapped"
+print("restored")
+"""
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "restored"

@@ -293,16 +293,14 @@ def test_transform_round_trip():
 
 def test_sigma_reduction_level_two():
     red = sigma_reduction(2)
-    assert red.closing_constant == 24
-    assert red.result == SystemSpec.reduced(2, 1, closing(2, [24]))
-    assert red.result.c == Q(-6)
+    assert red == SystemSpec.reduced(2, 1, closing(2, [24]))
+    assert red.c == Q(-6)
 
 
 def test_sigma_reduction_level_three():
     red = sigma_reduction(3)
-    assert red.closing_constant == 48
-    assert red.result == SystemSpec.reduced(3, 1, closing(3, [48]))
-    assert red.result.c == Q(-6)
+    assert red == SystemSpec.reduced(3, 1, closing(3, [48]))
+    assert red.c == Q(-6)
 
 
 def test_weierstrass_flow_values():
