@@ -22,7 +22,7 @@ exactly, in the ring of polynomials in z and sqrt(t - c).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -151,21 +151,8 @@ def assemble(sums: tuple, z: float, h: float, r: float) -> tuple[float, float, f
             envelope * tail)
 
 
-class _Assembled:
-    """psi_parts and dzz from a subclass's _parts(z, t), i.e. assemble at time t."""
-
-    def psi_parts(self, z: float, t: float) -> tuple[float, float]:
-        """Value and the magnitude of the last retained series term."""
-        value, _, tail = self._parts(z, t)
-        return value, tail
-
-    def dzz(self, z: float, t: float) -> float:
-        """Exact-in-z second derivative of the assembled solution."""
-        return self._parts(z, t)[1]
-
-
 @dataclass
-class AnsatzSolution(_Assembled):
+class AnsatzSolution:
     """A factored solution: system, series and a state provider t -> state."""
 
     spec: SystemSpec
@@ -178,13 +165,14 @@ class AnsatzSolution(_Assembled):
             raise ValueError("series parameters do not match the system")
         self._lowered = lower_series(s)
 
-    def _parts(self, z: float, t: float) -> tuple[float, float, float]:
+    def parts(self, z: float, t: float) -> tuple[float, float, float]:
+        """Value, exact-in-z second derivative and last-term magnitude at (z, t)."""
         state = self.state_at(t)
         x = {k: float(v) for k, v in enumerate(state.x, start=2)}
         return assemble(series_sums(self._lowered, z, x), z, float(state.h), float(state.r))
 
     def psi(self, z: float, t: float) -> float:
-        return self._parts(z, t)[0]
+        return self.parts(z, t)[0]
 
     def validity_radius(self, t: float, ratio: float = 2 ** -40,
                         z_max: float = 4.0) -> float:
@@ -192,7 +180,7 @@ class AnsatzSolution(_Assembled):
         `ratio` of the partial sum; the truncation comfort zone at time t."""
 
         def tail_ok(z: float) -> bool:
-            value, tail = self.psi_parts(z, t)
+            value, _, tail = self.parts(z, t)
             return tail <= ratio * abs(value)
 
         if tail_ok(z_max):
@@ -208,7 +196,7 @@ class AnsatzSolution(_Assembled):
 
 
 @dataclass
-class WideSolution(_Assembled):
+class WideSolution:
     """The Gaussian-free shape exp(r(t)) * (wide series in z)."""
 
     series: BareSeries
@@ -217,28 +205,51 @@ class WideSolution(_Assembled):
     def __post_init__(self):
         self._lowered = lower_series(self.series)
 
-    def _parts(self, z: float, t: float) -> tuple[float, float, float]:
+    def parts(self, z: float, t: float) -> tuple[float, float, float]:
+        """Value, exact-in-z second derivative and last-term magnitude at (z, t)."""
         r, x = self.state_at(t)
         return assemble(series_sums(self._lowered, z, x), z, 0.0, r)
 
     def psi(self, z: float, t: float) -> float:
-        return self._parts(z, t)[0]
+        return self.parts(z, t)[0]
 
 
 def trajectory_provider(spec: SystemSpec, s0: SystemState,
                         step_hint: float = 1e-3) -> Callable[[float], SystemState]:
-    """State provider backed by fixed-step integration from s0 (t >= s0.t)."""
-    cache: dict[float, SystemState] = {float(s0.t): s0}
+    """State provider backed by one fixed-step trajectory from s0 (t >= s0.t).
+
+    Node i is the RK4 state at t0 + i*step_hint, t0 = s0.t; the node list
+    grows only as far as the node a query needs, so a query never
+    integrates past its own time (and never trips the blow-up guard
+    early).  A query at t returns node floor((t - t0)/step_hint), advanced
+    by one RK4 step of length t - node.t when that gap is positive.  The
+    field is autonomous, so a node's bits do not depend on how the list
+    was grown, and the state at t does not depend on the order of queries.
+    A time before t0 or a non-finite time raises OutOfRange, a step_hint
+    that is not positive and finite ValueError.
+    """
+    if not (math.isfinite(step_hint) and step_hint > 0):
+        raise ValueError(f"step_hint must be positive and finite, got {step_hint}")
+    t0 = float(s0.t)
+    nodes = [s0]
+    cache: dict[float, SystemState] = {t0: s0}
 
     def at(t: float) -> SystemState:
         t = float(t)
         if t in cache:
             return cache[t]
-        if t < float(s0.t):
+        if not math.isfinite(t):
+            raise OutOfRange(f"t = {t} is not a finite time")
+        if t < t0:
             raise OutOfRange(f"t = {t} precedes the initial time {s0.t}")
-        span = t - float(s0.t)
-        nsteps = max(1, round(span / step_hint))
-        state = integrate_rk4(spec, s0, t, span / nsteps)[-1]
+        i = math.floor((t - t0) / step_hint)
+        i += t0 + (i + 1) * step_hint <= t  # the quotient can round to just below a node
+        if i >= len(nodes):
+            grown = integrate_rk4(spec, nodes[-1], t0 + i * step_hint, step_hint)[1:]
+            nodes.extend([replace(s, t=t0 + j * step_hint) for j, s in enumerate(grown, len(nodes))])
+        node = nodes[i]
+        gap = t - node.t
+        state = node if gap <= 0 else integrate_rk4(spec, node, t, gap)[-1]
         cache[t] = state
         return state
 
@@ -302,18 +313,16 @@ def grid_heat_residual(sol, z_values: Sequence[float], t_values: Sequence[float]
     for t in t_values:
         for z in z_values:
             dt = (sol.psi(z, t + fd_step) - sol.psi(z, t - fd_step)) / (2 * fd_step)
-            dzz = sol.dzz(z, t)
-            value = sol.psi(z, t)
+            value, dzz, tail = sol.parts(z, t)
             scale = max(abs(value), abs(dt), abs(dzz) / 2, 1e-300)
             rel = abs(dt - dzz / 2) / scale
             if rel >= worst or math.isnan(rel):  # a NaN point becomes the worst and stays
                 worst = rel
-                worst_point = (z, t, scale, dt)
-    z, t, scale, dt_full = worst_point
+                worst_point = (z, t, scale, dt, tail)
+    z, t, scale, dt_full, tail = worst_point
     half = fd_step / 2
     dt_half = (sol.psi(z, t + half) - sol.psi(z, t - half)) / (2 * half)
     fd_component = abs(dt_full - dt_half) * 4 / 3 / scale
-    _, tail = sol.psi_parts(z, t)
     return NumericHeatReport(
         case,
         {"z": len(z_values), "t": len(t_values), "fd_step": fd_step},

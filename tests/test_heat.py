@@ -1,13 +1,16 @@
 """Heat-equation verification: symbolic residuals, grids, conservation."""
 
 import math
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from heatode.algebra import GradedPoly, closing_from_coeffs as closing
 from heatode.series import ansatz_series, bare_series, default_c
-from heatode.systems import SystemSpec, SystemState, pole_sum
+from heatode import heat
+from heatode.suites import run_suite
+from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4, pole_sum
 from heatode.heat import (
     AnsatzSolution,
     OutOfRange,
@@ -147,11 +150,9 @@ class GaussianStub:
     def psi(self, z, t):
         return math.exp(-z * z / (2 * t)) / math.sqrt(t)
 
-    def dzz(self, z, t):
-        return math.nan if self.bad(z, t) else (z * z / t - 1) / t * self.psi(z, t)
-
-    def psi_parts(self, z, t):
-        return self.psi(z, t), 0.0
+    def parts(self, z, t):
+        dzz = math.nan if self.bad(z, t) else (z * z / t - 1) / t * self.psi(z, t)
+        return self.psi(z, t), dzz, 0.0
 
 
 def test_grid_residual_reports_a_nan_point():
@@ -176,7 +177,7 @@ def test_psi_parts_tail():
     spec = SystemSpec.reduced(2, delta=1, closing=cl)
     series = ansatz_series(2, cl, Q(-6), 1, 8)
     sol = AnsatzSolution(spec, series, trajectory_provider(spec, SystemState(0.0, 0.0, 0.2, (0.1, 0.1)), 1e-3))
-    value, tail = sol.psi_parts(0.5, 0.1)
+    value, _, tail = sol.parts(0.5, 0.1)
     assert tail < 2 ** -40 * abs(value)
 
 
@@ -206,6 +207,61 @@ def test_trajectory_provider_out_of_range():
     provider = trajectory_provider(spec, SystemState(0.0, 0.0, 1.0, ()))
     with pytest.raises(OutOfRange):
         provider(-0.5)
+
+
+def test_trajectory_provider_rejects_non_finite_times():
+    spec, s0 = SystemSpec.reduced(0, delta=0), SystemState(0.0, 0.0, 1.0, ())
+    provider = trajectory_provider(spec, s0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(OutOfRange, match=f"t = {bad} is not a finite time"):
+            provider(bad)
+    for step_hint in (0.0, -1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step_hint must be positive and finite"):
+            trajectory_provider(spec, s0, step_hint)
+
+
+def test_trajectory_provider_ignores_query_order():
+    # the heat suite's grid-case system
+    spec = SystemSpec.reduced(2, delta=1, closing=closing(2, [24]))
+    s0 = SystemState(0.0, 0.05, 0.2, (0.25, -0.1))
+    times = [0.003 + 0.0071 * i for i in range(30)]
+    shuffled = list(times)
+    random.Random(5).shuffle(shuffled)
+    in_order, out_of_order = trajectory_provider(spec, s0, 2.5e-4), trajectory_provider(spec, s0, 2.5e-4)
+    first = {t: in_order(t).row() for t in times}
+    second = {t: out_of_order(t).row() for t in shuffled}
+    assert first == second
+    # a time equal to a node returns that node: 400 steps of step_hint from s0
+    provider = trajectory_provider(spec, s0, 2.5e-4)
+    provider(400.5 * 2.5e-4)  # grows the list past node 400 first
+    node = provider(400 * 2.5e-4)
+    want = integrate_rk4(spec, s0, 400 * 2.5e-4, 2.5e-4)[-1]
+    assert node.row() == [400 * 2.5e-4, want.r, want.h, *want.x]
+
+
+def test_trajectory_provider_grows_no_further_than_the_query():
+    # h' = -h^2 from h(0) = -1 is h = 1/(t - 1): a pole at t = 1
+    provider = trajectory_provider(SystemSpec.reduced(0), SystemState(0.0, 0.0, -1.0, ()))
+    before = provider(0.9).row()
+    assert before[2] == pytest.approx(-10.0, rel=1e-9)
+    with pytest.raises(BlowUp):
+        provider(1.5)
+    assert provider(0.9).row() == before
+
+
+def test_heat_suite_step_budget(monkeypatch):
+    # one growing trajectory: each RK4 node is computed once (the suite's
+    # grid reaches t = 0.201 at step 2.5e-4, 804 nodes)
+    steps = []
+
+    def counted(*args, **kwargs):
+        trajectory = integrate_rk4(*args, **kwargs)
+        steps.append(len(trajectory) - 1)
+        return trajectory
+
+    monkeypatch.setattr(heat, "integrate_rk4", counted)
+    assert run_suite("heat", 7)["passed"]
+    assert 0 < sum(steps) <= 1000
 
 
 def test_pole_state_provider_range_guard():
