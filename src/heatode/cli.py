@@ -53,11 +53,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_closing(n: int, text: str | None) -> GradedPoly | None:
-    """Closing from `name=value` pairs tied to the basis order at level n."""
+    """Closing from `name=value` pairs tied to the basis order at level n.
+
+    Each basis slot may be named once, by its name or its position.
+    """
     if not text:
         return None
     names = CLOSING_NAMES.get(n, [])
     coeffs = [Q(0)] * closing_dim(n)
+    seen: set[int] = set()
     for chunk in text.split(","):
         name, sep, value = chunk.partition("=")
         name = name.strip()
@@ -71,6 +75,9 @@ def parse_closing(n: int, text: str | None) -> GradedPoly | None:
             raise CliError(f"unknown closing coefficient {name!r} at level {n}")
         if idx >= len(coeffs):
             raise CliError(f"coefficient {name!r} is outside the level-{n} basis")
+        if idx in seen:
+            raise CliError(f"closing coefficient {name!r} sets slot p{idx} a second time")
+        seen.add(idx)
         coeffs[idx] = parse_rational(value)
     return closing_from_coeffs(n, coeffs)
 

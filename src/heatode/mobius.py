@@ -184,7 +184,10 @@ def transformed_h_jet(m: Mobius, h_jet_at: Callable[[object, int], Sequence],
     the inner jet of h at the image point compose as exact power series
     in the offset, and the q-th derivative is q! times a coefficient.
     `h_jet_at(s, q)` must return the exact jet of h at s through order q.
+    A negative order raises ValueError.
     """
+    if order < 0:
+        raise ValueError(f"jet order must be nonnegative, got {order}")
     w0 = m._nonzero_denom(t)
     # w(eps) = (ct+d) + c eps and its reciprocal
     w = [w0, Q(m.c)] + [Q(0)] * max(order - 1, 0)

@@ -24,6 +24,12 @@ from typing import Mapping, Sequence
 from .algebra import GradedPoly, Mono, Q, check_closing, check_homogeneous, mono
 
 
+def _check_truncation(K: int) -> None:
+    """K = 0 is the series z^delta alone; a negative K is no series."""
+    if K < 0:
+        raise ValueError(f"K must be nonnegative, got {K}")
+
+
 def default_c(delta: int) -> Fraction:
     """The normalisation c = -2(1+2*delta) used by the dynamical systems."""
     return Q(-2 * (1 + 2 * delta))
@@ -155,10 +161,12 @@ def coeff_table(n: int, closing: GradedPoly | None, c: Fraction | int,
            + sum_{k=2}^{n} 2 (j_k + 1) a(J + e_k - e_{k+1})
            + sum_S 2 (j_{n+1} + 1) p(S) a(J - S + e_{n+1})
 
-    with a(0) = 1 and a(J) = 0 off the nonnegative orthant.
+    with a(0) = 1 and a(J) = 0 off the nonnegative orthant.  K = 0 leaves
+    a(0) alone; a negative K raises ValueError.
     """
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
+    _check_truncation(K)
     c = Q(c)
     pmap = {tuple(dict(m).get(k, 0) for k in range(2, n + 2)): v  # the closing by dense index
             for m, v in check_closing(n, closing).terms.items()}
@@ -245,7 +253,9 @@ def bare_series(p_list: Sequence[GradedPoly], psi1: GradedPoly, K: int) -> BareS
     `p_list` gives the flows p_2..p_{n+2} of x_1..x_{n+1} (each p_{j+1}
     homogeneous of weight 2(j+1)); `psi1` is the weight-2 seed.  The
     recursion is P_{k+1} = 2 sum_j p_{j+1} dP_k/dx_j + P_1 * P_k.
+    A negative K raises ValueError.
     """
+    _check_truncation(K)
     n = len(p_list) - 1
     if n < 0:
         raise ValueError("p_list must cover x_1..x_{n+1}")
@@ -286,8 +296,9 @@ def sigma_series(K: int) -> list[GradedPoly]:
 
     with l2 = 6 g3 d/dg2 + (1/3) g2^2 d/dg3; the scaling operator is then
     satisfied automatically because every S_k is homogeneous of weight 2k
-    (asserted below, not assumed).
+    (asserted below, not assumed).  A negative K raises ValueError.
     """
+    _check_truncation(K)
     g2 = GradedPoly.variable(2)
     out = [GradedPoly.one(), GradedPoly.zero()]
     for m in range(1, K):

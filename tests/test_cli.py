@@ -45,6 +45,16 @@ def test_parse_closing_named_and_positional():
         parse_closing(2, "24")
 
 
+@pytest.mark.parametrize("text", ["c4=1,c4=2", "c4=1,p0=2"])
+def test_closing_slot_given_twice_exits_2(capsys, text):
+    # by its name twice, or by its name and its position
+    with pytest.raises(CliError, match="second time"):
+        parse_closing(2, text)
+    code, out, err = run(capsys, "ode", "print", "--n", "2", "--p", text)
+    assert code == 2
+    assert out == "" and "second time" in err
+
+
 # -- ode commands ----------------------------------------------------------------
 
 def test_ode_print_chazy3_related(capsys):
@@ -108,6 +118,17 @@ def test_series_psi(capsys):
     data = json.loads(out)["series"]
     k1 = next(c for c in data["coeffs"] if c["k"] == 1)
     assert k1["poly"]["terms"] == [{"m": [[1, 1]], "c": "-1/2"}]
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "table", "--n", "2", "--K", "-1"),
+    ("series", "sigma", "--K", "-2"),
+    ("series", "psi", "--K", "-3"),
+])
+def test_series_negative_K_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert out == "" and "K must be nonnegative" in err
 
 
 # -- integrate ------------------------------------------------------------------------
@@ -314,6 +335,13 @@ def test_sl2_orbit_rejects_non_unimodular(capsys):
     assert "determinant" in err
 
 
+def test_sl2_orbit_rejects_a_negative_order(capsys):
+    code, out, err = run(capsys, "sl2", "orbit", "--mobius", "1,1/2,1/3,7/6",
+                         "--poles", "0,1,2", "--t", "5", "--order", "-2")
+    assert code == 2
+    assert out == "" and "order" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "dims", "--n", "5", "--json",
@@ -339,12 +367,37 @@ def test_python_dash_m_runs_the_cli():
     assert "dim = 3" in done.stdout
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy serves only heat.conserved_integral, which imports it on first use
-    # heatode.cli loads every module of the package
-    done = run_python("-c", "import sys, heatode.cli; print('scipy' in sys.modules)")
+def test_import_loads_only_the_standard_library():
+    # heatode.cli loads every module of the package; modules loaded at
+    # startup (.pth hooks such as _distutils_hack) are not heatode's
+    script = """
+import json, sys
+before = set(sys.modules)
+import heatode.cli
+new = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(new - set(sys.stdlib_module_names) - {"heatode"})))
+"""
+    done = run_python("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert json.loads(done.stdout) == []
+
+
+def test_conservation_integrals_run_without_scipy():
+    # a None entry makes any import of scipy fail
+    script = """
+import math, sys
+sys.modules["scipy"] = None
+from heatode.heat import conserved_integral, fundamental_psi, gaussian_halfwidth
+Z = gaussian_halfwidth(4.0)
+value = conserved_integral(fundamental_psi(0.0), 2.0, Z)
+assert abs(value - math.sqrt(2 * math.pi)) < 1e-10, value
+for k in (1, 2, 3):
+    assert abs(conserved_integral(fundamental_psi(0.0, k), 2.0, Z)) < 1e-10
+print("ok")
+"""
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_tracer_detach_restores_the_pinned_names():

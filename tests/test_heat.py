@@ -14,6 +14,7 @@ from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4, pole
 from heatode.heat import (
     AnsatzSolution,
     OutOfRange,
+    Unsettled,
     WideSolution,
     conserved_integral,
     fundamental_psi,
@@ -340,6 +341,18 @@ def test_derivative_solutions_integrate_to_zero():
         psi = fundamental_psi(0.0, k)
         for t in (1.0, 2.0):
             assert abs(conserved_integral(psi, t, Z)) < 1e-10
+
+
+@pytest.mark.parametrize("psi", [
+    lambda z, t: math.nan,
+    lambda z, t: 1.0 if z > 0.1 else 0.0,  # the difference of successive sums stays h/4
+], ids=["nan", "step"])
+def test_unsettled_integral_raises(psi):
+    with pytest.raises(Unsettled) as info:
+        conserved_integral(psi, 2.0, gaussian_halfwidth(4.0))
+    assert info.value.t == 2.0
+    assert "t = 2.0" in str(info.value)
+    assert not info.value.difference <= 1e-13
 
 
 def test_gaussian_halfwidth_bound():
