@@ -31,8 +31,8 @@ from fractions import Fraction
 from .algebra import GradedPoly, Q, closing_dim, closing_from_coeffs, closing_monomials, mono_text
 from .jets import family_ode, hierarchy_ode, match_pole_ode
 from .series import ansatz_series, bare_series, coeff_table, default_c, sigma_series, three_pole_flows
-from .systems import BlowUp, SystemSpec, SystemState, integrate_rk4, pole_sum
-from .mobius import Mobius, transformed_h_jet
+from .systems import BlowUp, PoleHit, SystemSpec, SystemState, integrate_rk4, pole_sum
+from .mobius import Mobius, PoleOfAction, transformed_h_jet
 from .suites import SUITES, UnknownSuite, run_all, run_suite
 
 CLOSING_NAMES = {2: ["c4"], 3: ["c5"], 4: ["c62", "c63", "c64"]}
@@ -179,10 +179,9 @@ def cmd_integrate(args) -> int:
     raw = args.state.split(",")
     if len(raw) != args.n + 2:
         raise CliError(f"state needs r,h and {args.n} coordinates")
-    values = [parse_rational(v) if exact else float(v) for v in raw]
-    t0 = parse_rational(args.t0) if exact else float(args.t0)
-    t_end = parse_rational(args.t_end) if exact else float(args.t_end)
-    step = parse_rational(args.step) if exact else float(args.step)
+    num = parse_rational if exact else float
+    values = [num(v) for v in raw]
+    t0, t_end, step = num(args.t0), num(args.t_end), num(args.step)
     s0 = SystemState(t0, values[0], values[1], tuple(values[2:]))
     blowup = None
     try:
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # CliError and the library's typed input errors
+    except (ValueError, PoleOfAction, PoleHit) as err:  # CliError and the library's typed errors
         print(f"error: {err}", file=sys.stderr)
         return 2
 

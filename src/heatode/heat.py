@@ -17,7 +17,8 @@ equation into statements about the series coefficients and the flow of
                          tail bound.
 
 polynomial_solution_check verifies the Gaussian-times-Hermite solutions
-exactly, in the ring of polynomials in z and sqrt(t - c).
+exactly: the heat residual reduces to Hermite's operator on the
+polynomial factor, checked coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -406,42 +407,17 @@ def fundamental_psi(c: float, k: int = 0) -> Callable[[float, float], float]:
 
 # -- exact polynomial solutions ------------------------------------------------------
 
-# Elements of the ring P(z, w) * exp(-z^2/(2 w^2)) with w = sqrt(t - c):
-# dict (z-power, w-power) -> Fraction, w-powers possibly negative.
-
-def _gh_dz(p: dict) -> dict:
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), v in p.items():
-        if i:
-            out[(i - 1, j)] = out.get((i - 1, j), Q(0)) + i * v
-        out[(i + 1, j - 2)] = out.get((i + 1, j - 2), Q(0)) - v
-    return {k: v for k, v in out.items() if v}
-
-
-def _gh_ds(p: dict) -> dict:
-    # d/ds = (1/(2w)) d/dw on both the polynomial and the Gaussian factor
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, j), v in p.items():
-        if j:
-            out[(i, j - 2)] = out.get((i, j - 2), Q(0)) + Q(j, 2) * v
-        out[(i + 2, j - 4)] = out.get((i + 2, j - 4), Q(0)) + Q(1, 2) * v
-    return {k: v for k, v in out.items() if v}
-
-
 def polynomial_solution_check(k: int, coeffs: Sequence[Fraction] | None = None) -> bool:
     """Exact check that w^(-k-1) He_k(z/w) exp(-z^2/(2 w^2)) solves the heat equation.
 
     This is the k-th z-derivative of the fundamental solution, written
-    with w = sqrt(t - c).  Works in the ring of Laurent polynomials in w
-    with polynomial z-part, where d/dt is (1/(2w)) d/dw; the residual
-    must vanish identically.  Passing `coeffs` substitutes another
-    polynomial for He_k (fault injection).
+    with w = sqrt(t - c).  For u = w^(-k-1) P(x) exp(-x^2/2), x = z/w,
+
+        2 w^(k+3) exp(x^2/2) (u_t - u_zz/2) = -(P'' - x P' + k P),
+
+    so u solves the heat equation exactly when every coefficient
+    (i+2)(i+1) p_{i+2} + (k - i) p_i of that Hermite operator vanishes.
+    Passing `coeffs` substitutes another polynomial for He_k (fault injection).
     """
-    he = list(coeffs) if coeffs is not None else hermite(k)
-    p = {(i, -k - 1 - i): Q(c) for i, c in enumerate(he) if c}
-    lhs = _gh_ds(p)
-    rhs = _gh_dz(_gh_dz(p))
-    residual = dict(lhs)
-    for key, v in rhs.items():
-        residual[key] = residual.get(key, Q(0)) - Q(1, 2) * v
-    return all(v == 0 for v in residual.values())
+    p = [*(coeffs if coeffs is not None else hermite(k)), 0, 0]
+    return all((i + 2) * (i + 1) * p[i + 2] + (k - i) * p[i] == 0 for i in range(len(p) - 2))

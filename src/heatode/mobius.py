@@ -153,58 +153,33 @@ def act_on_psi(m: Mobius, psi: Callable, z, t):
 
 # -- exact jets of the transformed h ------------------------------------------
 
-def _series_mul(a: Sequence, b: Sequence, order: int) -> list:
-    out = [Q(0)] * (order + 1)
-    for i, ai in enumerate(a[:order + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[:order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _series_inv(a: Sequence, order: int) -> list:
-    if a[0] == 0:
-        raise ZeroDivisionError("series has no inverse")
-    inv = [1 / a[0]]
-    for k in range(1, order + 1):
-        acc = Q(0)
-        for j in range(1, k + 1):
-            if j < len(a):
-                acc += a[j] * inv[k - j]
-        inv.append(-acc / a[0])
-    return inv
-
-
 def transformed_h_jet(m: Mobius, h_jet_at: Callable[[object, int], Sequence],
                       t, order: int) -> list:
     """Exact jet of the transformed h at t, through the given order.
 
-    Works by truncated Taylor transport: the time map, its reciprocal and
-    the inner jet of h at the image point compose as exact power series
-    in the offset, and the q-th derivative is q! times a coefficient.
-    `h_jet_at(s, q)` must return the exact jet of h at s through order q.
-    A negative order raises ValueError.
+    With w = ct + d and t~ = (at + b)/w, the transformed h is
+    w^-2 h(t~) + c/w, and dt~/dt = D w^-2, D = ad - bc (1 on the group).
+    Induction on q gives the closed form
+
+        h-hat^(q) = sum_{j<=q} C(q, j) (q+1)!/(j+1)! (-c)^(q-j) D^j w^-(q+j+2) h^(j)(t~)
+                    + c (-c)^q q! w^-(q+1):
+
+    d/dt sends w^-(q+j+2) h^(j)(t~) to -(q+j+2) c w^-(q+j+3) h^(j)(t~)
+    + D w^-(q+j+4) h^(j+1)(t~), and the two contributions to h^(j) at
+    order q+1 add up to its coefficient there.  `h_jet_at(s, q)` must
+    return the exact jet of h at s through order q.  A negative order
+    raises ValueError.
     """
     if order < 0:
         raise ValueError(f"jet order must be nonnegative, got {order}")
-    w0 = m._nonzero_denom(t)
-    # w(eps) = (ct+d) + c eps and its reciprocal
-    w = [w0, Q(m.c)] + [Q(0)] * max(order - 1, 0)
-    invw = _series_inv(w, order)
-    # the image time as a series; theta is its fluctuation
-    numer = [m.a * t + m.b, Q(m.a)] + [Q(0)] * max(order - 1, 0)
-    timage = _series_mul(numer, invw, order)
-    t_im = timage[0]
-    theta = [Q(0)] + timage[1:]
-    inner = h_jet_at(t_im, order)
-    # h(t~(s)) by Horner over the fluctuation series
-    comp = [inner[order] / math.factorial(order)] + [Q(0)] * order
-    for q in range(order - 1, -1, -1):
-        comp = _series_mul(comp, theta, order)
-        comp[0] += inner[q] / math.factorial(q)
-    # h-hat = h(t~)/w^2 + c/w
-    invw2 = _series_mul(invw, invw, order)
-    total = _series_mul(comp, invw2, order)
-    result = [tot + m.c * iw for tot, iw in zip(total, invw)]
-    return [coef * math.factorial(q) for q, coef in enumerate(result)]
+    inv = 1 / m._nonzero_denom(t)
+    inner = h_jet_at(m.apply(t), order)
+    c, det = m.c, m.det()
+    jet = []
+    for q in range(order + 1):
+        total = c * (-c) ** q * math.factorial(q) * inv ** (q + 1)
+        for j in range(q + 1):
+            coef = math.comb(q, j) * math.factorial(q + 1) // math.factorial(j + 1)
+            total += coef * (-c) ** (q - j) * det ** j * inv ** (q + j + 2) * inner[j]
+        jet.append(total)
+    return jet

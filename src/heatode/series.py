@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import GradedPoly, Mono, Q, check_closing, check_homogeneous, mono
+from .jets import JetPoly, jet_mono, pole_sum_ode
 
 
 def _check_truncation(K: int) -> None:
@@ -273,15 +274,16 @@ def bare_series(p_list: Sequence[GradedPoly], psi1: GradedPoly, K: int) -> BareS
 def three_pole_flows() -> tuple[GradedPoly, GradedPoly, GradedPoly]:
     """Flows of x_1, x_2, x_3 in the wide-ansatz three-pole example.
 
-    x_1' = x_2, x_2' = x_3, x_3' = -12 x1 x3 - 9 x2^2 - 54 x1^2 x2 - 27 x1^4:
-    the jet (h, h', h'') of a sum of three simple poles with b = 3.
+    The state is the jet (h, h', h'') of a sum of three simple poles with
+    b = 3: x_1' = x_2, x_2' = x_3, and x_3' is h''' solved from
+    pole_sum_ode(2, 3) with h^(q) read as x_{q+1}, which gives
+    x_3' = -12 x1 x3 - 9 x2^2 - 54 x1^2 x2 - 27 x1^4.
     """
-    x1 = GradedPoly.variable(1)
-    x2 = GradedPoly.variable(2)
-    x3 = GradedPoly.variable(3)
-    return (x2, x3,
-            (x1 * x3).scale(-12) + (x2 * x2).scale(-9)
-            + (x2 * x1 * x1).scale(-54) + (x1 * x1 * x1 * x1).scale(-27))
+    ode = pole_sum_ode(2, 3)
+    top = ode.coefficient(jet_mono({3: 1}))
+    rest = ode - JetPoly.h(3).scale(top)
+    x3dot = rest.subst({q: GradedPoly.variable(q + 1) for q in range(3)}, GradedPoly)
+    return GradedPoly.variable(2), GradedPoly.variable(3), x3dot.scale(Q(-1, top))
 
 
 # -- Weierstrass sigma --------------------------------------------------------

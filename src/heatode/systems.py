@@ -139,8 +139,11 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
 
     Exact when the state, t_end and step are rational (the method is pure
     rational arithmetic).  Raises BlowUp when |h| exceeds h_bound or
-    stops being a number, the expected signal of a movable pole.
+    stops being a number, the expected signal of a movable pole.  An
+    h_bound that is not positive (NaN included) raises ValueError.
     """
+    if not h_bound > 0:
+        raise ValueError(f"the blow-up bound must be positive, got {h_bound}")
     num, s0, (t_end, step) = _in_mode(spec, s0, t_end, step)
     if num is float and not all(math.isfinite(v) for v in (*s0.row(), t_end, step)):
         raise ValueError("initial state, t_end and step must be finite")

@@ -159,6 +159,14 @@ def test_integrate_exact_mode_rejects_decimal_step(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("guard", ["nan", "0", "-1"])
+def test_integrate_rejects_a_guard_that_is_not_positive(capsys, guard):
+    code, out, err = run(capsys, "integrate", "--n", "0", "--state", "0,1",
+                         "--t-end", "1", "--step", "0.1", f"--guard={guard}")
+    assert code == 2
+    assert out == "" and "bound" in err
+
+
 def test_integrate_blowup_metadata(capsys):
     code, out, _ = run(capsys, "integrate", "--n", "0", "--state", "0,-1",
                        "--t-end", "2", "--step", "0.001", "--guard", "1e6", "--json")
@@ -340,6 +348,22 @@ def test_sl2_orbit_rejects_a_negative_order(capsys):
                          "--poles", "0,1,2", "--t", "5", "--order", "-2")
     assert code == 2
     assert out == "" and "order" in err
+
+
+def test_sl2_orbit_at_a_pole_of_the_action_exits_2(capsys):
+    # c t + d = t + 1 vanishes at t = -1
+    code, out, err = run(capsys, "sl2", "orbit", "--mobius", "1,0,1,1",
+                         "--poles", "0,1", "--t=-1")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "vanishes" in err
+
+
+def test_sl2_orbit_at_a_pole_of_the_solution_exits_2(capsys):
+    # the identity sends t = 1 to itself, a pole of the pole sum
+    code, out, err = run(capsys, "sl2", "orbit", "--mobius", "1,0,0,1",
+                         "--poles", "0,1", "--t", "1")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "pole" in err
 
 
 def test_out_file(tmp_path, capsys):

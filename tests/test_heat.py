@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from heatode.algebra import GradedPoly, closing_from_coeffs as closing
-from heatode.series import ansatz_series, bare_series, default_c
+from heatode.series import ansatz_series, bare_series, default_c, hermite
 from heatode import heat
 from heatode.suites import run_suite
 from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4, pole_sum
@@ -374,6 +374,36 @@ def test_polynomial_solution_fault_detection():
     for k in (2, 3, 5):
         monomial = [Q(0)] * k + [Q(1)]
         assert not polynomial_solution_check(k, monomial)
+
+
+def test_polynomial_solution_rejects_every_single_coefficient_change():
+    for k in range(11):
+        he = hermite(k)
+        for i in range(k + 3):  # two slots past the top coefficient too
+            if i == k <= 1:
+                continue  # He_0 = 1 and He_1 = x change into multiples of themselves
+            for bump in (Q(1), Q(-1, 3)):
+                changed = he + [Q(0)] * (i + 1 - len(he))
+                changed[i] += bump
+                assert not polynomial_solution_check(k, changed), (k, i, bump)
+
+
+def test_polynomial_solution_accepts_multiples():
+    for k in range(11):
+        for c in (Q(0), Q(1), Q(-2), Q(7, 3)):
+            assert polynomial_solution_check(k, [c * v for v in hermite(k)])
+
+
+def test_fundamental_psi_solves_the_heat_equation():
+    # central differences: the reduced Hermite equation really is the PDE
+    eps = 1e-4
+    for k in range(6):
+        psi = fundamental_psi(0.25, k)
+        for z, t in ((0.3, 1.1), (-0.8, 1.7), (1.2, 2.5)):
+            u_t = (psi(z, t + eps) - psi(z, t - eps)) / (2 * eps)
+            u_zz = (psi(z + eps, t) - 2 * psi(z, t) + psi(z - eps, t)) / eps ** 2
+            scale = max(abs(u_t), abs(u_zz), 1e-3)
+            assert abs(u_t - u_zz / 2) <= 1e-6 * scale, (k, z, t)
 
 
 def test_fundamental_derivative_matches_finite_difference():

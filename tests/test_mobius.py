@@ -214,6 +214,38 @@ def test_transformed_jet_matches_transformed_pole_sum():
             checked += 1
 
 
+def polynomial_jet(coeffs):
+    """h_jet_at for h(s) = sum coeffs[i] s^i: exact derivatives from the coefficients."""
+    def jet_at(s, order):
+        out, poly = [], list(coeffs)
+        for _ in range(order + 1):
+            out.append(sum((c * s ** i for i, c in enumerate(poly)), Q(0)))
+            poly = [i * c for i, c in enumerate(poly)][1:]
+        return out
+    return jet_at
+
+
+def test_transformed_jet_group_law_on_polynomials():
+    # transporting by m1 and then by m2 equals transporting by m1 @ m2, as the
+    # action on solutions composes; h is a polynomial, not a pole sum
+    rng = random.Random(47)
+    checked = 0
+    while checked < 60:
+        hj = polynomial_jet([Q(rng.randint(-6, 6), rng.randint(1, 4))
+                             for _ in range(rng.randint(1, 7))])
+        m1, m2 = rand_mobius(rng, 2), rand_mobius(rng, 2)
+        t = Q(rng.randint(-9, 9), rng.randint(1, 4))
+        order = checked % 9
+        try:
+            lhs = transformed_h_jet(m2, lambda s, q: transformed_h_jet(m1, hj, s, q), t, order)
+            rhs = transformed_h_jet(m1 @ m2, hj, t, order)
+        except PoleOfAction:
+            continue
+        assert lhs == rhs
+        assert transformed_h_jet(Mobius.identity(), hj, t, order) == hj(t, order)
+        checked += 1
+
+
 def test_transformed_solutions_keep_zero_residual():
     # the action preserves each matched family, seen exactly on jets
     rng = random.Random(43)
