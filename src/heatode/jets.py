@@ -126,9 +126,6 @@ class JetPoly(GradedPoly):
         """Highest derivative order that actually occurs."""
         return max((jet_order(m) for m in self.terms), default=0)
 
-    def has_param(self) -> bool:
-        return any(q == PARAM for m in self.terms for q, _ in m)
-
     def eval(self, jet, b: Fraction | float | None = None):
         """Evaluate at a jet (sequence indexed by derivative order).
 

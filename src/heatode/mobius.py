@@ -47,6 +47,11 @@ class Mobius:
     c: Fraction | float
     d: Fraction | float
 
+    def __post_init__(self):  # int entries become Fractions, so exact division stays exact
+        for name in "abcd":
+            if isinstance(getattr(self, name), int):
+                object.__setattr__(self, name, Q(getattr(self, name)))
+
     @classmethod
     def identity(cls) -> Mobius:
         return cls(Q(1), Q(0), Q(0), Q(1))
@@ -101,11 +106,6 @@ class ExactHeatValue(NamedTuple):
     @classmethod
     def plain(cls, value) -> ExactHeatValue:
         return cls(Q(1), Q(0), value)
-
-    def as_float(self) -> float:
-        if self.sqrt_factor <= 0:
-            raise BranchCut(f"radicand {self.sqrt_factor} is not positive")
-        return float(self.base) * math.exp(float(self.exp_arg)) / math.sqrt(float(self.sqrt_factor))
 
 
 def act_on_h(m: Mobius, h: Callable, t):

@@ -169,32 +169,21 @@ def coeff_table(n: int, closing: GradedPoly | None, c: Fraction | int,
         raise ValueError("delta must be 0 or 1")
     _check_truncation(K)
     c = Q(c)
-    pmap = {tuple(dict(m).get(k, 0) for k in range(2, n + 2)): v  # the closing by dense index
+    # the closing by dense index, less e_{n+1}: J - S + e_{n+1} is then J minus the key
+    pmap = {tuple(dict(m).get(k, 0) - (k == n + 1) for k in range(2, n + 2)): v
             for m, v in check_closing(n, closing).terms.items()}
+    ratio = c / (2 * (1 + 2 * delta))
     entries: dict[Index, Fraction] = {}
-
-    def get(j: tuple[int, ...]) -> Fraction:
-        if any(e < 0 for e in j):
-            return Q(0)
-        return entries[tuple(j)]
-
+    # a neighbour off the nonnegative orthant is never stored, so it reads 0
     for w, j in _indices_up_to(n, 2 * K):
         if w == 0:
             entries[j] = Q(1)
             continue
-        value = Q(0)
-        lowered = list(j)
-        lowered[0] -= 1
-        value += c / Q(2 * (1 + 2 * delta)) * (w + delta - 2) * (w + delta - 3) * get(tuple(lowered))
+        value = ratio * (w + delta - 2) * (w + delta - 3) * entries.get((j[0] - 1, *j[1:]), 0)
         for i in range(n - 1):  # k = i+2 runs over 2..n
-            shifted = list(j)
-            shifted[i] += 1
-            shifted[i + 1] -= 1
-            value += 2 * (j[i] + 1) * get(tuple(shifted))
+            value += 2 * (j[i] + 1) * entries.get((*j[:i], j[i] + 1, j[i + 1] - 1, *j[i + 2:]), 0)
         for s, ps in pmap.items():
-            moved = [a - b for a, b in zip(j, s)]
-            moved[n - 1] += 1
-            value += 2 * (j[n - 1] + 1) * ps * get(tuple(moved))
+            value += 2 * (j[n - 1] + 1) * ps * entries.get(tuple(a - b for a, b in zip(j, s)), 0)
         entries[j] = value
     return CoeffTable(n, delta, c, K, entries)
 
@@ -348,53 +337,31 @@ def hermite_eval(coeffs: Sequence[Fraction], x):
 
 # -- the single-variable eigenfunction check ----------------------------------
 
-@dataclass
-class QuarticEigenReport:
-    """Order-by-order outcome of the two n = 1 closed-form identities."""
-
-    truncation: int
-    second_derivative_ok: dict[int, bool]
-    eigen_ok: dict[int, bool]
-
-    @property
-    def first_failure(self) -> int | None:
-        bad = [k for k, ok in sorted(self.second_derivative_ok.items()) if not ok]
-        bad += [k for k, ok in sorted(self.eigen_ok.items()) if not ok]
-        return min(bad) if bad else None
-
-    @property
-    def all_ok(self) -> bool:
-        return self.first_failure is None
-
-
 def quartic_eigenfunction_check(K: int, delta: int,
                                 lam: Fraction | None = None,
-                                series: AnsatzSeries | None = None) -> QuarticEigenReport:
+                                series: AnsatzSeries | None = None) -> int | None:
     """Verify the n = 1 series is z^delta times an eigenfunction of z^4.
 
     Two exact identities are checked through the truncation order, each
     indexed by the coefficient it produces: the second-derivative
     equation P_k = -(2k+d-2)(2k+d-3) x2 P_{k-2}, and the eigenfunction
     equation for gamma(v) with v = z^4 at eigenvalue lam*x2 (default
-    -1/(4(3+2*delta)), the value forced by the series itself).
+    -1/(4(3+2*delta)), the value forced by the series itself).  Returns
+    the first order at which either fails, or None when both hold.
     """
     if series is None:
         series = ansatz_series(1, None, default_c(delta), delta, K)
     if lam is None:
         lam = Q(-1, 4 * (3 + 2 * delta))
     x2 = GradedPoly.variable(2)
-    second: dict[int, bool] = {}
-    eigen: dict[int, bool] = {}
     for k in range(2, K + 1):
-        lhs = series.coeff(k)
         rhs = (x2 * series.coeff(k - 2)).scale(-Q((2 * k + delta - 2) * (2 * k + delta - 3)))
-        second[k] = lhs == rhs
-    m = 0
-    while 2 * m + 2 <= K:
-        gm = series.coeff(2 * m).scale(Q(1, math.factorial(4 * m + delta)))
-        gm1 = series.coeff(2 * m + 2).scale(Q(1, math.factorial(4 * m + 4 + delta)))
-        lhs = gm1.scale(Q(m + 1) * (1 + Q(4 * m, 3 + 2 * delta)))
-        rhs = (x2 * gm).scale(lam)
-        eigen[2 * m + 2] = lhs == rhs
-        m += 1
-    return QuarticEigenReport(K, second, eigen)
+        if series.coeff(k) != rhs:
+            return k
+        if k % 2 == 0:  # gamma_m and gamma_{m+1} are P_{k-2} and P_k, with k = 2m + 2
+            m = k // 2 - 1
+            gm = series.coeff(k - 2).scale(Q(1, math.factorial(2 * k - 4 + delta)))
+            gm1 = series.coeff(k).scale(Q(1, math.factorial(2 * k + delta)))
+            if gm1.scale(Q(m + 1) * (1 + Q(4 * m, 3 + 2 * delta))) != (x2 * gm).scale(lam):
+                return k
+    return None

@@ -33,7 +33,7 @@ from .jets import (
     rescale_dependent,
     total_derivative,
 )
-from .mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_h, act_on_psi, act_on_r, act_on_x, transformed_h_jet
+from .mobius import ExactHeatValue, Mobius, act_on_h, act_on_psi, act_on_r, act_on_x, transformed_h_jet
 from .series import (
     ansatz_series,
     bare_series,
@@ -190,7 +190,7 @@ def suite_phi_equiv(seed: int = 0, max_n: int = 4) -> dict:
             integral &= all(a.denominator == 1 for a in table2.entries.values())
     cases.append({"case": "nonnegativity", "mode": "exact", "pass": nonneg})
     cases.append({"case": "integrality", "mode": "exact", "pass": integral})
-    eigen = all(quartic_eigenfunction_check(8, delta).all_ok for delta in (0, 1))
+    eigen = all(quartic_eigenfunction_check(8, delta) is None for delta in (0, 1))
     cases.append({"case": "quartic-eigenfunction", "mode": "exact", "pass": eigen})
     return _report("phi-equiv", seed, cases)
 
@@ -209,11 +209,11 @@ def suite_sl2(seed: int = 0) -> dict:
         m1, m2 = _random_mobius(rng), _random_mobius(rng)
         z = Q(rng.randint(-3, 3), rng.randint(1, 5))
         t = Q(rng.randint(-9, 9), rng.randint(1, 5))
-        try:
-            lhs = act_on_psi(m2, lambda zz, tt: act_on_psi(m1, sampler, zz, tt), z, t)
-            rhs = act_on_psi(m1 @ m2, sampler, z, t)
-        except (PoleOfAction, ZeroDivisionError):
+        # (m1 @ m2).denom(t) = m1.denom(m2.apply(t)) * m2.denom(t): skip a draw on a pole
+        if m2.denom(t) == 0 or m1.denom(m2.apply(t)) == 0:
             continue
+        lhs = act_on_psi(m2, lambda zz, tt: act_on_psi(m1, sampler, zz, tt), z, t)
+        rhs = act_on_psi(m1 @ m2, sampler, z, t)
         law_ok &= lhs == rhs
         checked += 1
     cases.append({"case": "group-law", "mode": "exact", "pairs": checked, "pass": law_ok})
@@ -228,11 +228,9 @@ def suite_sl2(seed: int = 0) -> dict:
             ps = pole_sum(n + 1, _random_poles(rng, n + 1))
             m = _random_mobius(rng)
             t = Q(rng.randint(97, 240), rng.randint(1, 4))
-            try:
-                jet = transformed_h_jet(m, ps.jet, t, n + 1)
-            except (PoleOfAction, ZeroDivisionError):
+            if m.denom(t) == 0 or m.apply(t) in ps.poles:
                 continue
-            preserved &= ode.eval(jet) == 0
+            preserved &= ode.eval(transformed_h_jet(m, ps.jet, t, n + 1)) == 0
             done += 1
     cases.append({"case": "transformed-residuals", "mode": "exact", "pass": preserved})
 

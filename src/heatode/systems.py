@@ -32,6 +32,11 @@ from .algebra import GradedPoly, Q, check_closing, check_homogeneous, eval_lower
 from .jets import JetTooShort, hierarchy_ode
 from .series import default_c
 
+# An exact RK4 step on a quadratic field multiplies the bits about 16x: from the
+# level-2 state (1/4, 1/5, -3/20) at step 1/10, the fourth step takes 30330 bits
+# to 485336.  A state past this many bits is refused before its next step.
+EXACT_BITS = 2 ** 15
+
 
 class BlowUp(RuntimeError):
     """The blow-up guard tripped: a movable singularity was approached."""
@@ -40,6 +45,10 @@ class BlowUp(RuntimeError):
         super().__init__(f"blow-up guard tripped at t = {t_star}")
         self.t_star = t_star
         self.trajectory = trajectory
+
+
+class ExactTooLarge(ValueError):
+    """An exact RK4 state outgrew EXACT_BITS, so its next step would take too long."""
 
 
 class PoleHit(ZeroDivisionError):
@@ -138,9 +147,11 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
     """Classical fixed-step fourth-order trajectory from s0.t to t_end.
 
     Exact when the state, t_end and step are rational (the method is pure
-    rational arithmetic).  Raises BlowUp when |h| exceeds h_bound or
-    stops being a number, the expected signal of a movable pole.  An
-    h_bound that is not positive (NaN included) raises ValueError.
+    rational arithmetic); an exact state whose largest numerator or
+    denominator exceeds EXACT_BITS bits raises ExactTooLarge before the
+    next step.  Raises BlowUp when |h| exceeds h_bound or stops being a
+    number, the expected signal of a movable pole.  An h_bound that is not
+    positive (NaN included) raises ValueError.
     """
     if not h_bound > 0:
         raise ValueError(f"the blow-up bound must be positive, got {h_bound}")
@@ -165,6 +176,12 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
     vec = [s0.r, s0.h, *s0.x]
     for i in range(nsteps):
         t = s0.t + i * step
+        if num is Q:
+            bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in vec)
+            if bits > EXACT_BITS:
+                raise ExactTooLarge(
+                    f"the exact state at t = {t} has {bits}-bit numbers, over the bound of "
+                    f"{EXACT_BITS}; integrate in float mode or take fewer steps")
         try:
             k1 = field(vec)
             k2 = field([v + half * d for v, d in zip(vec, k1)])

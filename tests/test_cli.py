@@ -159,6 +159,19 @@ def test_integrate_exact_mode_rejects_decimal_step(capsys):
     assert code == 2
 
 
+def test_integrate_exact_mode_refuses_a_state_over_the_bit_bound(capsys):
+    from heatode.systems import EXACT_BITS
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the denominator below has about 9900 digits
+    try:
+        code, out, err = run(capsys, "integrate", "--n", "0", "--state", f"0,1/{2 ** EXACT_BITS}",
+                             "--t-end", "1", "--step", "1", "--mode", "exact")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert out == "" and "float mode" in err
+
+
 @pytest.mark.parametrize("guard", ["nan", "0", "-1"])
 def test_integrate_rejects_a_guard_that_is_not_positive(capsys, guard):
     code, out, err = run(capsys, "integrate", "--n", "0", "--state", "0,1",

@@ -182,19 +182,6 @@ def test_psi_parts_tail():
     assert tail < 2 ** -40 * abs(value)
 
 
-def test_validity_radius_covers_working_window():
-    cl = closing(2, [24])
-    spec = SystemSpec.reduced(2, delta=1, closing=cl)
-    series = ansatz_series(2, cl, Q(-6), 1, 8)
-    sol = AnsatzSolution(spec, series, trajectory_provider(spec, SystemState(0.0, 0.0, 0.2, (0.1, 0.1)), 1e-3))
-    radius = sol.validity_radius(0.1)
-    assert radius > 0.5  # the grid window sits inside the comfort zone
-    # a much cruder truncation shrinks the radius
-    short = AnsatzSolution(spec, ansatz_series(2, cl, Q(-6), 1, 3),
-                           trajectory_provider(spec, SystemState(0.0, 0.0, 0.2, (0.1, 0.1)), 1e-3))
-    assert short.validity_radius(0.1) < radius
-
-
 def test_odd_solution_vanishes_at_origin():
     cl = closing(2, [24])
     spec = SystemSpec.reduced(2, delta=1, closing=cl)

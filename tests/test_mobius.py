@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from heatode import suites
 from heatode.algebra import closing_from_coeffs as closing
 from heatode.jets import family_ode, hierarchy_ode
 from heatode.mobius import (
@@ -178,11 +179,41 @@ def test_group_law_exact_on_rational_samplers():
         checked += 1
 
 
-def test_exact_heat_value_float():
-    v = ExactHeatValue(Q(4), Q(0), Q(6))
-    assert abs(v.as_float() - 3.0) < 1e-15
+def test_float_act_on_psi_raises_branch_cut_left_of_the_pole():
+    m = Mobius(1.0, 0.0, 1.0, 1.0)
+    assert act_on_psi(m, lambda z, t: 1.0, 0.0, 0.0) == 1.0  # ct + d = 1
     with pytest.raises(BranchCut):
-        ExactHeatValue(Q(-1), Q(0), Q(1)).as_float()
+        act_on_psi(m, lambda z, t: 1.0, 0.5, -2.0)  # ct + d = -1
+
+
+def test_int_matrix_entries_act_exactly():
+    m = Mobius(1, 0, 1, 1)
+    assert all(isinstance(v, Q) for v in (m.a, m.b, m.c, m.d))
+    assert m.apply(2) == Q(2, 3) and isinstance(m.apply(2), Q)
+    jet = transformed_h_jet(m, pole_sum(2, [0, 1]).jet, 2, 2)
+    assert jet == [Q(1, 4), Q(-1, 8), Q(1, 8)]
+    assert all(isinstance(v, Q) for v in jet)
+    # float entries stay floats
+    assert isinstance(Mobius(1.0, 0.0, 0.5, 1.0).c, float)
+
+
+def test_sl2_suite_samples_inside_the_domain(monkeypatch):
+    escaped = []
+
+    def watch(fn):
+        def wrapped(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except Exception as err:
+                escaped.append(err)
+                raise
+        return wrapped
+
+    monkeypatch.setattr(suites, "act_on_psi", watch(suites.act_on_psi))
+    monkeypatch.setattr(suites, "transformed_h_jet", watch(suites.transformed_h_jet))
+    report = suites.run_suite("sl2", 1374965217)
+    assert report["passed"]
+    assert escaped == []
 
 
 # -- jets of the transformed solution -----------------------------------------------

@@ -10,7 +10,9 @@ from heatode.algebra import GradedPoly, closing_from_coeffs as closing
 from heatode.jets import JetTooShort, family_ode, hierarchy_ode, pole_sum_ode
 from heatode.series import default_c
 from heatode.systems import (
+    EXACT_BITS,
     BlowUp,
+    ExactTooLarge,
     PoleHit,
     SingularTransform,
     SystemSpec,
@@ -109,6 +111,24 @@ def test_rk4_exact_mode():
     assert traj[-1].t == Q(1, 2)
     # one hand-checked step: k1 = f(s0) has dh = -1 + 1/2 = -1/2
     assert vector_field(spec, s0)[1] == Q(-1, 2)
+
+
+def test_rk4_exact_refuses_a_state_over_the_bit_bound():
+    spec = SystemSpec.reduced(0, delta=0)
+    s0 = SystemState(Q(0), Q(0), Q(1, 2 ** EXACT_BITS), ())  # EXACT_BITS + 1 bits
+    with pytest.raises(ExactTooLarge) as err:
+        integrate_rk4(spec, s0, Q(1), Q(1))
+    assert isinstance(err.value, ValueError)
+    assert "float mode" in str(err.value)
+
+
+def test_rk4_exact_three_steps_stay_under_the_bit_bound():
+    # from this state the third step ends near 30000 bits, the fourth near 485000
+    spec = SystemSpec.reduced(2, delta=1, closing=closing(2, [24]))
+    s0 = SystemState(Q(0), Q(0), Q(1, 4), (Q(1, 5), Q(-3, 20)))
+    traj = integrate_rk4(spec, s0, Q(3, 10), Q(1, 10))
+    assert len(traj) == 4
+    assert all(isinstance(v, Q) for v in traj[-1].row())
 
 
 def test_rk4_blowup_guard():
