@@ -390,8 +390,10 @@ def check_closing(n: int, closing: GradedPoly | None) -> GradedPoly:
 
     A nonzero closing must lie in the span of closing_monomials(n): weight
     2(n+2) and only the variables x_2..x_{n+1}.  Anything else raises
-    WeightMismatch, so no level silently drops or misreads a closing.
+    WeightMismatch, and a negative n ValueError, so no level misreads a closing.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if closing is None:
         return GradedPoly.zero()
     return check_homogeneous(closing, 2 * (n + 2), range(2, n + 2), f"closing at level {n}")

@@ -44,12 +44,16 @@ class CliError(ValueError):
 
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
+    shown = repr(text if len(text) <= 40 else text[:40] + "...")  # errors echo a bounded prefix
     if "." in text or "e" in text.lower():
-        raise CliError(f"exact value expected, got {text!r}; use integers or p/q")
+        raise CliError(f"exact value expected, got {shown}; use integers or p/q")
+    limit = sys.get_int_max_str_digits()
+    if limit and any(sum(map(str.isdigit, part)) > limit for part in text.split("/")):
+        raise CliError(f"rational {shown} has a part of over {limit} digits, the integer limit")
     try:
         return Q(text)
-    except (ValueError, ZeroDivisionError) as err:
-        raise CliError(f"cannot parse rational {text!r}: {err}") from None
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"cannot parse rational {shown}; use integers or p/q, q nonzero") from None
 
 
 def parse_closing(n: int, text: str | None) -> GradedPoly | None:

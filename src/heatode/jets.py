@@ -196,8 +196,6 @@ def family_ode(n: int, closing: GradedPoly | None = None) -> JetPoly:
     `closing` must be homogeneous of weight 2(n+2) in x_2..x_{n+1} (the
     admissible space at level n), or zero/None for the bare hierarchy.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     closing = check_closing(n, closing)
     top = hierarchy_ode(n + 1)
     if not closing:
@@ -305,8 +303,6 @@ def match_pole_ode(n: int) -> PoleMatch:
     b = Q(n + 1)
     target = hierarchy_ode(n + 1) - pole_sum_ode(n, b)
     basis = closing_monomials(n)
-    if not basis:
-        return PoleMatch(n, b, GradedPoly.zero() if not target else None, target)
     # all basis monomials in one substitution, so shared products are built once
     images = dict(GradedPoly(dict.fromkeys(basis, 1)).images(
         {k: hierarchy_ode(k - 1) for k in range(2, n + 2)}, JetPoly))
@@ -314,14 +310,12 @@ def match_pole_ode(n: int) -> PoleMatch:
     monos = sorted({m for p in basis_jets for m in p.terms} | set(target.terms))
     rows = [[p.coefficient(m) for p in basis_jets] for m in monos]
     rhs = [target.coefficient(m) for m in monos]
-    coeffs, _ = solve_linear(rows, rhs)
+    coeffs, excess = solve_linear(rows, rhs)
     if coeffs is None:
         return PoleMatch(n, b, None, target)
-    closing = GradedPoly(dict(zip(basis, coeffs)))
-    residual = target - sum((images[m].scale(c) for m, c in closing.terms.items()), JetPoly.zero())
-    if residual:
-        return PoleMatch(n, b, None, residual)
-    return PoleMatch(n, b, closing, residual)
+    # solve_linear's exact rows*x - rhs on the original rows, one per monomial
+    residual = JetPoly({m: -e for m, e in zip(monos, excess)})
+    return PoleMatch(n, b, None if residual else GradedPoly(dict(zip(basis, coeffs))), residual)
 
 
 # -- changes of the dependent variable ---------------------------------------

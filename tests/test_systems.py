@@ -83,18 +83,6 @@ def test_rk4_against_closed_form():
         assert err < bound
 
 
-def test_rk4_fourth_order_convergence():
-    spec = SystemSpec.reduced(0, delta=0)
-    s0 = SystemState(0.0, 0.0, 1.0, ())
-    errors = []
-    for step in (0.1, 0.05, 0.025):
-        traj = integrate_rk4(spec, s0, 1.0, step)
-        errors.append(abs(traj[-1].h - 0.5))
-    order1 = math.log2(errors[0] / errors[1])
-    order2 = math.log2(errors[1] / errors[2])
-    assert abs(order1 - 4) < 0.2 and abs(order2 - 4) < 0.2
-
-
 def test_rk4_r_equation_tracks_h_integral():
     # r(t) - r(0) = -(delta + 1/2) * integral of h, both through the same flow
     spec = SystemSpec.reduced(0, delta=0)

@@ -49,6 +49,19 @@ def test_every_caller_rejects_bad_closing(n, closing):
         coeff_table(n, closing, Q(1), 0, 4)
 
 
+@pytest.mark.parametrize("n", [-1, -2])
+def test_every_caller_rejects_a_negative_level(capsys, n):
+    for call in (lambda: check_closing(n, None), lambda: SystemSpec.reduced(n),
+                 lambda: family_ode(n), lambda: ansatz_series(n, None, Q(1), 0, 4),
+                 lambda: coeff_table(n, None, Q(1), 0, 4)):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            call()
+    for command in ("phi", "table"):
+        assert main(["series", command, "--n", str(n), "--K", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n must be nonnegative" in captured.err
+
+
 def test_closing_none_is_zero():
     for n in range(5):
         assert check_closing(n, None) == GradedPoly.zero()
