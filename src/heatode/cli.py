@@ -30,10 +30,10 @@ from fractions import Fraction
 
 from .algebra import GradedPoly, Q, closing_dim, closing_from_coeffs, closing_monomials, mono_text
 from .jets import family_ode, hierarchy_ode, match_pole_ode
-from .series import ansatz_series, bare_series, coeff_table, default_c, sigma_series, three_pole_flows
-from .systems import BlowUp, PoleHit, SystemSpec, SystemState, integrate_rk4, pole_sum
+from .series import ansatz_series, bare_series, coeff_table, sigma_series, three_pole_flows
+from .systems import BlowUp, PoleHit, SystemSpec, SystemState, default_c, integrate_rk4, pole_sum
 from .mobius import Mobius, PoleOfAction, transformed_h_jet
-from .suites import SUITES, UnknownSuite, run_all, run_suite
+from .suites import SUITES, run_all, run_suite
 
 CLOSING_NAMES = {2: ["c4"], 3: ["c5"], 4: ["c62", "c63", "c64"]}
 
@@ -151,25 +151,20 @@ def cmd_ode_basis(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.kind == "phi":
+    if args.kind in ("phi", "table"):
         closing = parse_closing(args.n, args.p)
         c = parse_rational(args.c) if args.c else default_c(args.delta)
-        data = ansatz_series(args.n, closing, c, args.delta, args.K).to_json()
-    elif args.kind == "table":
-        closing = parse_closing(args.n, args.p)
-        c = parse_rational(args.c) if args.c else default_c(args.delta)
-        data = coeff_table(args.n, closing, c, args.delta, args.K).to_json()
+        build = ansatz_series if args.kind == "phi" else coeff_table
+        data = build(args.n, closing, c, args.delta, args.K).to_json()
     elif args.kind == "sigma":
         coeffs = sigma_series(args.K)
         data = {"K": args.K,
                 "variables": {"x2": "g2", "x3": "g3"},
                 "coeffs": [{"k": k, "poly": p.to_json()} for k, p in enumerate(coeffs)]}
-    elif args.kind == "psi":
+    else:  # psi; argparse admits no other kind
         psi1 = GradedPoly.variable(1, parse_rational(args.seed_coeff))
         data = bare_series(three_pole_flows(), psi1, args.K).to_json()
         data["flows"] = "three-pole example"
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown series kind {args.kind}")
     config = {k: v for k, v in vars(args).items()
               if k in ("kind", "n", "delta", "c", "p", "K", "seed_coeff") and v is not None}
     _emit(args, _stamped(f"series {args.kind}", config, {"series": data}))
@@ -223,11 +218,8 @@ def cmd_verify(args) -> int:
         if args.suite == "all":
             raise CliError("--max-n bounds the levels of one suite; `verify all` takes none")
         config["max_n"] = args.n
-    try:
-        report = run_all(seed=args.seed) if args.suite == "all" \
-            else run_suite(args.suite, seed=args.seed, max_n=args.n)
-    except UnknownSuite as err:
-        raise CliError(str(err)) from None
+    report = run_all(seed=args.seed) if args.suite == "all" \
+        else run_suite(args.suite, seed=args.seed, max_n=args.n)
     payload = _stamped(f"verify {args.suite}", config, report)
     if args.json or args.out:
         _emit(args, payload)

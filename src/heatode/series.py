@@ -23,17 +23,13 @@ from typing import Mapping, Sequence
 
 from .algebra import GradedPoly, Mono, Q, check_closing, check_homogeneous, mono
 from .jets import JetPoly, jet_mono, pole_sum_ode
+from .systems import SystemSpec, default_c
 
 
 def _check_truncation(K: int) -> None:
     """K = 0 is the series z^delta alone; a negative K is no series."""
     if K < 0:
         raise ValueError(f"K must be nonnegative, got {K}")
-
-
-def default_c(delta: int) -> Fraction:
-    """The normalisation c = -2(1+2*delta) used by the dynamical systems."""
-    return Q(-2 * (1 + 2 * delta))
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,8 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
                   delta: int, K: int) -> AnsatzSeries:
     """Build the series for the reduced system at level n.
 
-    The reduced right-hand sides are p_{k+1} = x_{k+1} for k = 2..n and
-    p_{n+2} = closing; the recursion is
+    The flows p_{k+1} of x_k are those of SystemSpec.reduced: x_{k+1} for
+    k = 2..n and p_{n+2} = closing; the recursion is
 
         P_q = 2 sum_k p_{k+1} dP_{q-1}/dx_k
               + (2q+delta-3)(2q+delta-2)/(2(1+2*delta)) * P_2 * P_{q-2}
@@ -86,17 +82,13 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
     and the closing space is zero, so p_3 = 0 and every odd coefficient
     vanishes.
     """
-    if delta not in (0, 1):
-        raise ValueError("delta must be 0 or 1")
+    spec = SystemSpec.reduced(n, delta, closing, Q(c))
     if K < 2:
         raise ValueError("K must be at least 2")
-    c = Q(c)
-    closing = check_closing(n, closing)
+    c = spec.c
     if n == 0:
         return AnsatzSeries(0, delta, c, K, tuple(GradedPoly.zero() for _ in range(K - 1)))
-    # p[k] is the flow of x_k: x_{k+1} below the top, the closing at the top
-    p = {k: GradedPoly.variable(k + 1) for k in range(2, n + 1)}
-    p[n + 1] = closing
+    p = dict(enumerate(spec.flows, start=2))  # p[k] is the flow of x_k
     coeffs = [GradedPoly.zero(), GradedPoly.variable(2, c)]  # P_1, P_2
     two_delta = Q(2 * (1 + 2 * delta))
     for q in range(3, K + 1):

@@ -38,14 +38,13 @@ from .series import (
     ansatz_series,
     bare_series,
     coeff_table,
-    default_c,
     quartic_eigenfunction_check,
     series_from_table,
     sigma_l2,
     sigma_series,
     three_pole_flows,
 )
-from .systems import SystemSpec, SystemState, pole_sum, sigma_reduction
+from .systems import SystemSpec, SystemState, default_c, pole_sum, sigma_reduction
 from .heat import (
     AnsatzSolution,
     WideSolution,

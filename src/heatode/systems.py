@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 
 from .algebra import GradedPoly, Q, check_closing, check_homogeneous, eval_lowered
 from .jets import JetTooShort, hierarchy_ode
-from .series import default_c
 
 # An exact RK4 step on a quadratic field multiplies the bits about 16x: from the
 # level-2 state (1/4, 1/5, -3/20) at step 1/10, the fourth step takes 30330 bits
@@ -57,6 +56,11 @@ class PoleHit(ZeroDivisionError):
 
 class SingularTransform(ValueError):
     """A triangular change of variables with a vanishing diagonal entry."""
+
+
+def default_c(delta: int) -> Fraction:
+    """The normalisation c = -2(1+2*delta) of the reduced normal form."""
+    return Q(-2 * (1 + 2 * delta))
 
 
 @dataclass(frozen=True)

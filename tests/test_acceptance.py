@@ -24,7 +24,6 @@ from heatode.jets import (
     chazy12_parameter,
     family_ode,
     head_tail_coefficients,
-    hierarchy_ode,
     match_pole_ode,
     necessary_pole_strength,
     pole_sum_ode,

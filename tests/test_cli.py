@@ -210,6 +210,24 @@ def test_verify_unknown_suite(capsys):
     assert err.value.code == 2
 
 
+def test_run_suite_names_the_known_suites_for_an_unknown_one():
+    from heatode import suites
+    with pytest.raises(suites.UnknownSuite) as err:
+        suites.run_suite("nonsense")
+    assert "'nonsense'" in str(err.value)
+    assert ", ".join(sorted(suites.SUITES)) in str(err.value)
+
+
+def test_verify_all_runs_every_suite_in_order(capsys):
+    from heatode.suites import SUITES
+    code, out, _ = run(capsys, "verify", "all", "--seed", "7", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["suite"] == "all" and report["passed"]
+    assert [sub["suite"] for sub in report["reports"]] == list(SUITES)
+    assert all(sub["passed"] for sub in report["reports"])
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     import heatode.cli as cli
     monkeypatch.setattr(cli, "run_suite",

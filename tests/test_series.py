@@ -10,7 +10,6 @@ import pytest
 from heatode.algebra import (GradedPoly, WeightMismatch, closing_from_coeffs as closing,
                              closing_monomials)
 from heatode.series import (
-    AnsatzSeries,
     ansatz_series,
     bare_series,
     coeff_table,

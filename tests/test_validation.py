@@ -62,6 +62,21 @@ def test_every_caller_rejects_a_negative_level(capsys, n):
         assert captured.out == "" and "n must be nonnegative" in captured.err
 
 
+@pytest.mark.parametrize("delta", [-1, 2])
+def test_every_caller_rejects_a_delta_other_than_0_or_1(delta):
+    for call in (lambda: SystemSpec.reduced(2, delta), lambda: ansatz_series(2, None, Q(1), delta, 4),
+                 lambda: coeff_table(2, None, Q(1), delta, 4)):
+        with pytest.raises(ValueError, match="delta must be 0 or 1"):
+            call()
+
+
+def test_ansatz_series_needs_c_and_two_orders():
+    with pytest.raises(TypeError):  # c is required; None does not mean the default
+        ansatz_series(2, None, None, 0, 4)
+    with pytest.raises(ValueError, match="K must be at least 2"):
+        ansatz_series(2, None, Q(1), 0, 1)
+
+
 def test_closing_none_is_zero():
     for n in range(5):
         assert check_closing(n, None) == GradedPoly.zero()
@@ -130,6 +145,16 @@ def test_rk4_nan_during_run_trips_guard():
     with pytest.raises(BlowUp) as err:
         integrate_rk4(spec, s0, 0.01, 0.001)
     assert err.value.t_star == 0.001
+    assert err.value.trajectory == [s0]
+
+
+def test_rk4_overflow_in_a_step_trips_guard():
+    # the float x2 ** 2 of the closing 24 x2^2 overflows in the first step's first field
+    spec = SystemSpec.reduced(2, 1, closing=(x2 * x2).scale(24))
+    s0 = SystemState(0.0, 0.0, 0.0, (1e200, 0.0))
+    with pytest.raises(BlowUp) as err:
+        integrate_rk4(spec, s0, 0.1, 0.1)
+    assert err.value.t_star == 0.0
     assert err.value.trajectory == [s0]
 
 
