@@ -431,7 +431,10 @@ def _catch_up(row: list[int], pivots: list[list[int]], width: int, stop: int) ->
     for t in range(t, stop):
         p_row = pivots[t]
         p, f = p_row[0], row[0]
-        row = [(p * u - f * v) // prev for u, v in zip(row[1:], p_row[1:])]
+        if f == 0 and p == prev:  # (p*u - 0*v)//prev == u: the step only drops the column
+            row = row[1:]
+        else:
+            row = [(p * u - f * v) // prev for u, v in zip(row[1:], p_row[1:])]
         prev = p
     return row
 

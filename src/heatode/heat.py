@@ -331,15 +331,25 @@ _CAP_INTERVALS = 2 ** 16
 _TOLERANCE = 1e-13
 
 
-def gaussian_halfwidth(s: float, tol: float = 1e-13) -> float:
-    """Half-width Z with Gaussian tail integral below tol.
+def gaussian_halfwidth(s: float, tol: float = 1e-13, k: int = 0) -> float:
+    """Half-width Z with the tail integral of He_k(z/sqrt(s)) exp(-z^2/(2s)) below tol.
 
-    The tail of exp(-z^2/(2s)) beyond Z is at most (2s/Z) exp(-Z^2/(2s)),
-    so Z = max(sqrt(2 s log(1/tol)), 2s) suffices.  This bounds the plain
-    Gaussian only: a Hermite factor widens the tail, and the k = 2, t = 4
-    integrand of fundamental_psi leaves about 3.9e-13 outside [-Z, Z].
+    For k = 0 the tail beyond Z is at most (2s/Z) exp(-Z^2/(2s)), so
+    Z = max(sqrt(2 s log(1/tol)), 2s) suffices.  For k > 0 the tail is
+    exactly 2 sqrt(s) |He_{k-1}(X)| exp(-X^2/2), X = Z/sqrt(s), once X is
+    past the largest zero of He_k (below sqrt(4k+2)), and it falls as X
+    grows: Z is widened from the k = 0 width until that holds.  This is
+    the k-th z-derivative of the Gaussian up to the factor s^(-(k+1)/2)
+    of fundamental_psi(c, k) at s = t - c.
     """
-    return max(math.sqrt(2 * s * math.log(1 / tol)), 2 * s, 1.0)
+    z = max(math.sqrt(2 * s * math.log(1 / tol)), 2 * s, 1.0)
+    if k == 0:
+        return z
+    he, w = [float(v) for v in hermite(k - 1)], math.sqrt(s)
+    z = max(z, w * math.sqrt(4 * k + 2))
+    while 2 * w * abs(hermite_eval(he, z / w)) * math.exp(-z * z / (2 * s)) > tol:
+        z *= 1.01
+    return z
 
 
 def conserved_integral(psi: Callable[[float, float], float], t: float,
@@ -350,8 +360,8 @@ def conserved_integral(psi: Callable[[float, float], float], t: float,
     halve the spacing, reusing the old nodes, until two successive sums
     agree to _TOLERANCE * max(1, |sum|); the finer sum is returned.
     Truncating a Gaussian to [-Z, Z] costs at most the tail bounded in
-    gaussian_halfwidth (a polynomial factor in the integrand enlarges
-    that tail).  For an integrand analytic in the strip
+    gaussian_halfwidth (given the Hermite degree k for the integrand of
+    fundamental_psi(c, k)).  For an integrand analytic in the strip
     |Im z| < a the trapezoidal error decays like exp(-2 pi a / spacing),
     so agreement of successive halvings is the error check, and it is
     made, not assumed.  Sums still apart at _CAP_INTERVALS intervals,

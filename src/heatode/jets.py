@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .algebra import GradedPoly, Q, check_closing, closing_monomials, solve_linear
+from .algebra import Coeff, GradedPoly, Mono, Q, check_closing, closing_monomials, solve_linear
 
 # Jet monomial: sorted ((q, e), ...) with q = -1 holding the symbolic
 # parameter b and q >= 0 the derivative order of h.
@@ -256,7 +256,15 @@ def pole_sum_ode(n: int, b: Fraction | int | None = None) -> JetPoly:
     b = Q(b)
     if b == 0:
         raise ValueError("b must be nonzero")
-    return sym.subst({PARAM: JetPoly({(): b})})
+    if b.denominator == 1:
+        b = b.numerator
+    # each term times b**e with its b pair stripped, summed in the order subst gives
+    out: dict[JetMono, Coeff] = {}
+    for m, c in sym.terms.items():
+        if m and m[0][0] == PARAM:
+            c, m = c * b ** m[0][1], m[1:]
+        out[m] = out.get(m, 0) + c
+    return JetPoly(out, sym.weight)
 
 
 def necessary_pole_strength(n: int) -> Fraction:
@@ -291,31 +299,107 @@ class PoleMatch:
         return self.closing is not None and not self.residual
 
 
+def _pack(p: JetPoly, width: int) -> dict[int, Coeff]:
+    """p's terms keyed by the packed monomial sum e_q << (width*q).
+
+    Integer order on the keys is lex order with the highest derivative
+    first, and a product of monomials is the sum of their keys as long
+    as no exponent reaches 2**width.  The b slot has no field.
+    """
+    out = {}
+    for m, c in p.terms.items():
+        key = 0
+        for q, e in m:
+            if q == PARAM:
+                raise ValueError(f"cannot pack the b slot of {jet_mono_text(m)}")
+            key += e << (width * q)
+        out[key] = c
+    return out
+
+
+def _unpack(key: int, width: int) -> JetMono:
+    mask, items, q = (1 << width) - 1, [], 0
+    while key:
+        if key & mask:
+            items.append((q, key & mask))
+        key >>= width
+        q += 1
+    return tuple(items)
+
+
+def _packed_mul(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
+    out: dict[int, Coeff] = {}
+    get = out.get
+    pairs = tuple(b.items())
+    for ka, ca in a.items():
+        for kb, cb in pairs:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
+def _packed_images(basis: list[Mono], factors: Mapping[int, dict[int, Coeff]]
+                   ) -> list[dict[int, Coeff]]:
+    """The packed image of each basis monomial when factors[k] replaces x_k.
+
+    As in GradedPoly.images, each image is one factor times a product
+    built earlier in the call, so no product is built twice.
+    """
+    made: dict = {(): {0: 1}}
+    out = []
+    for top in basis:
+        m, pending = top, []
+        while m not in made:
+            (k, j), rest = m[0], m[1:]
+            if j > 1:
+                rest = ((k, j - 1),) + rest
+            pending.append((m, rest, factors[k]))
+            m = rest
+        for m, rest, factor in reversed(pending):
+            made[m] = _packed_mul(made[rest], factor) if rest else factor
+        out.append(made.pop(top) if pending else made[top])
+    return out
+
+
 def match_pole_ode(n: int) -> PoleMatch:
     """Solve family_ode(n, P) == pole_sum_ode(n, n+1) for the closing P.
 
-    Sets up the exact linear system over the closing-basis coordinates
-    and reports either the unique solution or the inconsistency residual
-    (evidence in either direction for general n).
+    In lex order with the highest derivative first, F_q has the leading
+    monomial h^(q) with coefficient 1, so the image of prod x_k^(j_k) on
+    the hierarchy leads with prod (h^(k-1))^(j_k), again with coefficient
+    1, and no two basis monomials share a leading monomial.  The rows of
+    the system at those leading monomials, rows and columns in ascending
+    leading order, are therefore upper unit-triangular: one square solve
+    gives the only candidate (the subduction step of subalgebra bases).
+    The exact remainder target - sum c*image, over every monomial,
+    certifies it: zero is a match, anything else is the reported residual
+    (evidence in either direction for general n).  The images are built
+    on packed keys (_pack), which no product can overflow: every monomial
+    here weighs 2(n+2), so no exponent exceeds n+2.
     """
     if n < 1:
         raise ValueError("n must be positive")
     b = Q(n + 1)
     target = hierarchy_ode(n + 1) - pole_sum_ode(n, b)
     basis = closing_monomials(n)
-    # all basis monomials in one substitution, so shared products are built once
-    images = dict(GradedPoly(dict.fromkeys(basis, 1)).images(
-        {k: hierarchy_ode(k - 1) for k in range(2, n + 2)}, JetPoly))
-    basis_jets = [images[m] for m in basis]
-    monos = sorted({m for p in basis_jets for m in p.terms} | set(target.terms))
-    rows = [[p.coefficient(m) for p in basis_jets] for m in monos]
-    rhs = [target.coefficient(m) for m in monos]
-    coeffs, excess = solve_linear(rows, rhs)
+    width = (n + 2).bit_length()
+    images = _packed_images(basis, {k: _pack(hierarchy_ode(k - 1), width)
+                                    for k in range(2, n + 2)})
+    leads = [sum(j << (width * (k - 1)) for k, j in m) for m in basis]
+    order = sorted(range(len(basis)), key=leads.__getitem__)
+    remainder = _pack(target, width)
+    rows = [[images[j].get(leads[i], 0) for j in order] for i in order]
+    coeffs, _ = solve_linear(rows, [remainder.get(leads[i], 0) for i in order])
     if coeffs is None:
         return PoleMatch(n, b, None, target)
-    # solve_linear's exact rows*x - rhs on the original rows, one per monomial
-    residual = JetPoly({m: -e for m, e in zip(monos, excess)})
-    return PoleMatch(n, b, None if residual else GradedPoly(dict(zip(basis, coeffs))), residual)
+    by_basis = [Q(0)] * len(basis)
+    for j, c in zip(order, coeffs):
+        by_basis[j] = c
+        c = c.numerator if c.denominator == 1 else c
+        for key, v in images[j].items():
+            remainder[key] = remainder.get(key, 0) - c * v
+    residual = JetPoly({_unpack(key, width): v for key, v in remainder.items() if v})
+    return PoleMatch(n, b, None if residual else GradedPoly(dict(zip(basis, by_basis))), residual)
 
 
 # -- changes of the dependent variable ---------------------------------------

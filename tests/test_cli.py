@@ -69,6 +69,17 @@ def test_ode_print_level_one(capsys):
     assert out.strip() == "h'' + 6*h*h' + 4*h^3 = 0"
 
 
+def test_ode_print_json(capsys):
+    from heatode.jets import JetPoly, family_ode
+    code, out, _ = run(capsys, "ode", "print", "--n", "2", "--p", "c4=24", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["command"] == "ode print" and data["config"] == {"n": 2, "p": "c4=24"}
+    assert data["text"] == "h''' + 12*h*h'' - 18*h'^2"
+    assert data["ode"]["degree"] == -16
+    assert JetPoly.from_json(data["ode"]) == family_ode(2, parse_closing(2, "c4=24"))
+
+
 def test_ode_print_bad_value_exits_2(capsys):
     code, _, err = run(capsys, "ode", "print", "--n", "2", "--p", "c4=bad")
     assert code == 2
@@ -159,6 +170,13 @@ def test_integrate_exact_mode_rejects_decimal_step(capsys):
     assert code == 2
 
 
+def test_integrate_rejects_a_state_of_the_wrong_length(capsys):
+    code, out, err = run(capsys, "integrate", "--n", "1", "--state", "0,1",
+                         "--t-end", "1", "--step", "0.1")
+    assert code == 2
+    assert out == "" and "state needs r,h and 1 coordinates" in err
+
+
 def test_integrate_exact_mode_refuses_a_state_over_the_bit_bound(capsys):
     from heatode.systems import EXACT_BITS
     limit = sys.get_int_max_str_digits()
@@ -196,6 +214,17 @@ def test_integrate_blowup_metadata(capsys):
     assert 0.9 < float(meta["blowup_t"]) < 1.1
 
 
+def test_integrate_csv_ends_with_the_blowup_line(capsys):
+    code, out, _ = run(capsys, "integrate", "--n", "0", "--state", "0,-1",
+                       "--t-end", "2", "--step", "0.001", "--guard", "1e6")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "t,r,h"
+    assert lines[-1].startswith("# blowup at t = ")
+    assert 0.9 < float(lines[-1].rsplit(" ", 1)[1]) < 1.1
+    assert not any(line.startswith("#") for line in lines[:-1])
+
+
 # -- verify ---------------------------------------------------------------------------
 
 def test_verify_pass_exit_zero(capsys):
@@ -226,6 +255,13 @@ def test_verify_all_runs_every_suite_in_order(capsys):
     assert report["suite"] == "all" and report["passed"]
     assert [sub["suite"] for sub in report["reports"]] == list(SUITES)
     assert all(sub["passed"] for sub in report["reports"])
+
+
+def test_verify_all_text_report_lists_every_suite(capsys):
+    from heatode.suites import SUITES
+    code, out, _ = run(capsys, "verify", "all", "--seed", "7")
+    assert code == 0
+    assert out.strip().splitlines() == ["suite all: PASS"] + [f"  {name}: PASS" for name in SUITES]
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -354,6 +390,24 @@ def test_sl2_orbit_zero_residual(capsys):
     data = json.loads(out)
     assert data["residual"] == "0"
     assert data["closing"] == "-3*x2^2"
+
+
+def test_sl2_orbit_level_zero_residual(capsys):
+    # one pole: the transformed h solves the Riccati member h' + h^2 = 0, with no closing
+    code, out, _ = run(capsys, "sl2", "orbit", "--mobius", "1,1/2,1/3,7/6",
+                       "--poles", "0", "--t", "5")
+    assert code == 0
+    data = json.loads(out)
+    assert data["n"] == 0 and data["residual"] == "0" and "closing" not in data
+    h, dh = (Q(v) for v in data["jet"])
+    assert dh == -h * h
+
+
+def test_sl2_orbit_rejects_a_mobius_of_the_wrong_arity(capsys):
+    code, out, err = run(capsys, "sl2", "orbit", "--mobius", "1,0,1",
+                         "--poles", "0", "--t", "3")
+    assert code == 2
+    assert out == "" and "four rationals" in err
 
 
 def test_sl2_orbit_short_jet_skips_the_match(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from heatode.algebra import GradedPoly, closing_from_coeffs as closing
-from heatode.series import ansatz_series, bare_series, default_c, hermite
+from heatode.series import ansatz_series, bare_series, default_c, hermite, hermite_eval
 from heatode import heat
 from heatode.suites import run_suite
 from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4, pole_sum
@@ -339,6 +339,19 @@ def test_gaussian_halfwidth_bound():
         tol = 1e-13
         Z = gaussian_halfwidth(s, tol)
         assert (2 * s / Z) * math.exp(-Z * Z / (2 * s)) <= tol
+        assert gaussian_halfwidth(s, tol, k=0) == Z
+        for k in (1, 2, 3, 4):
+            # the exact tail 2 sqrt(s) He_{k-1}(X) exp(-X^2/2), X past the zeros of He_k
+            X = gaussian_halfwidth(s, tol, k) / math.sqrt(s)
+            assert X * X >= 4 * k + 2
+            he = [float(v) for v in hermite(k - 1)]
+            assert 2 * math.sqrt(s) * abs(hermite_eval(he, X)) * math.exp(-X * X / 2) <= tol
+
+
+def test_hermite_width_integrates_a_derivative_solution_to_zero():
+    # the plain Gaussian width leaves about 3.9e-13 of this integrand outside [-Z, Z]
+    Z = gaussian_halfwidth(4.0, k=2)
+    assert abs(conserved_integral(fundamental_psi(0.0, 2), 4.0, Z)) <= 1e-13
 
 
 # -- exact polynomial solutions -----------------------------------------------------

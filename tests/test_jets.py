@@ -10,6 +10,7 @@ import pytest
 from heatode.algebra import (GradedPoly, WeightMismatch, closing_from_coeffs as closing,
                              closing_monomials, partition_count)
 from heatode.jets import (
+    PARAM,
     JetPoly,
     JetTooShort,
     NotChazy12,
@@ -186,6 +187,19 @@ def test_match_reports_the_residual_of_an_inconsistent_system(monkeypatch):
     assert m.residual == JetPoly.h(4)
 
 
+@pytest.mark.parametrize("n", [2, 6, 14])
+def test_match_residual_at_the_packed_field_boundary(monkeypatch, n):
+    # h^(n+2), the largest exponent at level n, fills its packed field when n+2 is a
+    # power of two; no leading monomial holds it, so it is left over exactly
+    from heatode import jets
+    exact = jets.pole_sum_ode
+    power = JetPoly({jet_mono({0: n + 2}): 1})
+    monkeypatch.setattr(jets, "pole_sum_ode", lambda n, b=None: exact(n, b) - power)
+    m = match_pole_ode(n)
+    assert not m.matched and m.closing is None
+    assert m.residual == power
+
+
 def test_match_returns_the_target_when_the_basis_is_rank_deficient(monkeypatch):
     # a basis monomial listed twice gives two equal columns, so no unique solution
     from heatode import jets
@@ -196,13 +210,45 @@ def test_match_returns_the_target_when_the_basis_is_rank_deficient(monkeypatch):
     assert m.residual == hierarchy_ode(4) - pole_sum_ode(3, 4)
 
 
-# The closings match_pole_ode gave at levels 1..12 with all-Fraction coefficients
+def test_match_makes_one_square_unit_triangular_solve_per_level(monkeypatch):
+    # perfbench's match probe reads the size of this one system through jets.solve_linear
+    from heatode import jets
+    systems = []
+    solve = jets.solve_linear
+
+    def recorded(rows, rhs):
+        systems.append(rows)
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(jets, "solve_linear", recorded)
+    for n in range(1, 11):
+        systems.clear()
+        assert match_pole_ode(n).matched
+        size = len(closing_monomials(n))
+        assert len(systems) == 1
+        rows = systems[0]
+        assert len(rows) == size and all(len(row) == size for row in rows)
+        assert all(rows[i][j] == (i == j) for i in range(size) for j in range(i + 1))
+
+
+def test_pole_sum_ode_specialises_b_as_substitution_does():
+    from heatode import jets
+    for n in range(9):
+        for b in (1, 2, -3, Q(1, 2), Q(-7, 3), n + 1):
+            via_subst = jets._pole_det(n + 2).subst({PARAM: JetPoly({(): Q(b)})})
+            direct = pole_sum_ode(n, b)
+            assert direct == via_subst
+            assert list(direct.terms) == list(via_subst.terms)
+
+
+# The closings match_pole_ode gave at levels 1..16 with all-Fraction coefficients
 # (levels 5..10 also agree with the Gauss-Jordan solver used before fraction-free
-# elimination), each term as [monomial, coefficient] in display order.
+# elimination, and 13..16 with the tall Bareiss system the triangular solve
+# replaced), each term as [monomial, coefficient] in display order.
 GOLDEN_CLOSINGS = json.loads((Path(__file__).parent / "detmatch_closings.json").read_text())
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_match_golden_closings(n):
     m = match_pole_ode(n)
     assert m.matched and m.b == n + 1

@@ -5,7 +5,8 @@ GradedPoly grades x_k with weight 2k; JetPoly grades h^(q) with weight
 so each law is checked once per grading, and so is the coefficient rule
 (an int when integral) against an all-Fraction reference.  The two series routes and the
 group law of the matrix action are checked on random inputs as well, and
-the fraction-free linear solver against Gauss-Jordan elimination.
+the fraction-free linear solver against Gauss-Jordan elimination, and
+the packed monomial keys of the determinant match.
 """
 
 import json
@@ -17,7 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from heatode.algebra import (
     GradedPoly, WeightMismatch, closing_monomials, eval_lowered, monomial_basis, solve_linear,
 )
-from heatode.jets import PARAM, JetPoly, jet_mono, total_derivative
+from heatode.jets import PARAM, JetPoly, _pack, _unpack, jet_mono, total_derivative
 from heatode.mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_psi
 from heatode.series import ansatz_series, coeff_table, series_from_table
 
@@ -390,3 +391,68 @@ def test_solve_linear_matches_gauss_jordan(system):
     solution, residual = solve_linear(rows, rhs)
     assert (solution, residual) == gauss_jordan(rows, rhs)
     assert all(type(v) is Q for v in (solution or []) + residual)
+
+
+@st.composite
+def unit_triangular_systems(draw):
+    """Square upper unit-triangular systems, the shape the determinant match solves."""
+    size = draw(st.integers(0, 8))
+    rows = [[0] * i + [1] + draw(st.lists(entries, min_size=size - i - 1, max_size=size - i - 1))
+            for i in range(size)]
+    return rows, draw(st.lists(entries, min_size=size, max_size=size))
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=unit_triangular_systems())
+def test_solve_linear_on_unit_triangular_systems_matches_gauss_jordan(system):
+    rows, rhs = system
+    solution, residual = solve_linear(rows, rhs)
+    assert (solution, residual) == gauss_jordan(rows, rhs)
+    assert residual == [0] * len(rhs)
+
+
+# -- packed monomial keys ------------------------------------------------------------------
+
+def level_monomials(n):
+    """The jet monomials of weight 2(n+2): h^(k-1) for each part k of a partition of n+2."""
+    return [jet_mono({k - 1: j for k, j in m}) for m in monomial_basis(n + 2, 1, n + 2)]
+
+
+def packed(m, width):
+    (key,) = _pack(JetPoly({m: 1}), width)
+    return key
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 60), data=st.data())
+def test_packed_keys_round_trip_at_the_field_boundary(n, data):
+    width = (n + 2).bit_length()
+    top = jet_mono({0: n + 2})  # the largest exponent of the level fills the lowest field
+    assert packed(top, width) == n + 2 < 1 << width
+    a, b = jet_mono({0: data.draw(st.integers(1, n + 1))}), jet_mono({n + 1: 1})
+    for m in (top, a, b):
+        assert _unpack(packed(m, width), width) == m
+    # a product of monomials is the sum of their keys while the level's weight bounds it
+    c = jet_mono({0: n + 2 - a[0][1]})
+    assert packed(a, width) + packed(c, width) == packed(top, width)
+    assert _unpack(packed(a, width) + packed(jet_mono({n: 1}), width), width) \
+        == jet_mono({0: a[0][1], n: 1})
+
+
+def test_packing_refuses_the_b_slot():
+    with pytest.raises(ValueError, match="b slot"):
+        _pack(JetPoly.param() * JetPoly.h(0), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_packed_order_is_lex_with_the_highest_derivative_first(n, data):
+    width = (n + 2).bit_length()
+    a, b = (data.draw(st.sampled_from(level_monomials(n))) for _ in range(2))
+
+    def lex(m):
+        exps = dict(m)
+        return [exps.get(q, 0) for q in reversed(range(n + 2))]
+
+    assert (packed(a, width) < packed(b, width)) == (lex(a) < lex(b))
+    assert _unpack(packed(a, width), width) == a
