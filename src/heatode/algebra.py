@@ -5,6 +5,18 @@ deg x_k = -4k.  A monomial x^J with multiindex J = (j_k) has weight
 ||J|| = sum 2k*j_k, so its grading degree is -2*||J||.  Every polynomial
 handled here is homogeneous: all stored monomials share one weight.
 
+A monomial is one int, its key: the exponent of variable k fills a
+FIELD-bit field at slot k + 1 (slot 0 is the index -1 that jets.JetPoly
+uses for its parameter b).  A product of monomials is the sum of their
+keys, a derivative a difference, and integer order is lex order with the
+highest variable first (packed exponent vectors: M. Monagan and R. Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  The top bit of every field is a guard that no
+stored key sets, so a product whose exponent would pass MAX_EXPONENT
+raises ExponentOverflow instead of carrying into the next variable.
+Only this module builds or takes apart a key: mono packs exponents,
+unpack lists the (index, exponent) pairs for printing and evaluation.
+
 Coefficients are exact: an `int` when integral, else a `fractions.Fraction`
 (printed alike: str(3) is str(Fraction(3))), so no rounding ever occurs and
 integral arithmetic skips Fraction's gcd work.  For float evaluation a
@@ -16,11 +28,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-# A monomial is a sorted tuple of (variable index, exponent) pairs with
-# positive exponents; () is the constant monomial.
-Mono = tuple[tuple[int, int], ...]
+Mono = int
+Pairs = tuple[tuple[int, int], ...]        # a monomial unpacked: (index, exponent) by index
+
+FIELD = 8                                   # bits per variable in a key: a byte, as unpack reads it
+MAX_EXPONENT = (1 << (FIELD - 1)) - 1       # the field's top bit is its guard
+SLOTS = 1024                                # fields the guard covers: indices -1 .. SLOTS-2
+_MASK = (1 << FIELD) - 1
+_GUARD = (1 << (FIELD - 1)) * (((1 << (FIELD * SLOTS)) - 1) // _MASK)
 
 Q = Fraction
 Coeff = int | Fraction
@@ -30,42 +49,55 @@ class WeightMismatch(ValueError):
     """Raised when an operation would mix two different weights."""
 
 
-def mono(exponents: Mapping[int, int]) -> Mono:
-    """Canonical monomial from an index -> exponent mapping."""
-    items = tuple(sorted((k, j) for k, j in exponents.items() if j != 0))
-    for k, j in items:
-        if k < 1 or j < 0:
-            raise ValueError(f"bad monomial entry x_{k}^{j}")
-    return items
+class ExponentOverflow(ValueError):
+    """An exponent past MAX_EXPONENT, which a monomial key cannot hold."""
+
+
+def mono(exponents: Mapping[int, int], lowest: int = 1) -> Mono:
+    """The key of the monomial with these index -> exponent entries.
+
+    Indices run from `lowest` (1 for x_k, -1 for jets with b) to SLOTS - 2.
+    """
+    key = 0
+    for k, j in exponents.items():
+        if j:
+            if not lowest <= k < SLOTS - 1 or j < 0:
+                raise ValueError(f"bad monomial entry: variable {k}, exponent {j}")
+            if j > MAX_EXPONENT:
+                raise ExponentOverflow(f"exponent {j} of variable {k} is past {MAX_EXPONENT}, "
+                                       "the largest a monomial key holds")
+            key += j << (FIELD * (k + 1))
+    return key
+
+def unpack(m: Mono) -> Pairs:
+    """The (index, exponent) pairs of a key with a positive exponent, by ascending index."""
+    return tuple((s - 1, j) for s, j in enumerate(m.to_bytes((m.bit_length() + 7) // 8, "little"))
+                 if j)
+
+def _guarded(terms: dict[Mono, Coeff]) -> dict[Mono, Coeff]:
+    """The terms, once no key sets a guard bit: a sum of keys carried no exponent past its field."""
+    if reduce(or_, terms, 0) & _GUARD:
+        raise ExponentOverflow(f"a product has an exponent past {MAX_EXPONENT}, "
+                               "the largest a monomial key holds")
+    return terms
 
 def mono_weight(m: Mono) -> int:
     """||J|| = sum 2k*j_k."""
-    return sum(2 * k * j for k, j in m)
-
-def mono_key(m: Mono) -> tuple:
-    """Fixed display order: ascending lex on the descending part list.
-
-    For weight-2m monomials this is the partition (parts with
-    multiplicity, largest first), so e.g. x2^3 < x3^2 < x2*x4.
-    """
-    parts: list[int] = []
-    for k, j in sorted(m, reverse=True):
-        parts.extend([k] * j)
-    return (mono_weight(m), tuple(parts))
+    return sum(2 * k * j for k, j in unpack(m))
 
 def mono_text(m: Mono) -> str:
     if not m:
         return "1"
-    return "*".join(f"x{k}" if j == 1 else f"x{k}^{j}" for k, j in m)
+    return "*".join(f"x{k}" if j == 1 else f"x{k}^{j}" for k, j in unpack(m))
 
 
-# A polynomial's terms with converted coefficients (GradedPoly.lower).
-Lowered = tuple[tuple[Mono, object], ...]
+# A polynomial's terms as (unpacked monomial, converted coefficient) pairs (GradedPoly.lower).
+Lowered = tuple[tuple[Pairs, object], ...]
 
 
-def eval_lowered(terms: Iterable[tuple[Mono, object]],
+def eval_lowered(terms: Iterable[tuple[Pairs, object]],
                  values: Mapping[int, object] | Sequence[object], zero):
-    """Sum of c * prod_k values[k]**j over (monomial, c) pairs, in their order; zero if none.
+    """Sum of c * prod_k values[k]**j over (unpacked monomial, c) pairs, in order; zero if none.
 
     The one scalar evaluator: GradedPoly.eval hands it the exact terms,
     float callers the terms lowered once.  `values` is anything indexed
@@ -96,11 +128,10 @@ class GradedPoly:
     __slots__ = ("terms", "weight")
 
     # -- monomial hooks: grading and presentation ------------------------
-    _mono = staticmethod(mono)              # canonical monomial from exponents
+    _mono = staticmethod(mono)              # the key from exponents
     _weight = staticmethod(mono_weight)     # the grading of a monomial
     _mono_text = staticmethod(mono_text)
-    _display_key = staticmethod(mono_key)
-    _descending = False                     # display order of sorted_terms
+    _descending = False                     # display order of sorted_terms, by key
 
     def __init__(self, terms: Mapping[Mono, Coeff] | None = None,
                  weight: int | None = None):
@@ -133,7 +164,7 @@ class GradedPoly:
 
     @classmethod
     def one(cls) -> GradedPoly:
-        return cls({(): 1})
+        return cls({0: 1})
 
     @classmethod
     def variable(cls, k: int, coeff: Coeff = 1) -> GradedPoly:
@@ -180,16 +211,13 @@ class GradedPoly:
         if not self or not other:
             return type(self).zero()
         out: dict[Mono, Coeff] = {}
+        get = out.get
+        pairs = tuple(other.terms.items())
         for ma, ca in self.terms.items():
-            pairs = {kj[0]: kj for kj in ma}  # share the factors' (k, j) pairs: less memory
-            for mb, cb in other.terms.items():
-                d = pairs.copy()
-                for kj in mb:
-                    k = kj[0]
-                    d[k] = (k, d[k][1] + kj[1]) if k in d else kj
-                m = tuple(sorted(d.values()))
-                out[m] = out.get(m, 0) + ca * cb
-        return type(self)(out, self.weight + other.weight)
+            for mb, cb in pairs:
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+        return type(self)(_guarded(out), self.weight + other.weight)
 
     def scale(self, c: Coeff) -> GradedPoly:
         if type(c) is not int:
@@ -198,12 +226,14 @@ class GradedPoly:
 
     def partial(self, k: int) -> GradedPoly:
         """Formal derivative by variable k; the weight drops by that variable's."""
+        shift = FIELD * (k + 1)
+        unit = 1 << shift                   # the key of x_k
         out: dict[Mono, Coeff] = {}
         for m, c in self.terms.items():
-            for i, (v, j) in enumerate(m):
-                if v == k:  # lowering x_k is injective: no two terms collide
-                    out[m[:i] + (((k, j - 1),) if j > 1 else ()) + m[i + 1:]] = c * j
-        return type(self)(out, (self.weight or 0) - self._weight(((k, 1),)))
+            j = m >> shift & _MASK
+            if j:  # lowering x_k is injective: no two terms collide
+                out[m - unit] = c * j
+        return type(self)(out, (self.weight or 0) - self._weight(unit))
 
     def derive(self, field: Mapping[int, GradedPoly]) -> GradedPoly:
         """The derivation sum_k field[k] * d/dx_k applied to self; zero entries are skipped.
@@ -222,61 +252,77 @@ class GradedPoly:
 
         Images are of class `target` (default: self's); variables without a value
         are kept.  Values must weigh what their variables do (or be zero), and kept
-        variables the same in both classes.  Each image is one factor times a product
-        built earlier in the call (held while it runs), so no product is built twice.
+        variables the same in both classes.
         """
         target = target or type(self)
-        bases = {k: check_homogeneous(v, self._weight(((k, 1),)), None,
-                                      f"substitute for variable {k}") for k, v in values.items()}
-        made: dict[Mono, GradedPoly] = {(): target.one()}
-        for top in self.terms:
-            m, pending = top, []  # (monomial, the one below it, factor), down to one already made
-            while m not in made:
-                kept = tuple(kj for kj in m if kj[0] not in bases)
-                if kept:
-                    rest = tuple(kj for kj in m if kj[0] in bases)
-                    factor = check_homogeneous(target({kept: 1}), self._weight(kept), None,
-                                               f"kept monomial {self._mono_text(kept)}")
-                else:
-                    (k, j), rest = m[0], m[1:]
-                    factor = bases[k]
-                    if j > 1:
-                        rest = ((k, j - 1),) + rest
-                pending.append((m, rest, factor))
-                m = rest
-            for m, rest, factor in reversed(pending):
-                made[m] = made[rest] * factor if rest else factor
-            yield top, made.pop(top) if pending else made[top]
+        for top, kept, image in self._split_images(values, target):
+            if kept:  # times the kept part: each key shifted by it
+                image = target(_guarded({m + kept: c for m, c in image.terms.items()}), self.weight)
+            yield top, image
 
     def subst(self, values: Mapping[int, GradedPoly],
               target: type[GradedPoly] | None = None) -> GradedPoly:
         """Substitute polynomials for variables (weight-preserving), as in images()."""
+        target = target or type(self)
         out: dict[Mono, Coeff] = {}
-        for m, p in self.images(values, target):
-            for mm, v in p.terms.items():
-                out[mm] = out.get(mm, 0) + self.terms[m] * v
-        return (target or type(self))(out, self.weight)
+        for top, kept, image in self._split_images(values, target):
+            c = self.terms[top]
+            for m, v in image.terms.items():
+                m += kept
+                out[m] = out.get(m, 0) + c * v
+        return target(_guarded(out), self.weight)
+
+    def _split_images(self, values: Mapping[int, GradedPoly], target: type[GradedPoly]
+                      ) -> Iterator[tuple[Mono, Mono, GradedPoly]]:
+        """(m, kept part of m, image of the rest of m) for each monomial m of self.
+
+        The rest is built up from its lowest variable, each step one value times a
+        product built earlier in the call (held while it runs), so no product is
+        built twice.
+        """
+        bases = {k: check_homogeneous(v, self._weight(self._mono({k: 1})), None,
+                                      f"substitute for variable {k}") for k, v in values.items()}
+        fields = sum(_MASK << FIELD * (k + 1) for k in bases)  # the substituted fields
+        if target is not type(self):  # each kept variable must weigh the same in both
+            for k, _ in unpack(reduce(or_, self.terms, 0) & ~fields):
+                key = self._mono({k: 1})
+                check_homogeneous(target({key: 1}), self._weight(key), None,
+                                  f"kept variable {self._mono_text(key)}")
+        made: dict[Mono, GradedPoly] = {0: target.one()}
+        for top in self.terms:
+            kept = top & ~fields
+            m = sub = top - kept
+            pending = []  # (monomial, the one below it, value), down to one already made
+            while m not in made:
+                slot = ((m & -m).bit_length() - 1) // FIELD  # the lowest field in use
+                rest = m - (1 << FIELD * slot)
+                pending.append((m, rest, bases[slot - 1]))
+                m = rest
+            for m, rest, factor in reversed(pending):
+                made[m] = made[rest] * factor if rest else factor
+            yield top, kept, made.pop(sub) if pending and not kept else made[sub]
 
     def lower(self, num: Callable[[Coeff], object]) -> Lowered:
-        """The terms as (monomial, num(c)) pairs, each coefficient converted once.
+        """The terms as (unpack(m), num(c)) pairs, each coefficient converted once.
 
         eval_lowered sums them in the order and with the operations of
         eval, so lower(float) at float values gives eval's bits:
         int * float and Fraction * float both compute float(c) * float.
         """
-        return tuple((m, num(c)) for m, c in self.terms.items())
+        return tuple((unpack(m), num(c)) for m, c in self.terms.items())
 
     def eval(self, values: Mapping[int, Fraction | float | int]):
         """Evaluate at a point; exact when all values are Fractions."""
-        return eval_lowered(self.terms.items(), values, Q(0))
+        return eval_lowered(((unpack(m), c) for m, c in self.terms.items()), values, Q(0))
 
     def coefficient(self, m: Mono) -> Coeff:
         return self.terms.get(m, 0)
 
     # -- presentation -----------------------------------------------------
     def sorted_terms(self) -> list[tuple[Mono, Coeff]]:
-        key = self._display_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=self._descending)
+        """The terms in key order, descending for jets.  Among monomials of one weight
+        that is lex order on the descending list of parts, e.g. x2^3 < x3^2 < x2*x4."""
+        return sorted(self.terms.items(), key=lambda t: t[0], reverse=self._descending)
 
     def text(self) -> str:
         if not self.terms:
@@ -297,7 +343,7 @@ class GradedPoly:
     def to_json(self) -> dict:
         return {
             "weight": self.weight,
-            "terms": [{"m": [[k, j] for k, j in m], "c": str(c)}
+            "terms": [{"m": [[k, j] for k, j in unpack(m)], "c": str(c)}
                       for m, c in self.sorted_terms()],
         }
 
@@ -379,7 +425,8 @@ def check_homogeneous(p: GradedPoly, weight: int, variables: range | None,
     if p:
         if p.weight != weight:
             raise WeightMismatch(f"{what} has weight {p.weight}, expected {weight}")
-        if variables is not None and any(k not in variables for m in p.terms for k, _ in m):
+        if variables is not None and any(k not in variables
+                                         for m in p.terms for k, _ in unpack(m)):
             raise WeightMismatch(
                 f"{what} must use x_{variables.start}..x_{variables.stop - 1} only")
     return p

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import GradedPoly, Mono, Q, check_closing, check_homogeneous, mono
+from .algebra import GradedPoly, Mono, Q, check_closing, check_homogeneous, mono, unpack
 from .jets import JetPoly, jet_mono, pole_sum_ode
 from .systems import SystemSpec, default_c
 
@@ -162,7 +162,7 @@ def coeff_table(n: int, closing: GradedPoly | None, c: Fraction | int,
     _check_truncation(K)
     c = Q(c)
     # the closing by dense index, less e_{n+1}: J - S + e_{n+1} is then J minus the key
-    pmap = {tuple(dict(m).get(k, 0) - (k == n + 1) for k in range(2, n + 2)): v
+    pmap = {tuple(dict(unpack(m)).get(k, 0) - (k == n + 1) for k in range(2, n + 2)): v
             for m, v in check_closing(n, closing).terms.items()}
     ratio = c / (2 * (1 + 2 * delta))
     entries: dict[Index, Fraction] = {}
@@ -183,13 +183,11 @@ def coeff_table(n: int, closing: GradedPoly | None, c: Fraction | int,
 def series_from_table(table: CoeffTable) -> AnsatzSeries:
     """Regroup table entries by weight into series coefficients."""
     buckets: dict[int, dict[Mono, Fraction]] = {}
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}  # one (k, e) object shared by all terms
     for j, a in table.entries.items():
         w = _index_weight(j)
         if w == 0 or a == 0:
             continue
-        m = tuple(pairs.setdefault(kj, kj) for kj in mono({i + 2: e for i, e in enumerate(j)}))
-        buckets.setdefault(w // 2, {})[m] = a
+        buckets.setdefault(w // 2, {})[mono({i + 2: e for i, e in enumerate(j)})] = a
     coeffs = tuple(GradedPoly(buckets.get(k, {}))
                    for k in range(2, table.truncation + 1))
     return AnsatzSeries(table.n, table.delta, table.c, table.truncation, coeffs)

@@ -23,6 +23,7 @@ from .algebra import (
     partition_count,
 )
 from .jets import (
+    JetPoly,
     chazy12_parameter,
     family_ode,
     head_tail_coefficients,
@@ -131,20 +132,17 @@ def suite_chazy(seed: int = 0) -> dict:
     cases = []
     ode24 = family_ode(2, closing_from_coeffs(2, [24]))
     chazy3 = rescale_dependent(ode24, -6)
-    expect3 = {((0, 1), (2, 1)): Q(-2), ((1, 2),): Q(3), ((3, 1),): Q(1)}
-    cases.append({"case": "chazy3-form", "mode": "exact",
-                  "pass": chazy3.terms == expect3})
+    expect3 = JetPoly.from_exponents([({0: 1, 2: 1}, -2), ({1: 2}, 3), ({3: 1}, 1)])
+    cases.append({"case": "chazy3-form", "mode": "exact", "pass": chazy3 == expect3})
     ode6 = family_ode(2, closing_from_coeffs(2, [6]))
     linear = rescale_dependent(ode6, -6)
-    expect6 = {((3, 1),): Q(1), ((0, 1), (2, 1)): Q(-2),
-               ((0, 2), (1, 1)): Q(1), ((0, 4),): Q(-1, 12)}
-    cases.append({"case": "derivative-linear-form", "mode": "exact",
-                  "pass": linear.terms == expect6})
+    expect6 = JetPoly.from_exponents([({3: 1}, 1), ({0: 1, 2: 1}, -2),
+                                      ({0: 2, 1: 1}, 1), ({0: 4}, Q(-1, 12))])
+    cases.append({"case": "derivative-linear-form", "mode": "exact", "pass": linear == expect6})
     chazy4 = rescale_dependent(total_derivative(hierarchy_ode(2)), 2)
-    expect4 = {((3, 1),): Q(1), ((0, 1), (2, 1)): Q(3),
-               ((1, 2),): Q(3), ((0, 2), (1, 1)): Q(3)}
-    cases.append({"case": "chazy4-form", "mode": "exact",
-                  "pass": chazy4.terms == expect4})
+    expect4 = JetPoly.from_exponents([({3: 1}, 1), ({0: 1, 2: 1}, 3),
+                                      ({1: 2}, 3), ({0: 2, 1: 1}, 3)])
+    cases.append({"case": "chazy4-form", "mode": "exact", "pass": chazy4 == expect4})
     cases.append({"case": "chazy12-parameter", "mode": "exact",
                   "pass": chazy12_parameter(Q(-3)) == 4})
     ok = all(head_tail_coefficients(n) == (1, n * (n + 1), 2 ** (n - 1) * math.factorial(n))

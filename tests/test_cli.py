@@ -142,6 +142,16 @@ def test_series_negative_K_exits_2(capsys, argv):
     assert out == "" and "K must be nonnegative" in err
 
 
+def test_series_past_the_largest_exponent_exits_2(capsys):
+    # at n = 1 the series coefficient P_K holds x2^(K/2): 127 fits a key's field, 128 does not
+    code, out, _ = run(capsys, "series", "phi", "--n", "1", "--K", "254", "--json")
+    assert code == 0
+    assert [t["m"] for t in json.loads(out)["series"]["coeffs"][-1]["poly"]["terms"]] == [[[2, 127]]]
+    code, out, err = run(capsys, "series", "phi", "--n", "1", "--K", "256", "--json")
+    assert code == 2
+    assert out == "" and "exponent past 127, the largest a monomial key holds" in err
+
+
 # -- integrate ------------------------------------------------------------------------
 
 def test_integrate_level_zero_accuracy(capsys):

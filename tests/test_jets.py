@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from heatode.algebra import (GradedPoly, WeightMismatch, closing_from_coeffs as closing,
-                             closing_monomials, partition_count)
+                             closing_monomials, mono, partition_count, unpack)
 from heatode.jets import (
     PARAM,
     JetPoly,
@@ -189,8 +189,8 @@ def test_match_reports_the_residual_of_an_inconsistent_system(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 6, 14])
 def test_match_residual_at_the_packed_field_boundary(monkeypatch, n):
-    # h^(n+2), the largest exponent at level n, fills its packed field when n+2 is a
-    # power of two; no leading monomial holds it, so it is left over exactly
+    # h^(n+2) holds the largest exponent at level n in its key field; no leading
+    # monomial holds it, so it is left over exactly
     from heatode import jets
     exact = jets.pole_sum_ode
     power = JetPoly({jet_mono({0: n + 2}): 1})
@@ -235,7 +235,7 @@ def test_pole_sum_ode_specialises_b_as_substitution_does():
     from heatode import jets
     for n in range(9):
         for b in (1, 2, -3, Q(1, 2), Q(-7, 3), n + 1):
-            via_subst = jets._pole_det(n + 2).subst({PARAM: JetPoly({(): Q(b)})})
+            via_subst = jets._pole_det(n + 2).subst({PARAM: JetPoly.one().scale(b)})
             direct = pole_sum_ode(n, b)
             assert direct == via_subst
             assert list(direct.terms) == list(via_subst.terms)
@@ -252,7 +252,7 @@ GOLDEN_CLOSINGS = json.loads((Path(__file__).parent / "detmatch_closings.json").
 def test_match_golden_closings(n):
     m = match_pole_ode(n)
     assert m.matched and m.b == n + 1
-    expect = [(tuple(map(tuple, mono)), Q(c)) for mono, c in GOLDEN_CLOSINGS[str(n)]]
+    expect = [(mono(dict(pairs)), Q(c)) for pairs, c in GOLDEN_CLOSINGS[str(n)]]
     assert m.closing.sorted_terms() == expect
 
 
@@ -346,7 +346,7 @@ def test_basis_images_share_products(monkeypatch):
     mul = JetPoly.__mul__
     monkeypatch.setattr(JetPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
     images = dict(GradedPoly(dict.fromkeys(basis, 1)).images(values, JetPoly))
-    assert len(calls) < sum(j for m in basis for _, j in m)
+    assert len(calls) < sum(j for m in basis for _, j in unpack(m))
     monkeypatch.undo()
     assert all(images[m] == closing_in_jets(GradedPoly({m: 1})) for m in basis)
 

@@ -13,7 +13,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heatode.algebra import GradedPoly, closing_monomials, eval_lowered, monomial_basis
+from heatode.algebra import GradedPoly, closing_monomials, eval_lowered, monomial_basis, unpack
 from heatode.heat import lower_series, series_sums
 from heatode.series import ansatz_series, default_c
 from heatode.systems import SystemSpec, SystemState, integrate_rk4, vector_field
@@ -30,7 +30,7 @@ def oracle_eval(p, values):
     total = None
     for m, c in p.terms.items():
         term = c
-        for k, j in m:
+        for k, j in unpack(m):
             term = term * values[k] ** j
         total = term if total is None else total + term
     return Q(0) if total is None else total

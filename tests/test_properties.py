@@ -6,7 +6,9 @@ so each law is checked once per grading, and so is the coefficient rule
 (an int when integral) against an all-Fraction reference.  The two series routes and the
 group law of the matrix action are checked on random inputs as well, and
 the fraction-free linear solver against Gauss-Jordan elimination, and
-the packed monomial keys of the determinant match.
+the monomial keys: round trips, order and the guard against exponent overflow.
+The references below add exponents on unpacked monomials, never on keys, so
+they check the key arithmetic of the core instead of repeating it.
 """
 
 import json
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from heatode.algebra import (
-    GradedPoly, WeightMismatch, closing_monomials, eval_lowered, monomial_basis, solve_linear,
+    MAX_EXPONENT, ExponentOverflow, GradedPoly, WeightMismatch, closing_monomials, eval_lowered,
+    monomial_basis, solve_linear, unpack,
 )
-from heatode.jets import PARAM, JetPoly, _pack, _unpack, jet_mono, total_derivative
+from heatode.jets import PARAM, JetPoly, jet_mono, total_derivative
 from heatode.mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_psi
 from heatode.series import ansatz_series, coeff_table, series_from_table
 
@@ -34,7 +37,7 @@ def basis(cls, weight):
     parts = monomial_basis(weight // 2, 1, 4)
     if cls is GradedPoly:
         return parts
-    return [jet_mono({**{k - 1: j for k, j in m}, PARAM: p}) for m in parts for p in (0, 1)]
+    return [jet_mono({**{k - 1: j for k, j in unpack(m)}, PARAM: p}) for m in parts for p in (0, 1)]
 
 
 def polys(cls, weight):
@@ -133,7 +136,7 @@ def test_jet_eval_is_the_term_by_term_sum(data, w, jet, b):
     expect = None
     for m, c in p.terms.items():
         term = c
-        for q, e in m:
+        for q, e in unpack(m):
             term = term * (b if q == PARAM else jet[q]) ** e
         expect = term if expect is None else expect + term
     got = p.eval(jet, b=b)
@@ -184,8 +187,8 @@ def ref_mul(cls, a, b):
     out = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            d = dict(ma)
-            for k, j in mb:
+            d = dict(unpack(ma))
+            for k, j in unpack(mb):
                 d[k] = d.get(k, 0) + j
             m = cls._mono(d)
             out[m] = out.get(m, Q(0)) + ca * cb
@@ -195,7 +198,7 @@ def ref_mul(cls, a, b):
 def ref_partial(cls, a, k):
     out = {}
     for m, c in a.items():
-        d = dict(m)
+        d = dict(unpack(m))
         if d.get(k):
             d[k] -= 1
             out[cls._mono(d)] = c * (d[k] + 1)
@@ -205,8 +208,8 @@ def ref_partial(cls, a, k):
 def ref_subst(cls, a, values):
     out = {}
     for m, c in a.items():
-        image = {(): c}
-        for k, j in m:
+        image = {cls._mono({}): c}
+        for k, j in unpack(m):
             base = values.get(k, {cls._mono({k: 1}): Q(1)})
             for _ in range(j):
                 image = ref_mul(cls, image, base)
@@ -411,48 +414,79 @@ def test_solve_linear_on_unit_triangular_systems_matches_gauss_jordan(system):
     assert residual == [0] * len(rhs)
 
 
-# -- packed monomial keys ------------------------------------------------------------------
+# -- monomial keys ------------------------------------------------------------------------
 
 def level_monomials(n):
     """The jet monomials of weight 2(n+2): h^(k-1) for each part k of a partition of n+2."""
-    return [jet_mono({k - 1: j for k, j in m}) for m in monomial_basis(n + 2, 1, n + 2)]
-
-
-def packed(m, width):
-    (key,) = _pack(JetPoly({m: 1}), width)
-    return key
+    return [jet_mono({k - 1: j for k, j in unpack(m)}) for m in monomial_basis(n + 2, 1, n + 2)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 60), data=st.data())
 def test_packed_keys_round_trip_at_the_field_boundary(n, data):
-    width = (n + 2).bit_length()
-    top = jet_mono({0: n + 2})  # the largest exponent of the level fills the lowest field
-    assert packed(top, width) == n + 2 < 1 << width
-    a, b = jet_mono({0: data.draw(st.integers(1, n + 1))}), jet_mono({n + 1: 1})
-    for m in (top, a, b):
-        assert _unpack(packed(m, width), width) == m
-    # a product of monomials is the sum of their keys while the level's weight bounds it
-    c = jet_mono({0: n + 2 - a[0][1]})
-    assert packed(a, width) + packed(c, width) == packed(top, width)
-    assert _unpack(packed(a, width) + packed(jet_mono({n: 1}), width), width) \
-        == jet_mono({0: a[0][1], n: 1})
-
-
-def test_packing_refuses_the_b_slot():
-    with pytest.raises(ValueError, match="b slot"):
-        _pack(JetPoly.param() * JetPoly.h(0), 3)
+    # the largest exponent a field holds, in the lowest field (b), in h's and at the level's top
+    for q in (PARAM, 0, n + 1):
+        assert unpack(jet_mono({q: MAX_EXPONENT})) == ((q, MAX_EXPONENT),)
+    exps = data.draw(st.dictionaries(st.integers(PARAM, n + 1), st.integers(0, MAX_EXPONENT),
+                                     max_size=6))
+    key = jet_mono(exps)
+    assert unpack(key) == tuple(sorted((q, e) for q, e in exps.items() if e))
+    assert jet_mono(dict(unpack(key))) == key
+    # a product of monomials is the sum of their keys while every exponent stays in its field
+    e = data.draw(st.integers(0, MAX_EXPONENT))
+    a, c = jet_mono({0: e, n: 1}), jet_mono({0: MAX_EXPONENT - e})
+    assert list((JetPoly({a: 1}) * JetPoly({c: 1})).terms) == [a + c]
+    assert unpack(a + c) == ((0, MAX_EXPONENT), (n, 1))
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 12), data=st.data())
 def test_packed_order_is_lex_with_the_highest_derivative_first(n, data):
-    width = (n + 2).bit_length()
-    a, b = (data.draw(st.sampled_from(level_monomials(n))) for _ in range(2))
+    # b, the lowest field, decides only between equal powers of the derivatives
+    a, b = (jet_mono({**dict(unpack(data.draw(st.sampled_from(level_monomials(n))))),
+                      PARAM: data.draw(st.integers(0, 3))}) for _ in range(2))
 
     def lex(m):
-        exps = dict(m)
-        return [exps.get(q, 0) for q in reversed(range(n + 2))]
+        exps = dict(unpack(m))
+        return [exps.get(q, 0) for q in reversed(range(PARAM, n + 2))]
 
-    assert (packed(a, width) < packed(b, width)) == (lex(a) < lex(b))
-    assert _unpack(packed(a, width), width) == a
+    assert (a < b) == (lex(a) < lex(b))
+    assert jet_mono(dict(unpack(a))) == a
+
+
+@pytest.mark.parametrize("cls, k", [(GradedPoly, 1), (GradedPoly, 5), (JetPoly, 0), (JetPoly, 7)])
+def test_the_largest_exponent_multiplies_and_one_more_raises(cls, k):
+    top = cls({cls._mono({k: MAX_EXPONENT - 1}): 2}) * cls.variable(k, 3)
+    assert top.terms == {cls._mono({k: MAX_EXPONENT}): 6}
+    assert top.partial(k).terms == {cls._mono({k: MAX_EXPONENT - 1}): 6 * MAX_EXPONENT}
+    with pytest.raises(ExponentOverflow):
+        top * cls.variable(k)
+    with pytest.raises(ExponentOverflow):
+        cls.variable(k) * top
+
+
+def test_b_slot_products_past_the_field_raise():
+    # b weighs 0, so the weight cannot bound its exponent; the guard bits do
+    half = JetPoly({jet_mono({PARAM: (MAX_EXPONENT + 1) // 2}): 1})
+    assert half.weight == 0 and (half * JetPoly.h(0)).weight == 2
+    below = JetPoly({jet_mono({PARAM: MAX_EXPONENT // 2}): 1})
+    assert list((below * half).terms) == [jet_mono({PARAM: MAX_EXPONENT})]
+    with pytest.raises(ExponentOverflow):
+        half * half
+    with pytest.raises(ExponentOverflow):
+        half * (half * JetPoly.h(1))
+
+
+def test_monomial_constructors_reject_an_exponent_out_of_range():
+    with pytest.raises(ExponentOverflow):
+        GradedPoly.variable(1) * GradedPoly({GradedPoly._mono({1: MAX_EXPONENT}): 1})
+    for make in (lambda e: GradedPoly._mono({3: e}), lambda e: jet_mono({PARAM: e}),
+                 lambda e: jet_mono({2: e}),
+                 lambda e: GradedPoly.from_json({"terms": [{"m": [[2, e]], "c": "1"}]}),
+                 lambda e: JetPoly.from_json({"terms": [{"m": [[0, 1]], "b": e, "c": "1"}]}),
+                 lambda e: JetPoly.from_json({"terms": [{"m": [[4, e]], "c": "-2"}]})):
+        assert make(MAX_EXPONENT)
+        with pytest.raises(ExponentOverflow):
+            make(MAX_EXPONENT + 1)
+        with pytest.raises(ValueError):
+            make(-1)
