@@ -26,7 +26,6 @@ eval_lowered sums with the same bits as the exact coefficients would.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -460,73 +459,20 @@ def bare_monomials(n: int) -> list[Mono]:
 
 # -- exact linear solving ---------------------------------------------------
 
-def _integer_row(values: Sequence[Coeff]) -> tuple[list[int], int]:
-    """The values (ints or Fractions) times the lcm of their denominators, as ints, and that lcm."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _catch_up(row: list[int], pivots: list[list[int]], width: int, stop: int) -> list[int]:
-    """The row after the fraction-free elimination steps it has not had, up to step stop-1.
-
-    A row of a width-column matrix that has had t steps holds its entries
-    from column t on; pivots[t] has had t steps and starts with its pivot.
-    Each step divides exactly by the previous pivot (Bareiss).
-    """
-    t = width - len(row)
-    prev = pivots[t - 1][0] if t else 1
-    for t in range(t, stop):
-        p_row = pivots[t]
-        p, f = p_row[0], row[0]
-        if f == 0 and p == prev:  # (p*u - 0*v)//prev == u: the step only drops the column
-            row = row[1:]
-        else:
-            row = [(p * u - f * v) // prev for u, v in zip(row[1:], p_row[1:])]
-        prev = p
-    return row
-
-
 def solve_linear(rows: list[list[Coeff]], rhs: list[Coeff]
-                 ) -> tuple[list[Fraction] | None, list[Fraction]]:
-    """Solve rows * x = rhs exactly by fraction-free integer elimination.
+                 ) -> tuple[list[Coeff], list[Coeff]]:
+    """Solve a square, upper unit-triangular rows * x = rhs by back-substitution.
 
-    Returns (solution, residual), both in Fractions.  For a consistent
-    full-column-rank system the residual is all zeros.  For an
-    inconsistent system the solution of the pivot rows is returned and
-    the residual shows where the remaining rows fail; if the column rank
-    is deficient the solution is None (and the residual zeros).  Column by
-    column the pivot is the first row at or below the current one with a
-    nonzero entry, as in Gauss-Jordan elimination.
-
-    Each row is scaled by the lcm of its denominators (which changes
-    neither the solutions nor the pivots) and eliminated on ints.  A row
-    is brought up to date only when the pivot search reaches it, so rows
-    the search never reaches are never eliminated.  With D the last
-    pivot (the determinant of the pivot rows), D * solution is integral,
-    so back-substitution and the residual against the original rows
-    stay in ints until the final division.
+    Returns (solution, residual rows * x - rhs) in the entries' own type: the
+    unit diagonal needs no division, so int systems give an int solution.
+    Any other shape raises ValueError.
     """
     m = len(rows)
-    if len(rhs) != m:
-        raise ValueError(f"rhs has {len(rhs)} entries for {m} rows")
-    ncols = len(rows[0]) if m else 0
-    if any(len(row) != ncols for row in rows):
-        raise ValueError(f"rows must all have {ncols} entries")
-    scaled = [_integer_row([*row, b]) for row, b in zip(rows, rhs)]
-    a = [ints for ints, _ in scaled]
-    for col in range(ncols):
-        for i in range(col, m):
-            a[i] = _catch_up(a[i], a, ncols + 1, col)
-            if a[i][0]:
-                break
-        else:
-            return None, [Q(0)] * m
-        a[col], a[i] = a[i], a[col]
-    det = a[ncols - 1][0] if ncols else 1
-    xs = [0] * ncols                      # det * solution
-    for i in reversed(range(ncols)):
-        row = a[i]
-        xs[i] = (det * row[-1] - sum(u * x for u, x in zip(row[1:], xs[i + 1:]))) // row[0]
-    residual = [Q(sum(u * x for u, x in zip(ints, xs)) - ints[-1] * det, den * det)
-                for ints, den in scaled]
-    return [Q(x, det) for x in xs], residual
+    if len(rhs) != m or any(len(row) != m for row in rows):
+        raise ValueError(f"a system of {m} rows needs {m} entries in each row and in rhs")
+    if any(row[i] != 1 or any(row[:i]) for i, row in enumerate(rows)):
+        raise ValueError("rows must be upper unit-triangular")
+    xs = [0] * m
+    for i in reversed(range(m)):
+        xs[i] = rhs[i] - sum(u * x for u, x in zip(rows[i][i + 1:], xs[i + 1:]))
+    return xs, [sum(u * x for u, x in zip(row, xs)) - b for row, b in zip(rows, rhs)]

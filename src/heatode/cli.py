@@ -189,6 +189,12 @@ def cmd_integrate(args) -> int:
         trajectory = event.trajectory
         blowup = event.t_star
     header = ["t", "r", "h"] + [f"x{k}" for k in range(2, args.n + 2)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # an exact state may have more digits than parse_rational takes
+    try:
+        rows = [[str(v) if exact else v for v in s.row()] for s in trajectory]
+    finally:
+        sys.set_int_max_str_digits(limit)
     if args.json:
         body = {
             "metadata": {
@@ -197,15 +203,12 @@ def cmd_integrate(args) -> int:
                 "blowup_t": None if blowup is None else str(blowup),
             },
             "header": header,
-            "rows": [[str(v) if exact else v for v in s.row()] for s in trajectory],
+            "rows": rows,
         }
         _emit(args, _stamped("integrate", {"state": args.state}, body))
     else:
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for s in trajectory:
-            writer.writerow([str(v) if exact else repr(v) for v in s.row()])
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])  # a float as its repr
         if blowup is not None:
             buf.write(f"# blowup at t = {blowup}\n")
         _emit(args, buf.getvalue().rstrip("\n"))

@@ -300,16 +300,15 @@ def match_pole_ode(n: int) -> PoleMatch:
         {k: hierarchy_ode(k - 1) for k in range(2, n + 2)}, JetPoly))
     images = [image_of[m].terms for m in basis]
     leads = [max(image) for image in images]
+    if len(set(leads)) < len(leads):  # a shared leading monomial: no unique solution
+        return PoleMatch(n, b, None, target)
     order = sorted(range(len(basis)), key=leads.__getitem__)
     remainder = dict(target.terms)
     rows = [[images[j].get(leads[i], 0) for j in order] for i in order]
     coeffs, _ = solve_linear(rows, [remainder.get(leads[i], 0) for i in order])
-    if coeffs is None:
-        return PoleMatch(n, b, None, target)
-    by_basis = [Q(0)] * len(basis)
+    by_basis = [0] * len(basis)
     for j, c in zip(order, coeffs):
         by_basis[j] = c
-        c = c.numerator if c.denominator == 1 else c
         for key, v in images[j].items():
             remainder[key] = remainder.get(key, 0) - c * v
     residual = JetPoly(remainder)

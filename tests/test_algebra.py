@@ -13,7 +13,6 @@ from heatode.algebra import (
     mono,
     monomial_basis,
     partition_count,
-    solve_linear,
 )
 
 
@@ -175,18 +174,3 @@ def test_text_form():
 def test_json_roundtrip():
     p = (x2 * x4).scale(Q(-31, 7)) + (x3 * x3).scale(2)
     assert GradedPoly.from_json(p.to_json()) == p
-
-
-def test_solve_linear_exact():
-    rows = [[Q(2), Q(1)], [Q(1), Q(-1)], [Q(3), Q(0)]]
-    rhs = [Q(5), Q(1), Q(6)]
-    sol, residual = solve_linear(rows, rhs)
-    assert sol == [Q(2), Q(1)]
-    assert all(r == 0 for r in residual)
-
-
-def test_solve_linear_inconsistent():
-    rows = [[Q(1)], [Q(1)]]
-    rhs = [Q(1), Q(2)]
-    sol, residual = solve_linear(rows, rhs)
-    assert any(r != 0 for r in residual)

@@ -46,3 +46,14 @@ def test_match_probe_and_cold_cache_names_exist():
     assert callable(jets.solve_linear)
     for cached in (jets.hierarchy_ode, jets._pole_det):
         assert callable(cached.cache_clear)
+
+
+def test_solve_linear_returns_what_the_tracer_reads():
+    # tracer._after_solve takes item 0 of the returned pair as the solution and
+    # reads each entry's numerator and denominator for the coefficient bits
+    result = jets.solve_linear([[1, 2], [0, 1]], [5, 2])
+    assert isinstance(result, tuple) and len(result) == 2
+    solution = result[0]
+    assert isinstance(solution, list) and len(solution) == 2
+    assert all(hasattr(x, "numerator") and hasattr(x, "denominator") for x in solution)
+    assert tracer.coeff_bits(solution) == 2  # the solution is [1, 2]

@@ -200,6 +200,30 @@ def test_integrate_exact_mode_refuses_a_state_over_the_bit_bound(capsys):
     assert out == "" and "float mode" in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["csv", "json"])
+def test_integrate_exact_mode_prints_a_state_past_the_digit_limit(capsys, json_flag):
+    # three steps of the README's level-2 example: the state outgrows the 4300-digit
+    # limit on int strings, which still holds once the output is written
+    from heatode.systems import SystemSpec, SystemState, integrate_rk4
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "integrate", "--n", "2", "--delta", "1", "--p", "c4=24",
+                         "--state", "0,1/4,1/5,-3/20", "--t-end", "3/1000", "--step", "1/1000",
+                         "--mode", "exact", *json_flag)
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    spec = SystemSpec.reduced(2, delta=1, closing=parse_closing(2, "c4=24"))
+    s0 = SystemState(Q(0), Q(0), Q(1, 4), (Q(1, 5), Q(-3, 20)))
+    last = integrate_rk4(spec, s0, Q(3, 1000), Q(1, 1000), h_bound=1e8)[-1]
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(v) for v in last.row()]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(map(len, expected)) > limit
+    rows = json.loads(out)["rows"] if json_flag else [line.split(",") for line in out.splitlines()]
+    assert rows[-1] == expected
+
+
 def test_a_rational_over_the_digit_limit_gets_a_short_error(capsys):
     code, out, err = run(capsys, "integrate", "--n", "0", "--state", "0,1/1" + "0" * 9864,
                          "--t-end", "1", "--step", "1", "--mode", "exact")

@@ -24,8 +24,8 @@ CASES = {
        for kind in ("phi", "table") for n in (4, 6) for d in (0, 1)},
     "series_sigma_K12": ["series", "sigma", "--K", "12"],
     "series_psi_K10": ["series", "psi", "--K", "10"],
-    # two steps of the README's level-2 example in exact rationals: a third step's
-    # numerators pass the interpreter's 4300-digit limit for int -> str (exit 2)
+    # two steps of the README's level-2 example in exact rationals (a third step's
+    # numerators pass the interpreter's 4300-digit limit for int -> str; test_cli checks it)
     "integrate_exact": ["integrate", "--n", "2", "--delta", "1", "--p", "c4=24",
                         "--state", "0,1/4,1/5,-3/20", "--t-end", "2/1000", "--step", "1/1000",
                         "--mode", "exact"],

@@ -177,6 +177,12 @@ def test_match_n1_trivial_closing():
     assert not m1.closing
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_match_rejects_a_level_below_one(n):
+    with pytest.raises(ValueError, match="n must be positive"):
+        match_pole_ode(n)
+
+
 def test_match_reports_the_residual_of_an_inconsistent_system(monkeypatch):
     # no closing image has an h^(n+1) term, so dropping it from the target leaves exactly it
     from heatode import jets
@@ -201,11 +207,24 @@ def test_match_residual_at_the_packed_field_boundary(monkeypatch, n):
 
 
 def test_match_returns_the_target_when_the_basis_is_rank_deficient(monkeypatch):
-    # a basis monomial listed twice gives two equal columns, so no unique solution
+    # a basis monomial listed twice repeats a leading key, so no unique solution:
+    # the match returns before the solver, which would refuse the system with ValueError
     from heatode import jets
     basis = jets.closing_monomials
+    solve = jets.solve_linear
+    solved = []
+
+    def recorded(rows, rhs):
+        solved.append(rows)
+        return solve(rows, rhs)
+
     monkeypatch.setattr(jets, "closing_monomials", lambda n: basis(n) * 2)
-    m = match_pole_ode(3)
+    monkeypatch.setattr(jets, "solve_linear", recorded)
+    try:
+        m = match_pole_ode(3)
+    except ValueError as error:
+        pytest.fail(f"ValueError escaped the match: {error}")
+    assert solved == []
     assert not m.matched and m.closing is None
     assert m.residual == hierarchy_ode(4) - pole_sum_ode(3, 4)
 

@@ -223,3 +223,12 @@ def test_solve_linear_rejects_ragged_rows():
 def test_solve_linear_rejects_rhs_of_wrong_length(rhs):
     with pytest.raises(ValueError):
         solve_linear([[1, 0], [0, 1]], rhs)
+
+
+def test_solve_linear_rejects_a_system_that_is_not_upper_unit_triangular():
+    with pytest.raises(ValueError):
+        solve_linear([[1, 0], [3, 1]], [1, 2])  # a nonzero entry below the diagonal
+    with pytest.raises(ValueError):
+        solve_linear([[1, 5], [0, 2]], [1, 2])  # a diagonal entry of 2
+    with pytest.raises(ValueError):
+        solve_linear([[1, 0], [0, 1], [0, 0]], [1, 2, 0])  # three rows, two columns
