@@ -234,6 +234,31 @@ class PoleSum:
             sign = -sign
         return out
 
+    def integral_jet(self, t, max_order: int) -> tuple[int, list[int]]:
+        """(lam, jet) with jet[q] = lam^(q+1) h^(q)(t), all ints; exact t only.
+
+        With t - a_k = p_k/r_k in lowest terms and L the lcm of the p_k,
+        lam = numerator(b) L and jet[q] = (-1)^q q! num(b)^q den(b) sum_k w_k^(q+1),
+        w_k = L r_k/p_k.  A jet polynomial P of weight W (h^(q) weighs 2(q+1))
+        then reads P(jet) = lam^(W/2) P(h-jet) with lam != 0: same zero test.
+        """
+        if not isinstance(t, (int, Fraction)):
+            raise TypeError(f"integral_jet is exact-only: got t = {t!r}")
+        if any(t == a for a in self.poles):
+            raise PoleHit(f"t = {t} is a pole")
+        gaps = [t - a for a in self.poles]
+        lcm = math.lcm(*(g.numerator for g in gaps))
+        weights = [lcm * g.denominator // g.numerator for g in gaps]
+        b_num, b_den = self.b.numerator, self.b.denominator
+        out = []
+        coeff = b_den                   # (-1)^q q! num(b)^q den(b)
+        powers = weights
+        for q in range(max_order + 1):
+            out.append(coeff * sum(powers))
+            coeff *= -(q + 1) * b_num
+            powers = [p * w for p, w in zip(powers, weights)]
+        return b_num * lcm, out
+
 
 def pole_sum(b, poles) -> PoleSum:
     return PoleSum(Q(b), tuple(Q(a) for a in poles))

@@ -32,6 +32,8 @@ CASES = {
     **{f"verify_{suite}": ["verify", suite, "--json"]
        for suite in ("rational", "chazy", "dims", "sigma", "hermite")},
     "verify_detmatch_n12": ["verify", "detmatch", "--max-n", "12", "--json"],
+    # levels 7-10 of the pole-sum zero tests, pinned from the Fraction-jet path
+    "verify_rational_n10_seed7": ["verify", "rational", "--max-n", "10", "--seed", "7", "--json"],
 }
 
 

@@ -21,9 +21,10 @@ from heatode.algebra import (
     MAX_EXPONENT, ExponentOverflow, GradedPoly, WeightMismatch, closing_monomials, eval_lowered,
     monomial_basis, solve_linear, unpack,
 )
-from heatode.jets import PARAM, JetPoly, jet_mono, total_derivative
+from heatode.jets import PARAM, JetPoly, hierarchy_ode, jet_mono, pole_sum_ode, total_derivative
 from heatode.mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_psi
 from heatode.series import ansatz_series, coeff_table, series_from_table
+from heatode.systems import pole_sum
 
 CLASSES = [GradedPoly, JetPoly]
 WEIGHTS = (0, 2, 4, 6)
@@ -274,6 +275,29 @@ def test_series_routes_agree(data, n, K, delta, c):
         st.lists(coefficients, min_size=len(monos), max_size=len(monos))))))
     table = coeff_table(n, closing, c, delta, K)
     assert series_from_table(table) == ansatz_series(n, closing, c, delta, K)
+
+
+# -- the integral pole-sum jet -----------------------------------------------------------
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 5), b=rationals.filter(bool),
+       poles=st.lists(rationals, min_size=1, max_size=6, unique=True), t=rationals)
+def test_integral_jet_is_the_scaled_fraction_jet(n, b, poles, t):
+    assume(t not in poles)
+    ps = pole_sum(b, poles)
+    m = max(n + 1, 4)
+    lam, jet = ps.integral_jet(t, m)
+    frac_jet = ps.jet(t, m)
+    assert lam != 0 and all(type(v) is int for v in jet)
+    assert jet == [lam ** (q + 1) * v for q, v in enumerate(frac_jet)]
+    # a weight-W jet polynomial scales by lam^(W/2), so every zero test keeps its verdict
+    odes = [hierarchy_ode(k) for k in range(1, 5)]
+    odes += [pole_sum_ode(n, s) for s in (n, n + 1, n + 2) if s]
+    for ode in odes:
+        assert ode.eval(jet) == lam ** (ode.weight // 2) * ode.eval(frac_jet)
 
 
 # -- the group law on exact samplers ------------------------------------------------------

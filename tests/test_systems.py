@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from heatode import suites, systems
 from heatode.algebra import GradedPoly, closing_from_coeffs as closing
 from heatode.jets import JetTooShort, family_ode, hierarchy_ode, pole_sum_ode
 from heatode.series import default_c
@@ -182,6 +183,73 @@ def test_pole_sum_newton_power_sums():
         power_sum = sum((1 / (a - t)) ** (q + 1) for a in ps.poles)
         assert -ps.b / fact * jet[q] == power_sum
         fact *= q + 1
+
+
+def test_integral_jet_values():
+    # h = 1/t at t = 3/2: t - 0 = 3/2, lam = 1*3, jet[q] = 3^(q+1) h^(q)(3/2)
+    lam, jet = pole_sum(1, [0]).integral_jet(Q(3, 2), 2)
+    assert lam == 3 and jet == [2, -4, 16]
+    assert all(type(v) is int for v in jet)
+
+
+def test_integral_jet_pole_hit():
+    with pytest.raises(PoleHit):
+        pole_sum(1, [0, 2]).integral_jet(Q(2), 1)
+    with pytest.raises(PoleHit):
+        pole_sum(1, [0, 2]).integral_jet(2, 1)
+
+
+@pytest.mark.parametrize("t", [2.5, 2.0, float("nan"), 1e300])
+def test_integral_jet_rejects_float_t(t):
+    with pytest.raises(TypeError, match="exact-only"):
+        pole_sum(1, [0, 2]).integral_jet(t, 1)
+
+
+def test_integral_jet_with_non_integral_b():
+    # b = 1/2: lam uses numerator(b) = 1 and every entry carries den(b) = 2
+    ps = pole_sum(Q(1, 2), [Q(1, 3), Q(-2, 5)])
+    t = Q(7, 4)
+    lam, jet = ps.integral_jet(t, 4)
+    assert lam == math.lcm(17, 43)     # t - a_k = 17/12, 43/20
+    assert all(type(v) is int and v % 2 == 0 for v in jet)
+    assert jet == [lam ** (q + 1) * v for q, v in enumerate(ps.jet(t, 4))]
+    ps3 = pole_sum(Q(-3, 2), [Q(1, 3), Q(-2, 5)])
+    lam3, jet3 = ps3.integral_jet(t, 3)
+    assert lam3 == -3 * lam
+    assert jet3 == [lam3 ** (q + 1) * v for q, v in enumerate(ps3.jet(t, 3))]
+
+
+def _one_power_short(integral_jet):
+    def faulty(self, t, max_order):
+        lam, jet = integral_jet(self, t, max_order)
+        return lam, [Q(v, lam) for v in jet]          # lam^q h^(q): not homogeneous
+    return faulty
+
+
+def _sign_flipped(integral_jet):
+    def faulty(self, t, max_order):
+        lam, jet = integral_jet(self, t, max_order)
+        return lam, [jet[0], -jet[1], *jet[2:]]
+    return faulty
+
+
+@pytest.mark.parametrize("fault", ["power", "sign", "strength"])
+def test_rational_suite_fails_on_a_planted_fault(monkeypatch, fault):
+    assert suites.suite_rational(seed=3, max_n=4)["passed"]
+    if fault == "power":
+        monkeypatch.setattr(systems.PoleSum, "integral_jet",
+                            _one_power_short(systems.PoleSum.integral_jet))
+    elif fault == "sign":
+        monkeypatch.setattr(systems.PoleSum, "integral_jet",
+                            _sign_flipped(systems.PoleSum.integral_jet))
+    else:
+        exact = suites.pole_sum_ode
+        monkeypatch.setattr(suites, "pole_sum_ode",
+                            lambda n, b=None: exact(n, n if n and b == n + 1 else b))
+    report = suites.suite_rational(seed=3, max_n=4)
+    assert report["passed"] is False
+    failed = [c["case"] for c in report["cases"] if not c["pass"]]
+    assert failed == [f"pole-sum-n{n}" for n in range(0 if fault != "strength" else 1, 5)]
 
 
 def test_pole_sum_requires_distinct_poles():
