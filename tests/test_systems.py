@@ -219,37 +219,27 @@ def test_integral_jet_with_non_integral_b():
     assert jet3 == [lam3 ** (q + 1) * v for q, v in enumerate(ps3.jet(t, 3))]
 
 
-def _one_power_short(integral_jet):
-    def faulty(self, t, max_order):
-        lam, jet = integral_jet(self, t, max_order)
-        return lam, [Q(v, lam) for v in jet]          # lam^q h^(q): not homogeneous
-    return faulty
-
-
-def _sign_flipped(integral_jet):
-    def faulty(self, t, max_order):
-        lam, jet = integral_jet(self, t, max_order)
-        return lam, [jet[0], -jet[1], *jet[2:]]
-    return faulty
+JET_FAULTS = {
+    "power": lambda lam, jet: (lam, [Q(v, lam) for v in jet]),   # lam^q h^(q): not homogeneous
+    "sign": lambda lam, jet: (lam, [jet[0], -jet[1], *jet[2:]]),
+}
 
 
 @pytest.mark.parametrize("fault", ["power", "sign", "strength"])
 def test_rational_suite_fails_on_a_planted_fault(monkeypatch, fault):
     assert suites.suite_rational(seed=3, max_n=4)["passed"]
-    if fault == "power":
+    if fault in JET_FAULTS:
+        exact_jet = systems.PoleSum.integral_jet
         monkeypatch.setattr(systems.PoleSum, "integral_jet",
-                            _one_power_short(systems.PoleSum.integral_jet))
-    elif fault == "sign":
-        monkeypatch.setattr(systems.PoleSum, "integral_jet",
-                            _sign_flipped(systems.PoleSum.integral_jet))
-    else:
-        exact = suites.pole_sum_ode
+                            lambda ps, t, m: JET_FAULTS[fault](*exact_jet(ps, t, m)))
+    else:  # b = n + 1 swapped for b = n (b = 0 is no ODE, so level 0 keeps its b)
+        exact_ode = suites.pole_sum_ode
         monkeypatch.setattr(suites, "pole_sum_ode",
-                            lambda n, b=None: exact(n, n if n and b == n + 1 else b))
+                            lambda n, b=None: exact_ode(n, n if n and b == n + 1 else b))
     report = suites.suite_rational(seed=3, max_n=4)
     assert report["passed"] is False
     failed = [c["case"] for c in report["cases"] if not c["pass"]]
-    assert failed == [f"pole-sum-n{n}" for n in range(0 if fault != "strength" else 1, 5)]
+    assert failed == [f"pole-sum-n{n}" for n in range(0 if fault in JET_FAULTS else 1, 5)]
 
 
 def test_pole_sum_requires_distinct_poles():
