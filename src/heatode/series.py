@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import GradedPoly, Mono, Q, check_closing, check_homogeneous, mono, unpack
+from .algebra import Coeff, GradedPoly, Mono, Q, check_closing, check_homogeneous, mono, unpack
 from .jets import JetPoly, jet_mono, pole_sum_ode
 from .systems import SystemSpec, default_c
 
@@ -80,7 +80,10 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
 
     from P_1 = 0 and P_2 = c*x_2, so P_3 = 2c*p_3.  At n = 1 there is no x_3
     and the closing space is zero, so p_3 = 0 and every odd coefficient
-    vanishes.
+    vanishes.  The product P_2 * P_{q-2} is taken as x_2 * P_{q-2} with c
+    folded into its scalar c(2q+delta-3)(2q+delta-2)/(2(1+2*delta)), which
+    is an int whenever it is integral (at the default c, and at c = 3, for
+    both parities), so integral coefficients never pass through Fraction.
     """
     spec = SystemSpec.reduced(n, delta, closing, Q(c))
     if K < 2:
@@ -90,11 +93,13 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
         return AnsatzSeries(0, delta, c, K, tuple(GradedPoly.zero() for _ in range(K - 1)))
     p = dict(enumerate(spec.flows, start=2))  # p[k] is the flow of x_k
     coeffs = [GradedPoly.zero(), GradedPoly.variable(2, c)]  # P_1, P_2
-    two_delta = Q(2 * (1 + 2 * delta))
+    den = c.denominator * 2 * (1 + 2 * delta)
     for q in range(3, K + 1):
         term = coeffs[-1].derive(p).scale(2)
-        factor = Q((2 * q + delta - 3) * (2 * q + delta - 2)) / two_delta
-        term = term + (coeffs[1] * coeffs[-2]).scale(factor)
+        # x_2 times the scalar num/den of P_2 * P_{q-2}, an int when integral
+        num = c.numerator * (2 * q + delta - 3) * (2 * q + delta - 2)
+        x2 = GradedPoly.variable(2, Q(num, den) if num % den else num // den)
+        term = term + x2 * coeffs[-2]
         coeffs.append(check_homogeneous(term, 2 * q, None, f"coefficient {q}"))
     return AnsatzSeries(n, delta, c, K, tuple(coeffs[1:]))
 
@@ -112,7 +117,7 @@ class CoeffTable:
     delta: int
     c: Fraction
     truncation: int
-    entries: Mapping[Index, Fraction]
+    entries: Mapping[Index, Coeff]  # an int when integral, else a Fraction
 
     def to_json(self) -> dict:
         rows = sorted(self.entries.items(), key=lambda t: (_index_weight(t[0]), t[0]))
@@ -156,39 +161,60 @@ def coeff_table(n: int, closing: GradedPoly | None, c: Fraction | int,
 
     with a(0) = 1 and a(J) = 0 off the nonnegative orthant.  K = 0 leaves
     a(0) alone; a negative K raises ValueError.
+
+    The recursion runs on ints: with D the lcm of the denominators of
+    c/(2(1+2d)) and of every p(S), the scaled entries b(J) = D^(||J||/2) a(J)
+    satisfy the same recursion with c/(2(1+2d)) times D^2 in the first
+    term, 2D in the second and D p(S) in the third, since a step to J - e2
+    lowers the weight by 4 and the other two steps lower it by 2.  Each of
+    these factors is an int and b(0) = 1, so every b(J) is an int.  An
+    entry is stored as GradedPoly stores a coefficient: a(J) = b(J) when
+    D = 1 (the default c with an integral closing), else b(J)/D^(||J||/2),
+    an int when integral and a Fraction otherwise.
     """
     if delta not in (0, 1):
         raise ValueError("delta must be 0 or 1")
     _check_truncation(K)
     c = Q(c)
-    # the closing by dense index, less e_{n+1}: J - S + e_{n+1} is then J minus the key
-    pmap = {tuple(dict(unpack(m)).get(k, 0) - (k == n + 1) for k in range(2, n + 2)): v
-            for m, v in check_closing(n, closing).terms.items()}
+    closing_terms = check_closing(n, closing).terms
     ratio = c / (2 * (1 + 2 * delta))
-    entries: dict[Index, Fraction] = {}
+    scale = math.lcm(ratio.denominator, *(v.denominator for v in closing_terms.values()))
+    r = (ratio * scale * scale).numerator
+    two_scale = 2 * scale
+    # the scaled closing by dense index, less e_{n+1}: J - S + e_{n+1} is then J minus the key
+    pmap = {tuple(dict(unpack(m)).get(k, 0) - (k == n + 1) for k in range(2, n + 2)):
+            (v * scale).numerator for m, v in closing_terms.items()}
+    indices = _indices_up_to(n, 2 * K)
+    entries: dict[Index, Coeff] = {}
+    get = entries.get
     # a neighbour off the nonnegative orthant is never stored, so it reads 0
-    for w, j in _indices_up_to(n, 2 * K):
+    for w, j in indices:
         if w == 0:
-            entries[j] = Q(1)
+            entries[j] = 1
             continue
-        value = ratio * (w + delta - 2) * (w + delta - 3) * entries.get((j[0] - 1, *j[1:]), 0)
+        value = r * (w + delta - 2) * (w + delta - 3) * get((j[0] - 1, *j[1:]), 0)
         for i in range(n - 1):  # k = i+2 runs over 2..n
-            value += 2 * (j[i] + 1) * entries.get((*j[:i], j[i] + 1, j[i + 1] - 1, *j[i + 2:]), 0)
+            value += two_scale * (j[i] + 1) * get((*j[:i], j[i] + 1, j[i + 1] - 1, *j[i + 2:]), 0)
         for s, ps in pmap.items():
-            value += 2 * (j[n - 1] + 1) * ps * entries.get(tuple(a - b for a, b in zip(j, s)), 0)
+            value += 2 * (j[n - 1] + 1) * ps * get(tuple(a - b for a, b in zip(j, s)), 0)
         entries[j] = value
+    if scale != 1:
+        for w, j in indices:
+            power = scale ** (w // 2)
+            a, rest = divmod(entries[j], power)
+            entries[j] = Q(entries[j], power) if rest else a
     return CoeffTable(n, delta, c, K, entries)
 
 
 def series_from_table(table: CoeffTable) -> AnsatzSeries:
     """Regroup table entries by weight into series coefficients."""
-    buckets: dict[int, dict[Mono, Fraction]] = {}
+    buckets: dict[int, dict[Mono, Coeff]] = {}
     for j, a in table.entries.items():
         w = _index_weight(j)
         if w == 0 or a == 0:
             continue
         buckets.setdefault(w // 2, {})[mono({i + 2: e for i, e in enumerate(j)})] = a
-    coeffs = tuple(GradedPoly(buckets.get(k, {}))
+    coeffs = tuple(GradedPoly(buckets.get(k, {}), 2 * k)
                    for k in range(2, table.truncation + 1))
     return AnsatzSeries(table.n, table.delta, table.c, table.truncation, coeffs)
 

@@ -76,10 +76,13 @@ def _random_poles(rng: random.Random, count: int) -> list[Fraction]:
 
 
 def _random_mobius(rng: random.Random) -> Mobius:
+    """Three alternating upper and lower shears, each applied as a column operation."""
     m = Mobius.identity()
     for _ in range(3):
-        m = m @ Mobius(Q(1), Q(rng.randint(-3, 3), rng.randint(1, 4)), Q(0), Q(1))
-        m = m @ Mobius(Q(1), Q(0), Q(rng.randint(-3, 3), rng.randint(1, 4)), Q(1))
+        s = Q(rng.randint(-3, 3), rng.randint(1, 4))  # m @ (1 s; 0 1)
+        m = Mobius(m.a, m.a * s + m.b, m.c, m.c * s + m.d)
+        s = Q(rng.randint(-3, 3), rng.randint(1, 4))  # m @ (1 0; s 1)
+        m = Mobius(m.a + m.b * s, m.b, m.c + m.d * s, m.d)
     return m
 
 

@@ -94,30 +94,49 @@ def test_table_n1_recursion():
 
 
 def test_table_n2_literal_recursion_oracle():
-    # independent route: the level-2 recursion written out by hand
-    c, delta, p20, K = Q(5, 2), 1, Q(-3), 7
-    table = coeff_table(2, closing(2, [p20]), c, delta, K)
+    # independent route: the level-2 recursion written out by hand; the second
+    # case has a fractional closing, so the int recursion scales by D = lcm(18, 4)
+    delta = 1
+    for c, p20, K in ((Q(5, 2), Q(-3), 7), (Q(5, 3), Q(-3, 4), 9)):
+        table = coeff_table(2, closing(2, [p20]), c, delta, K)
 
-    oracle = {}
+        oracle = {}
 
-    def a(j2, j3):
-        if j2 < 0 or j3 < 0:
-            return Q(0)
-        return oracle[(j2, j3)]
+        def a(j2, j3):
+            if j2 < 0 or j3 < 0:
+                return Q(0)
+            return oracle[(j2, j3)]
 
-    indices = sorted(((j2, j3) for j2 in range(K + 1) for j3 in range(K + 1)
-                      if 4 * j2 + 6 * j3 <= 2 * K),
-                     key=lambda j: 4 * j[0] + 6 * j[1])
-    for j2, j3 in indices:
-        w = 4 * j2 + 6 * j3
-        if w == 0:
-            oracle[(j2, j3)] = Q(1)
-            continue
-        oracle[(j2, j3)] = (
-            c / Q(2 * (1 + 2 * delta)) * (w + delta - 3) * (w + delta - 2) * a(j2 - 1, j3)
-            + 2 * (j2 + 1) * a(j2 + 1, j3 - 1)
-            + 2 * (j3 + 1) * p20 * a(j2 - 2, j3 + 1))
-    assert dict(table.entries) == oracle
+        indices = sorted(((j2, j3) for j2 in range(K + 1) for j3 in range(K + 1)
+                          if 4 * j2 + 6 * j3 <= 2 * K),
+                         key=lambda j: 4 * j[0] + 6 * j[1])
+        for j2, j3 in indices:
+            w = 4 * j2 + 6 * j3
+            if w == 0:
+                oracle[(j2, j3)] = Q(1)
+                continue
+            oracle[(j2, j3)] = (
+                c / Q(2 * (1 + 2 * delta)) * (w + delta - 3) * (w + delta - 2) * a(j2 - 1, j3)
+                + 2 * (j2 + 1) * a(j2 + 1, j3 - 1)
+                + 2 * (j3 + 1) * p20 * a(j2 - 2, j3 + 1))
+        assert dict(table.entries) == oracle
+
+
+@pytest.mark.parametrize("c, coeffs, integral", [
+    (None, [3, -2, 1], True),            # the default c
+    (Q(3), [3, -2, 1], True),
+    (Q(5, 2), [Q(1, 2), 4, -1], False),  # a fractional closing
+])
+@pytest.mark.parametrize("delta", (0, 1))
+def test_table_and_series_store_int_exactly_when_integral(c, coeffs, integral, delta):
+    n, K = 4, 10
+    table = coeff_table(n, closing(n, coeffs), default_c(delta) if c is None else c, delta, K)
+    series = ansatz_series(n, closing(n, coeffs), table.c, delta, K)
+    for values in (list(table.entries.values()),
+                   [v for k in range(2, K + 1) for v in series.coeff(k).terms.values()]):
+        # GradedPoly's rule: an int when integral, else a Fraction that is not integral
+        assert all(type(v) is int or (type(v) is Q and v.denominator != 1) for v in values)
+        assert all(type(v) is int for v in values) == integral
 
 
 @pytest.mark.parametrize("n", range(6))
