@@ -22,6 +22,8 @@ Coefficients are exact: an `int` when integral, else a `fractions.Fraction`
 integral arithmetic skips Fraction's gcd work.  For float evaluation a
 polynomial is lowered once (GradedPoly.lower) to float coefficients, which
 eval_lowered sums with the same bits as the exact coefficients would.
+lowered_source writes the same sum as Python source, for code generated
+once and run many times (the RK4 step in systems).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ MAX_EXPONENT = (1 << (FIELD - 1)) - 1       # the field's top bit is its guard
 SLOTS = 1024                                # fields the guard covers: indices -1 .. SLOTS-2
 _MASK = (1 << FIELD) - 1
 _GUARD = (1 << (FIELD - 1)) * (((1 << (FIELD * SLOTS)) - 1) // _MASK)
+SUM_CHUNK = 200                             # terms per statement of lowered_source
 
 Q = Fraction
 Coeff = int | Fraction
@@ -98,9 +101,11 @@ def eval_lowered(terms: Iterable[tuple[Pairs, object]],
                  values: Mapping[int, object] | Sequence[object], zero):
     """Sum of c * prod_k values[k]**j over (unpacked monomial, c) pairs, in order; zero if none.
 
-    The one scalar evaluator: GradedPoly.eval hands it the exact terms,
-    float callers the terms lowered once.  `values` is anything indexed
-    by the variable index, a mapping or a sequence.
+    The scalar evaluator of GradedPoly.eval, which hands it the exact
+    terms, and of the float series sums, which hand it terms lowered once.
+    The RK4 field runs the same operations as generated code, written by
+    lowered_source.  `values` is anything indexed by the variable index, a
+    mapping or a sequence.
     """
     total = None
     for m, c in terms:
@@ -109,6 +114,30 @@ def eval_lowered(terms: Iterable[tuple[Pairs, object]],
             term = term * values[k] ** j
         total = term if total is None else total + term
     return zero if total is None else total
+
+
+def lowered_source(monomials: Iterable[Mono], target: str, var: Callable[[int], str],
+                   coeff: str, zero: str) -> list[str]:
+    """Python statements that set `target` to eval_lowered over a lowered polynomial.
+
+    `monomials` are the polynomial's keys in the order of its terms, which
+    is lower's order.  Term i reads `{coeff}{i} * x ** j * ...`: the
+    factors come by ascending index and are multiplied left to right, and
+    the terms are added left to right from the first; no terms give
+    `zero`.  These are eval_lowered's operations in its order, so the
+    statements give its bits.  `** j` stays for j >= 2, where it raises
+    OverflowError as eval_lowered does; `** 1` is left out, since x ** 1 is
+    x in both modes.  A sum of more than SUM_CHUNK terms continues in
+    further statements on `target`, in the same order, because compile
+    nests one level per term.
+    """
+    terms = [" * ".join([f"{coeff}{i}", *(var(k) if j == 1 else f"{var(k)} ** {j}"
+                                         for k, j in unpack(m))])
+             for i, m in enumerate(monomials)]
+    lines = [f"{target} = " + " + ".join(terms[:SUM_CHUNK] or [zero])]
+    for start in range(SUM_CHUNK, len(terms), SUM_CHUNK):
+        lines.append(f"{target} = " + " + ".join([target, *terms[start:start + SUM_CHUNK]]))
+    return lines
 
 
 class GradedPoly:

@@ -19,22 +19,38 @@ included, to float once at entry, so no Fraction reaches a float row.
 build_field converts the system's constants once to the mode's number
 type; floats converted early give the same bits, because Fraction * float
 computes float(Fraction) * float.
+
+The field and the RK4 step are generated Python source (_source), one
+text per structure: the level and the flows' monomials, with every
+constant and coefficient bound by name, never written as a literal.  The
+text has no loops.  It unpacks the state into locals, writes the field
+out once per stage with eval_lowered's products and sums in its order
+(lowered_source) and returns the new state.  Each operation is the one
+the per-term loops performed, on the same operands, so the bits do not
+change in either mode.  Compiling a text takes about half a millisecond,
+so the compiled code is kept in a bounded lru cache keyed on the
+structure, which holds only ints (_compiled); a build then converts the
+constants and binds them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .algebra import GradedPoly, Q, check_closing, check_homogeneous, eval_lowered
+from .algebra import GradedPoly, Mono, Q, check_closing, check_homogeneous, lowered_source
 from .jets import JetTooShort, hierarchy_ode
 
 # An exact RK4 step on a quadratic field multiplies the bits about 16x: from the
 # level-2 state (1/4, 1/5, -3/20) at step 1/10, the fourth step takes 30330 bits
 # to 485336.  A state past this many bits is refused before its next step.
 EXACT_BITS = 2 ** 15
+
+# Compiled lowerings kept, one per structure of flows (see _compiled).
+LOWERING_CACHE = 128
 
 
 class BlowUp(RuntimeError):
@@ -117,27 +133,98 @@ def _in_mode(spec: SystemSpec, state: SystemState, *extra) -> tuple:
     return num, SystemState(t, r, h, tuple(x)), extra
 
 
+def _source(flows: tuple[tuple[Mono, ...], ...]) -> str:
+    """Source of make(constants) -> (field, rk4) for flows with these monomial keys.
+
+    field(vec) is the right-hand side and rk4(vec) one classical RK4 step,
+    both as straight-line code.  vec is unpacked into locals.  The field is
+    written out once per stage: dh = -h * h - coupling * x2, each flow by
+    lowered_source and then dx_k = dx_k - rate_k * h * x_k, so a zero flow
+    gives zero - rate_k * h * x_k (+0.0 where h * x_k is +0.0).  The stages
+    and the update are v + half * k1, v + half * k2, v + step * k3 and
+    v + sixth * (k1 + 2 * k2 + 2 * k3 + k4).  No stage value of r is
+    formed, since no field reads it.  Only the level (the number of flows)
+    and the flows' monomials enter the text; every constant is an
+    argument of make.
+    """
+    ks = range(2, len(flows) + 2)
+    state = ", ".join(["r", "h", *(f"x{k}" for k in ks)])
+
+    def stage(s: int) -> list[str]:
+        """The field at stage s, from h, x_k at s = 1 and from h_s, x_k_s after."""
+        at = "" if s == 1 else f"_{s}"
+        lines = [f"dr_{s} = rate_r * h{at}",
+                 f"dh_{s} = -h{at} * h{at}" + (f" - coupling * x2{at}" if flows else "")]
+        for k, monomials in zip(ks, flows):
+            lines += lowered_source(monomials, f"dx{k}_{s}", lambda i: f"x{i}{at}", f"p{k}_", "zero")
+            lines.append(f"dx{k}_{s} = dx{k}_{s} - rate{k} * h{at} * x{k}{at}")
+        return lines
+
+    def advance(s: int, by: str) -> list[str]:
+        return [f"{v}_{s} = {v} + {by} * d{v}_{s - 1}" for v in ("h", *(f"x{k}" for k in ks))]
+
+    def combined(v: str) -> str:
+        return f"{v} + sixth * (d{v}_1 + 2 * d{v}_2 + 2 * d{v}_3 + d{v}_4)"
+
+    rates = [f"rate{k}" for k in ks]
+    coeffs = [f"p{k}_{i}" for k, monomials in zip(ks, flows) for i in range(len(monomials))]
+    unpack = [f"{', '.join(names)}, = {packed}"
+              for names, packed in ((rates, "rates"), (coeffs, "coeffs")) if names]
+    first = stage(1)
+    rk4 = [*first, *advance(2, "half"), *stage(2), *advance(3, "half"), *stage(3),
+           *advance(4, "step"), *stage(4),
+           f"return [{', '.join(combined(v) for v in ('r', 'h', *(f'x{k}' for k in ks)))}]"]
+    body = [
+        "def make(rate_r, coupling, zero, half, step, sixth, rates, coeffs):",
+        *(f"    {line}" for line in unpack),
+        "    def field(vec):",
+        f"        {state} = vec",
+        *(f"        {line}" for line in first),
+        f"        return {', '.join(['dr_1', 'dh_1', *(f'dx{k}_1' for k in ks)])}",
+        "    def rk4(vec):",
+        f"        {state} = vec",
+        *(f"        {line}" for line in rk4),
+        "    return field, rk4",
+    ]
+    return "\n".join(body) + "\n"
+
+
+@lru_cache(maxsize=LOWERING_CACHE)
+def _compiled(flows: tuple[tuple[Mono, ...], ...]) -> Callable:
+    """The make function of _source(flows), compiled once per structure.
+
+    The key holds monomial keys only, all ints, and no coefficient or
+    constant, so a hit can never hand one mode's or one closing's values
+    to another (1 == 1.0 == Fraction(1) would, as a key).
+    """
+    namespace: dict = {}
+    exec(compile(_source(flows), "<heatode.systems lowering>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _lowering(spec: SystemSpec, num: Callable, step=None) -> tuple[Callable, Callable]:
+    """(field, rk4) of the system in the mode of `num`, rk4 with step length `step`.
+
+    Every constant is converted by `num` as the field's closure did, and
+    half and sixth are Q(1, 2) * step and Q(1, 6) * step, as in the loop.
+    """
+    rates = tuple(num(2 * k) for k in range(2, spec.n + 2))
+    coeffs = tuple(num(c) for p in spec.flows for c in p.terms.values())
+    coupling = num(spec.c / Q(2 * (1 + 2 * spec.delta))) if spec.n >= 1 else None
+    half, sixth = (None, None) if step is None else (Q(1, 2) * step, Q(1, 6) * step)
+    make = _compiled(tuple(tuple(p.terms) for p in spec.flows))
+    return make(num(-(Q(spec.delta) + Q(1, 2))), coupling, num(0), half, step, sixth, rates, coeffs)
+
+
 def build_field(spec: SystemSpec, num: Callable) -> Callable[[Sequence], tuple]:
     """The right-hand side as a function of (r, h, x_2, ..., x_{n+1}).
 
-    The constants and the flows are converted once by `num` (Fraction or
-    float); the returned function keeps vector_field's operation order.
+    The function is generated code (see _source): its lines are those of
+    each stage of integrate_rk4's step, from the same cached compile.  The
+    constants and the flows' coefficients are converted once by `num`
+    (Fraction or float) and bound by name.
     """
-    rate_r = num(-(Q(spec.delta) + Q(1, 2)))
-    coupling = num(spec.c / Q(2 * (1 + 2 * spec.delta))) if spec.n >= 1 else None
-    zero = num(0)
-    rows = [(k, num(2 * k), p.lower(num)) for k, p in enumerate(spec.flows, start=2)]
-
-    def field(vec: Sequence) -> tuple:
-        h = vec[1]
-        dh = -h * h
-        if coupling is not None:
-            dh = dh - coupling * vec[2]
-        # vec[k] is x_k for k >= 2, so vec serves as the flows' value map
-        return (rate_r * h, dh,
-                *[eval_lowered(flow, vec, zero) - rate * h * vec[k] for k, rate, flow in rows])
-
-    return field
+    return _lowering(spec, num)[0]
 
 
 def vector_field(spec: SystemSpec, state: SystemState) -> tuple:
@@ -154,8 +241,10 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
     rational arithmetic); an exact state whose largest numerator or
     denominator exceeds EXACT_BITS bits raises ExactTooLarge before the
     next step.  Raises BlowUp when |h| exceeds h_bound or stops being a
-    number, the expected signal of a movable pole.  An h_bound that is not
-    positive (NaN included) raises ValueError.
+    number, or when a float state stops being finite (so h_bound = inf
+    still stops at an overflow), the expected signal of a movable pole.
+    An h_bound that is not positive (NaN included) raises ValueError.
+    Each step is one call of the generated step (see _source).
     """
     if not h_bound > 0:
         raise ValueError(f"the blow-up bound must be positive, got {h_bound}")
@@ -174,8 +263,7 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
     if nsteps <= 0 or off_grid:
         raise ValueError("(t_end - t0) must be a positive multiple of step")
 
-    field = build_field(spec, num)
-    half, sixth = Q(1, 2) * step, Q(1, 6) * step
+    rk4 = _lowering(spec, num, step)[1]
     out = [s0]
     vec = [s0.r, s0.h, *s0.x]
     for i in range(nsteps):
@@ -187,19 +275,13 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
                     f"the exact state at t = {t} has {bits}-bit numbers, over the bound of "
                     f"{EXACT_BITS}; integrate in float mode or take fewer steps")
         try:
-            k1 = field(vec)
-            k2 = field([v + half * d for v, d in zip(vec, k1)])
-            k3 = field([v + half * d for v, d in zip(vec, k2)])
-            k4 = field([v + step * d for v, d in zip(vec, k3)])
-            vec = [v + sixth * (a + 2 * b + 2 * c + d)
-                   for v, a, b, c, d in zip(vec, k1, k2, k3, k4)]
+            vec = rk4(vec)
         except (OverflowError, ZeroDivisionError):
             raise BlowUp(t, out) from None
         t_next = s0.t + (i + 1) * step
-        state = SystemState(t_next, vec[0], vec[1], tuple(vec[2:]))
-        if not abs(state.h) <= h_bound:
+        if not abs(vec[1]) <= h_bound or (num is float and not all(map(math.isfinite, vec))):
             raise BlowUp(t_next, out)
-        out.append(state)
+        out.append(SystemState(t_next, vec[0], vec[1], tuple(vec[2:])))
     return out
 
 
@@ -305,7 +387,7 @@ def transform_system(spec: SystemSpec,
     old_flows = dict(enumerate(spec.flows, start=2))
     new_flows = tuple((p.scale(ck) + q.derive(old_flows)).subst(inverse)
                       for p, ck, q in zip(spec.flows, scales, shears))
-    return SystemSpec(spec.n, spec.delta, spec.c / scales[0], new_flows)
+    return SystemSpec(spec.n, spec.delta, spec.c / scales[0] if scales else spec.c, new_flows)
 
 
 def weierstrass_system() -> SystemSpec:

@@ -248,6 +248,16 @@ def test_integrate_blowup_metadata(capsys):
     assert 0.9 < float(meta["blowup_t"]) < 1.1
 
 
+def test_integrate_infinite_guard_stops_at_a_non_finite_state(capsys):
+    # h overflows to -inf past t = 1; with --guard inf the run still stops there
+    code, out, _ = run(capsys, "integrate", "--n", "0", "--state", "0,-1",
+                       "--t-end", "2", "--step", "0.01", "--guard", "inf", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert 1.0 < float(report["metadata"]["blowup_t"]) < 1.1
+    assert all(math.isfinite(v) for row in report["rows"] for v in row)
+
+
 def test_integrate_csv_ends_with_the_blowup_line(capsys):
     code, out, _ = run(capsys, "integrate", "--n", "0", "--state", "0,-1",
                        "--t-end", "2", "--step", "0.001", "--guard", "1e6")

@@ -2,21 +2,27 @@
 
 The oracles below are the right-hand side, the RK4 step and the series
 sums written out with Fraction constants, as they were before the
-constants were converted once (GradedPoly.lower, systems.build_field,
-heat.lower_series).  Fraction * float computes float(Fraction) * float,
-so converting early must not change a single bit.
+constants were converted once (GradedPoly.lower, heat.lower_series) and
+before the field and the RK4 step became generated code (systems.build_field,
+systems.integrate_rk4).  Fraction * float computes float(Fraction) * float,
+so converting early must not change a single bit, and the generated code
+performs the oracles' operations in their order.
 """
 
 import math
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heatode.algebra import GradedPoly, closing_monomials, eval_lowered, monomial_basis, unpack
+from heatode import systems
+from heatode.algebra import (SUM_CHUNK, GradedPoly, closing_monomials, eval_lowered, lowered_source,
+                             monomial_basis, unpack)
 from heatode.heat import lower_series, series_sums
 from heatode.series import ansatz_series, default_c
-from heatode.systems import SystemSpec, SystemState, integrate_rk4, vector_field
+from heatode.systems import (BlowUp, SystemSpec, SystemState, integrate_rk4, transform_system,
+                             vector_field, weierstrass_deformed_system)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -72,7 +78,7 @@ def hexes(values):
 
 
 @st.composite
-def specs(draw):
+def reduced_specs(draw):
     """A reduced system at level 0..4 with a random closing and a non-default c."""
     n = draw(st.integers(0, 4))
     delta = draw(st.sampled_from((0, 1)))
@@ -80,6 +86,38 @@ def specs(draw):
     cs = draw(st.lists(coefficients, min_size=len(monos), max_size=len(monos)))
     c = draw(coefficients.filter(lambda v: v not in (0, default_c(delta))))
     return SystemSpec.reduced(n, delta, GradedPoly(dict(zip(monos, cs))), c)
+
+
+@st.composite
+def random_polys(draw, total, kmin, kmax):
+    """A random polynomial on some of the monomials with sum k*j_k = total, often zero."""
+    monos = monomial_basis(total, kmin, kmax)
+    chosen = draw(st.lists(st.sampled_from(monos), unique=True)) if monos else []
+    cs = draw(st.lists(coefficients, min_size=len(chosen), max_size=len(chosen)))
+    return GradedPoly(dict(zip(chosen, cs)))
+
+
+@st.composite
+def flow_specs(draw):
+    """A system at level 0..4 with a random homogeneous flow at every slot, zero ones included."""
+    n = draw(st.integers(0, 4))
+    flows = tuple(draw(random_polys(k + 1, 2, n + 1)) for k in range(2, n + 2))
+    return SystemSpec(n, draw(st.sampled_from((0, 1))), draw(coefficients), flows)
+
+
+@st.composite
+def transformed_specs(draw):
+    """A random triangular change of variables applied to a flow spec."""
+    spec = draw(flow_specs())
+    scale = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    rows = [(draw(scale), draw(random_polys(k, 2, k - 1)) or None) for k in range(2, spec.n + 2)]
+    return transform_system(spec, rows)
+
+
+def specs():
+    """Any SystemSpec: reduced, random flows, a transform, or the deformed Weierstrass system."""
+    return st.one_of(reduced_specs(), flow_specs(), transformed_specs(),
+                     st.just(weierstrass_deformed_system()))
 
 
 def states(n, values):
@@ -107,9 +145,28 @@ def test_exact_field_matches_oracle(data, spec):
 @given(data=st.data(), spec=specs(), step=st.sampled_from((1e-3, 0.01)))
 def test_float_rk4_matches_oracle_bit_for_bit(data, spec, step):
     s0 = data.draw(states(spec.n, st.floats(min_value=-1, max_value=1)))
+    try:
+        want = oracle_rk4(spec, s0, 8, step)
+    except OverflowError:
+        want = [math.inf]
+    if not all(map(math.isfinite, want)):  # a non-finite component stays non-finite in its row
+        with pytest.raises(BlowUp):
+            integrate_rk4(spec, s0, s0.t + 8 * step, step, h_bound=math.inf)
+        return
     got = integrate_rk4(spec, s0, s0.t + 8 * step, step, h_bound=math.inf)
     assert len(got) == 9
-    assert hexes(got[-1].row()[1:]) == hexes(oracle_rk4(spec, s0, 8, step))
+    assert hexes(got[-1].row()[1:]) == hexes(want)
+
+
+def test_zero_flow_row_is_positive_zero():
+    # the zero flow's row is 0 - rate*h*x: +0.0 where h*x = +0.0, never -(rate*h*x) = -0.0
+    spec = weierstrass_deformed_system()
+    state = SystemState(0.0, 0.0, 0.5, (0.25, -0.5, 0.0))
+    assert vector_field(spec, state)[-1].hex() == "0x0.0p+0"
+    assert oracle_field(spec, state)[-1].hex() == "0x0.0p+0"
+    final = integrate_rk4(spec, state, 0.5, 0.01)[-1]
+    assert final.x[-1].hex() == "0x0.0p+0"
+    assert hexes(final.row()[1:]) == hexes(oracle_rk4(spec, state, 50, 0.01))
 
 
 @SETTINGS
@@ -122,6 +179,33 @@ def test_lowered_eval_matches_fraction_eval(data, weight):
     got = eval_lowered(p.lower(float), values, 0.0)
     assert got.hex() == float(p.eval(values)).hex()
     assert got.hex() == float(oracle_eval(p, values)).hex()
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32))
+def test_lowered_source_splits_a_long_sum_in_order(seed):
+    # closing_monomials(22) has more than SUM_CHUNK monomials
+    rng = random.Random(seed)
+    monos = closing_monomials(22)
+    assert len(monos) > SUM_CHUNK
+    p = GradedPoly({m: Q(rng.randint(-50, 50), rng.randint(1, 12)) for m in monos})
+    lines = lowered_source(p.terms, "total", lambda k: f"v[{k}]", "c", "zero")
+    assert len(lines) == -(-len(p.terms) // SUM_CHUNK)
+    values = [rng.uniform(-2, 2) for _ in range(24)]
+    scope = {"v": values, "zero": 0.0, **{f"c{i}": float(c) for i, c in enumerate(p.terms.values())}}
+    exec("\n".join(lines), scope)
+    assert scope["total"].hex() == eval_lowered(p.lower(float), values, 0.0).hex()
+
+
+def test_level_22_field_and_step_match_the_oracles():
+    # the closing's sum spans two statements of the generated code
+    rng = random.Random(22)
+    closing = GradedPoly({m: Q(rng.randint(-5, 5), rng.randint(1, 4)) for m in closing_monomials(22)})
+    spec = SystemSpec.reduced(22, 0, closing)
+    s0 = SystemState(0.0, 0.0, 0.1, tuple(rng.uniform(-0.1, 0.1) for _ in range(22)))
+    assert hexes(vector_field(spec, s0)) == hexes(oracle_field(spec, s0))
+    final = integrate_rk4(spec, s0, 0.01, 0.001)[-1]
+    assert hexes(final.row()[1:]) == hexes(oracle_rk4(spec, s0, 10, 0.001))
 
 
 @SETTINGS
@@ -159,6 +243,66 @@ def test_golden_level_three_run():
     assert hexes(trajectory[-1].row()) == [
         "0x1.0000000000000p-1", "-0x1.52f192cc6e652p-4", "0x1.06c5898a4d012p-2",
         "0x1.8481ecb5f327cp-4", "-0x1.7b71e763d4c6ep-6", "0x1.9b4e03d1c0711p-5"]
+
+
+def test_golden_deformed_weierstrass_run():
+    # final state of a fixed 400-step run of a non-reduced system (a zero flow on top),
+    # recorded before the RK4 step became generated code
+    s0 = SystemState(0.0, 0.125, 0.3, (0.2, -0.1, 0.05))
+    trajectory = integrate_rk4(weierstrass_deformed_system(), s0, 0.4, 0.4 / 400)
+    assert len(trajectory) == 401
+    assert hexes(trajectory[-1].row()) == [
+        "0x1.999999999999ap-2", "-0x1.796d7b3a7104fp-5", "0x1.14dfae7f8c392p-2",
+        "0x1.14739df11ced0p-6", "-0x1.02e807ae59f0ep-5", "0x1.48f61f115dbebp-6"]
+
+
+# -- the compile cache ------------------------------------------------------------
+
+def test_cache_keeps_modes_apart():
+    spec = level_two()
+    exact = integrate_rk4(spec, SystemState(0, 0, Q(1, 4), (Q(1, 5), Q(-3, 20))), Q(1, 5), Q(1, 10))
+    floats = integrate_rk4(spec, SystemState(0.0, 0.0, 0.25, (0.2, -0.15)), 0.2, 0.1)
+    assert all(type(v) is Q for s in exact for v in s.row())
+    assert all(type(v) is float for s in floats for v in s.row())
+    assert exact[-1].row()[1:] == oracle_rk4(spec, exact[0], 2, Q(1, 10))
+    assert hexes(floats[-1].row()[1:]) == hexes(oracle_rk4(spec, floats[0], 2, 0.1))
+
+
+def test_cache_keeps_closings_with_the_same_monomials_apart():
+    s0 = SystemState(0.0, 0.0, 0.25, (0.2, -0.15))
+    finals = []
+    for coeff in (24, -3):
+        spec = SystemSpec.reduced(2, delta=1, closing=GradedPoly({closing_monomials(2)[0]: coeff}))
+        final = integrate_rk4(spec, s0, 0.5, 0.05)[-1].row()[1:]
+        assert hexes(final) == hexes(oracle_rk4(spec, s0, 10, 0.05))
+        finals.append(final)
+    assert finals[0] != finals[1]
+
+
+def test_cache_stays_bounded_over_a_mixed_run():
+    # every choice of monomials per slot at level 4 is its own structure: 2 * 4 * 4 * 8 of them
+    slots = [monomial_basis(k + 1, 2, 5) for k in range(2, 6)]
+    subsets = [[tuple(m for i, m in enumerate(monos) if mask >> i & 1)
+                for mask in range(1 << len(monos))] for monos in slots]
+    structures = [()]
+    for options in subsets:
+        structures = [s + (o,) for s in structures for o in options]
+    assert len(structures) > systems.LOWERING_CACHE
+    exact0 = SystemState(0, 0, Q(1, 4), (Q(1, 5), Q(-3, 20), Q(1, 7), Q(2, 9)))
+    float0 = SystemState(0.0, 0.0, 0.25, (0.2, -0.15, 0.125, 0.5))
+    for i, monos in enumerate(structures):
+        spec = SystemSpec(4, i % 2, Q(3, 7), tuple(GradedPoly({m: j + 2 for j, m in enumerate(ms)})
+                                                  for ms in monos))
+        s0, step = (exact0, Q(1, 10)) if i % 3 == 0 else (float0, 0.1)
+        final = integrate_rk4(spec, s0, s0.t + step, step)[-1]
+        want = oracle_rk4(spec, s0, 1, step)
+        if type(step) is float:
+            assert hexes(final.row()[1:]) == hexes(want)
+        else:
+            assert all(type(v) is Q for v in final.row()) and final.row()[1:] == want
+    info = systems._compiled.cache_info()
+    assert info.maxsize == systems.LOWERING_CACHE
+    assert 0 < info.currsize <= info.maxsize
 
 
 # -- the number-mode rule ---------------------------------------------------------

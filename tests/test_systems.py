@@ -129,6 +129,24 @@ def test_rk4_blowup_guard():
     assert err.value.trajectory
 
 
+def test_rk4_non_finite_state_trips_an_infinite_guard():
+    # with no bound on |h|, h overflows to -inf past t = 1 and r to inf: the run stops there
+    spec = SystemSpec.reduced(0, delta=0)
+    with pytest.raises(BlowUp) as err:
+        integrate_rk4(spec, SystemState(0.0, 0.0, -1.0, ()), 2.0, 0.01, h_bound=math.inf)
+    assert 1.0 < err.value.t_star < 1.1
+    assert all(math.isfinite(v) for s in err.value.trajectory for v in s.row())
+
+
+def test_rk4_finite_state_near_the_float_limit_is_not_flagged():
+    spec = SystemSpec.reduced(0, delta=0)
+    for r in (1.7e308, -1.7e308):
+        trajectory = integrate_rk4(spec, SystemState(0.0, r, 1e-3, ()), 1.0, 0.1, h_bound=math.inf)
+        assert len(trajectory) == 11
+        assert all(math.isfinite(v) for s in trajectory for v in s.row())
+        assert abs(trajectory[-1].r) > 1e308
+
+
 def test_rk4_step_validation():
     spec = SystemSpec.reduced(0, delta=0)
     s0 = SystemState(Q(0), Q(0), Q(1), ())
@@ -337,6 +355,8 @@ def test_transform_identity():
     spec = SystemSpec.reduced(2, delta=1, closing=closing(2, [24]))
     same = transform_system(spec, [(Q(1), None), (Q(1), None)])
     assert same == spec
+    level_zero = SystemSpec.reduced(0, delta=1)
+    assert transform_system(level_zero, []) == level_zero  # no coordinate, so c is kept
 
 
 def test_transform_rejects_singular():
