@@ -25,12 +25,12 @@ text per structure: the level and the flows' monomials, with every
 constant and coefficient bound by name, never written as a literal.  The
 text has no loops.  It unpacks the state into locals, writes the field
 out once per stage with eval_lowered's products and sums in its order
-(lowered_source) and returns the new state.  Each operation is the one
-the per-term loops performed, on the same operands, so the bits do not
-change in either mode.  Compiling a text takes about half a millisecond,
-so the compiled code is kept in a bounded lru cache keyed on the
-structure, which holds only ints (_compiled); a build then converts the
-constants and binds them.
+(lowered_source) and returns the new state.  Each operation is one that
+eval_lowered and the RK4 formulas perform, on the same operands and in
+their order, so both modes keep their bits.  Compiling a level-4 text takes
+about half a millisecond, so the compiled code is kept in a bounded lru
+cache keyed on the structure, which holds only ints (_compiled); a build
+then only converts the constants and binds them.
 """
 
 from __future__ import annotations
@@ -168,15 +168,15 @@ def _source(flows: tuple[tuple[Mono, ...], ...]) -> str:
 
     rates = [f"rate{k}" for k in ks]
     coeffs = [f"p{k}_{i}" for k, monomials in zip(ks, flows) for i in range(len(monomials))]
-    unpack = [f"{', '.join(names)}, = {packed}"
-              for names, packed in ((rates, "rates"), (coeffs, "coeffs")) if names]
+    bind = [f"{', '.join(names)}, = {packed}"
+            for names, packed in ((rates, "rates"), (coeffs, "coeffs")) if names]
     first = stage(1)
     rk4 = [*first, *advance(2, "half"), *stage(2), *advance(3, "half"), *stage(3),
            *advance(4, "step"), *stage(4),
            f"return [{', '.join(combined(v) for v in ('r', 'h', *(f'x{k}' for k in ks)))}]"]
     body = [
         "def make(rate_r, coupling, zero, half, step, sixth, rates, coeffs):",
-        *(f"    {line}" for line in unpack),
+        *(f"    {line}" for line in bind),
         "    def field(vec):",
         f"        {state} = vec",
         *(f"        {line}" for line in first),
@@ -205,8 +205,9 @@ def _compiled(flows: tuple[tuple[Mono, ...], ...]) -> Callable:
 def _lowering(spec: SystemSpec, num: Callable, step=None) -> tuple[Callable, Callable]:
     """(field, rk4) of the system in the mode of `num`, rk4 with step length `step`.
 
-    Every constant is converted by `num` as the field's closure did, and
-    half and sixth are Q(1, 2) * step and Q(1, 6) * step, as in the loop.
+    Every constant and coefficient is converted once by `num`; half and
+    sixth are Q(1, 2) * step and Q(1, 6) * step, in float mode
+    float(Q(1, 2)) * step and float(Q(1, 6)) * step.
     """
     rates = tuple(num(2 * k) for k in range(2, spec.n + 2))
     coeffs = tuple(num(c) for p in spec.flows for c in p.terms.values())
@@ -219,8 +220,8 @@ def _lowering(spec: SystemSpec, num: Callable, step=None) -> tuple[Callable, Cal
 def build_field(spec: SystemSpec, num: Callable) -> Callable[[Sequence], tuple]:
     """The right-hand side as a function of (r, h, x_2, ..., x_{n+1}).
 
-    The function is generated code (see _source): its lines are those of
-    each stage of integrate_rk4's step, from the same cached compile.  The
+    The function is generated code (see _source): its lines are the first
+    stage of integrate_rk4's step, from the same cached compile.  The
     constants and the flows' coefficients are converted once by `num`
     (Fraction or float) and bound by name.
     """

@@ -158,6 +158,15 @@ def test_float_rk4_matches_oracle_bit_for_bit(data, spec, step):
     assert hexes(got[-1].row()[1:]) == hexes(want)
 
 
+def test_power_overflow_trips_the_guard_at_the_step_start():
+    # g2 ** 2 raises OverflowError inside the first step, where g2 * g2 would give inf
+    s0 = SystemState(0.0, 0.0, 0.0, (1e200, 0.0, 0.0))
+    with pytest.raises(BlowUp) as err:
+        integrate_rk4(weierstrass_deformed_system(), s0, 0.01, 0.001, h_bound=math.inf)
+    assert err.value.t_star == 0.0
+    assert err.value.trajectory == [s0]
+
+
 def test_zero_flow_row_is_positive_zero():
     # the zero flow's row is 0 - rate*h*x: +0.0 where h*x = +0.0, never -(rate*h*x) = -0.0
     spec = weierstrass_deformed_system()
@@ -202,7 +211,7 @@ def test_level_22_field_and_step_match_the_oracles():
     rng = random.Random(22)
     closing = GradedPoly({m: Q(rng.randint(-5, 5), rng.randint(1, 4)) for m in closing_monomials(22)})
     spec = SystemSpec.reduced(22, 0, closing)
-    s0 = SystemState(0.0, 0.0, 0.1, tuple(rng.uniform(-0.1, 0.1) for _ in range(22)))
+    s0 = SystemState(0.0, 0.0, 0.1, tuple(rng.uniform(-1, 1) for _ in range(22)))
     assert hexes(vector_field(spec, s0)) == hexes(oracle_field(spec, s0))
     final = integrate_rk4(spec, s0, 0.01, 0.001)[-1]
     assert hexes(final.row()[1:]) == hexes(oracle_rk4(spec, s0, 10, 0.001))
