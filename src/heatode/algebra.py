@@ -23,7 +23,7 @@ integral arithmetic skips Fraction's gcd work.  For float evaluation a
 polynomial is lowered once (GradedPoly.lower) to float coefficients, which
 eval_lowered sums with the same bits as the exact coefficients would.
 lowered_source writes the same sum as Python source, for code generated
-once and run many times (the RK4 step in systems).
+once and run many times (the field and the RK4 loop in systems).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ polynomial factor, checked coefficient by coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -238,7 +238,8 @@ def trajectory_provider(spec: SystemSpec, s0: SystemState,
         i += t0 + (i + 1) * step_hint <= t  # the quotient can round to just below a node
         if i >= len(nodes):
             grown = integrate_rk4(spec, nodes[-1], t0 + i * step_hint, step_hint)[1:]
-            nodes.extend([replace(s, t=t0 + j * step_hint) for j, s in enumerate(grown, len(nodes))])
+            nodes.extend([SystemState(t0 + j * step_hint, s.r, s.h, s.x)
+                          for j, s in enumerate(grown, len(nodes))])
         node = nodes[i]
         gap = t - node.t
         state = node if gap <= 0 else integrate_rk4(spec, node, t, gap)[-1]

@@ -20,26 +20,31 @@ build_field converts the system's constants once to the mode's number
 type; floats converted early give the same bits, because Fraction * float
 computes float(Fraction) * float.
 
-The field and the RK4 step are generated Python source (_source), one
-text per structure: the level and the flows' monomials, with every
-constant and coefficient bound by name, never written as a literal.  The
-text has no loops.  It unpacks the state into locals, writes the field
-out once per stage with eval_lowered's products and sums in its order
-(lowered_source) and returns the new state.  Each operation is one that
-eval_lowered and the RK4 formulas perform, on the same operands and in
-their order, so both modes keep their bits.  Compiling a level-4 text takes
-about half a millisecond, so the compiled code is kept in a bounded lru
-cache keyed on the structure, which holds only ints (_compiled); a build
-then only converts the constants and binds them.
+The field and the whole fixed-step RK4 loop are generated Python source
+(_source), one text per structure and mode: the level, the flows'
+monomials and whether the run is exact, with every constant and
+coefficient bound by name, never written as a literal.  The field is
+straight-line code.  The loop unpacks the state into locals once; each
+step writes the field out once per stage with eval_lowered's products and
+sums in its order (lowered_source), reassigns the locals from the combined
+update and appends the new state as a plain tuple.  Each operation is one
+that eval_lowered and the RK4 formulas perform, on the same operands and
+in their order, so both modes keep their bits.  The two modes differ only
+in one guard line each: an exact run checks EXACT_BITS before every step,
+a float run checks after it that every coordinate is still finite.
+Compiling a level-4 text takes about half a millisecond, so the compiled
+code is kept in a bounded lru cache keyed on the structure and the mode,
+which hold only ints (_compiled); a build then only converts the
+constants and binds them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import GradedPoly, Mono, Q, check_closing, check_homogeneous, lowered_source
 from .jets import JetTooShort, hierarchy_ode
@@ -49,7 +54,7 @@ from .jets import JetTooShort, hierarchy_ode
 # to 485336.  A state past this many bits is refused before its next step.
 EXACT_BITS = 2 ** 15
 
-# Compiled lowerings kept, one per structure of flows (see _compiled).
+# Compiled lowerings kept, one per structure of flows and mode (see _compiled).
 LOWERING_CACHE = 128
 
 
@@ -107,8 +112,7 @@ class SystemSpec:
         return cls(n, delta, Q(c) if c is not None else default_c(delta), flows)
 
 
-@dataclass(frozen=True)
-class SystemState:
+class SystemState(NamedTuple):
     """One trajectory point; scalars are Fractions or floats, uniformly."""
 
     t: Fraction | float
@@ -118,6 +122,11 @@ class SystemState:
 
     def row(self) -> list:
         return [self.t, self.r, self.h, *self.x]
+
+
+# dataclasses.replace and dataclasses.fields still accept a state, as they did
+# when SystemState was a frozen dataclass
+SystemState.__dataclass_fields__ = make_dataclass("SystemState", SystemState._fields).__dataclass_fields__
 
 
 def _in_mode(spec: SystemSpec, state: SystemState, *extra) -> tuple:
@@ -133,22 +142,43 @@ def _in_mode(spec: SystemSpec, state: SystemState, *extra) -> tuple:
     return num, SystemState(t, r, h, tuple(x)), extra
 
 
-def _source(flows: tuple[tuple[Mono, ...], ...]) -> str:
-    """Source of make(constants) -> (field, rk4) for flows with these monomial keys.
+def _check_bits(t, vec) -> None:
+    """ExactTooLarge if an exact state, about to step from t, is over EXACT_BITS bits."""
+    bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in vec)
+    if bits > EXACT_BITS:
+        raise ExactTooLarge(
+            f"the exact state at t = {t} has {bits}-bit numbers, over the bound of "
+            f"{EXACT_BITS}; integrate in float mode or take fewer steps")
 
-    field(vec) is the right-hand side and rk4(vec) one classical RK4 step,
-    both as straight-line code.  vec is unpacked into locals.  The field is
-    written out once per stage: dh = -h * h - coupling * x2, each flow by
-    lowered_source and then dx_k = dx_k - rate_k * h * x_k, so a zero flow
-    gives zero - rate_k * h * x_k (+0.0 where h * x_k is +0.0).  The stages
-    and the update are v + half * k1, v + half * k2, v + step * k3 and
-    v + sixth * (k1 + 2 * k2 + 2 * k3 + k4).  No stage value of r is
-    formed, since no field reads it.  Only the level (the number of flows)
-    and the flows' monomials enter the text; every constant is an
-    argument of make.
+
+def _source(flows: tuple[tuple[Mono, ...], ...], exact: int) -> str:
+    """Source of make(constants) -> (field, walk) for flows with these monomial keys.
+
+    field(vec) is the right-hand side as straight-line code, vec unpacked
+    into locals.  walk(out, nsteps, bound) runs nsteps classical RK4 steps
+    from out[-1] and appends each new state to out.  It unpacks the state
+    into locals once, and each step writes the field out once per stage:
+    dh = -h * h - coupling * x2, each flow by lowered_source and then
+    dx_k = dx_k - rate_k * h * x_k, so a zero flow gives
+    zero - rate_k * h * x_k (+0.0 where h * x_k is +0.0).  The stages and
+    the update are v + half * k1, v + half * k2, v + step * k3 and
+    v + sixth * (k1 + 2 * k2 + 2 * k3 + k4), the update assigned to the
+    locals at once.  No stage value of r is formed, since no field reads
+    it.  Step i starts at t0 + i * step and its state is stamped
+    t0 + (i + 1) * step, t0 = out[-1].t.  An OverflowError or
+    ZeroDivisionError inside a step raises BlowUp at its start, with out as
+    the trajectory so far.  After a step, |h| over bound raises BlowUp at
+    the new time; so does, in float mode (exact = 0), a coordinate that is
+    not finite: r * 0.0 + h * 0.0 + ... is 0.0 exactly when all are finite,
+    since a finite value times 0.0 is +-0.0 and inf or NaN gives NaN.  In
+    exact mode (exact = 1) _check_bits runs before every step instead.
+    Only the level (the number of flows), the flows' monomials and the mode
+    enter the text; every constant is an argument of make.
     """
     ks = range(2, len(flows) + 2)
-    state = ", ".join(["r", "h", *(f"x{k}" for k in ks)])
+    xs = [f"x{k}" for k in ks]
+    state = ", ".join(["r", "h", *xs])
+    coords = f"({', '.join(xs)},)" if xs else "()"
 
     def stage(s: int) -> list[str]:
         """The field at stage s, from h, x_k at s = 1 and from h_s, x_k_s after."""
@@ -161,11 +191,17 @@ def _source(flows: tuple[tuple[Mono, ...], ...]) -> str:
         return lines
 
     def advance(s: int, by: str) -> list[str]:
-        return [f"{v}_{s} = {v} + {by} * d{v}_{s - 1}" for v in ("h", *(f"x{k}" for k in ks))]
+        return [f"{v}_{s} = {v} + {by} * d{v}_{s - 1}" for v in ("h", *xs)]
 
     def combined(v: str) -> str:
         return f"{v} + sixth * (d{v}_1 + 2 * d{v}_2 + 2 * d{v}_3 + d{v}_4)"
 
+    if exact:
+        before = [f"check_bits(t0 + i * step, ({state},))"]
+        guard = "not abs(h) <= bound"
+    else:
+        before = []
+        guard = "not abs(h) <= bound or not " + " + ".join(f"{v} * 0.0" for v in ("r", "h", *xs)) + " == 0.0"
     rates = [f"rate{k}" for k in ks]
     coeffs = [f"p{k}_{i}" for k, monomials in zip(ks, flows) for i in range(len(monomials))]
     bind = [f"{', '.join(names)}, = {packed}"
@@ -173,7 +209,7 @@ def _source(flows: tuple[tuple[Mono, ...], ...]) -> str:
     first = stage(1)
     rk4 = [*first, *advance(2, "half"), *stage(2), *advance(3, "half"), *stage(3),
            *advance(4, "step"), *stage(4),
-           f"return [{', '.join(combined(v) for v in ('r', 'h', *(f'x{k}' for k in ks)))}]"]
+           f"{state} = {', '.join(combined(v) for v in ('r', 'h', *xs))}"]
     body = [
         "def make(rate_r, coupling, zero, half, step, sixth, rates, coeffs):",
         *(f"    {line}" for line in bind),
@@ -181,29 +217,40 @@ def _source(flows: tuple[tuple[Mono, ...], ...]) -> str:
         f"        {state} = vec",
         *(f"        {line}" for line in first),
         f"        return {', '.join(['dr_1', 'dh_1', *(f'dx{k}_1' for k in ks)])}",
-        "    def rk4(vec):",
-        f"        {state} = vec",
-        *(f"        {line}" for line in rk4),
-        "    return field, rk4",
+        "    def walk(out, nsteps, bound):",
+        f"        t0, r, h, {coords} = out[-1]",
+        "        for i in range(nsteps):",
+        *(f"            {line}" for line in before),
+        "            try:",
+        *(f"                {line}" for line in rk4),
+        "            except (OverflowError, ZeroDivisionError):",
+        "                raise BlowUp(t0 + i * step, out) from None",
+        "            t_next = t0 + (i + 1) * step",
+        f"            if {guard}:",
+        "                raise BlowUp(t_next, out)",
+        f"            out.append(new(SystemState, (t_next, r, h, {coords})))",
+        "        return out",
+        "    return field, walk",
     ]
     return "\n".join(body) + "\n"
 
 
 @lru_cache(maxsize=LOWERING_CACHE)
-def _compiled(flows: tuple[tuple[Mono, ...], ...]) -> Callable:
-    """The make function of _source(flows), compiled once per structure.
+def _compiled(exact: int, flows: tuple[tuple[Mono, ...], ...]) -> Callable:
+    """The make function of _source(flows, exact), compiled once per structure and mode.
 
-    The key holds monomial keys only, all ints, and no coefficient or
-    constant, so a hit can never hand one mode's or one closing's values
-    to another (1 == 1.0 == Fraction(1) would, as a key).
+    The key holds the mode as an int and monomial keys, all ints, and no
+    coefficient or constant, so a hit can never hand one mode's or one
+    closing's values to another (1 == 1.0 == Fraction(1) would, as a key).
     """
-    namespace: dict = {}
-    exec(compile(_source(flows), "<heatode.systems lowering>", "exec"), namespace)
+    namespace = {"BlowUp": BlowUp, "SystemState": SystemState, "new": tuple.__new__,
+                 "check_bits": _check_bits}
+    exec(compile(_source(flows, exact), "<heatode.systems lowering>", "exec"), namespace)
     return namespace["make"]
 
 
 def _lowering(spec: SystemSpec, num: Callable, step=None) -> tuple[Callable, Callable]:
-    """(field, rk4) of the system in the mode of `num`, rk4 with step length `step`.
+    """(field, walk) of the system in the mode of `num`, walk with step length `step`.
 
     Every constant and coefficient is converted once by `num`; half and
     sixth are Q(1, 2) * step and Q(1, 6) * step, in float mode
@@ -213,7 +260,7 @@ def _lowering(spec: SystemSpec, num: Callable, step=None) -> tuple[Callable, Cal
     coeffs = tuple(num(c) for p in spec.flows for c in p.terms.values())
     coupling = num(spec.c / Q(2 * (1 + 2 * spec.delta))) if spec.n >= 1 else None
     half, sixth = (None, None) if step is None else (Q(1, 2) * step, Q(1, 6) * step)
-    make = _compiled(tuple(tuple(p.terms) for p in spec.flows))
+    make = _compiled(int(num is Q), tuple(tuple(p.terms) for p in spec.flows))
     return make(num(-(Q(spec.delta) + Q(1, 2))), coupling, num(0), half, step, sixth, rates, coeffs)
 
 
@@ -243,9 +290,11 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
     denominator exceeds EXACT_BITS bits raises ExactTooLarge before the
     next step.  Raises BlowUp when |h| exceeds h_bound or stops being a
     number, or when a float state stops being finite (so h_bound = inf
-    still stops at an overflow), the expected signal of a movable pole.
-    An h_bound that is not positive (NaN included) raises ValueError.
-    Each step is one call of the generated step (see _source).
+    still stops at an overflow), the expected signal of a movable pole;
+    an OverflowError or ZeroDivisionError inside a step raises BlowUp at
+    that step's start.  An h_bound that is not positive (NaN included)
+    raises ValueError.  After the checks below, the whole run is one call
+    of the generated loop (see _source).
     """
     if not h_bound > 0:
         raise ValueError(f"the blow-up bound must be positive, got {h_bound}")
@@ -263,27 +312,7 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
         off_grid = abs(nsteps * step - span) > 1e-9 * abs(step)
     if nsteps <= 0 or off_grid:
         raise ValueError("(t_end - t0) must be a positive multiple of step")
-
-    rk4 = _lowering(spec, num, step)[1]
-    out = [s0]
-    vec = [s0.r, s0.h, *s0.x]
-    for i in range(nsteps):
-        t = s0.t + i * step
-        if num is Q:
-            bits = max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in vec)
-            if bits > EXACT_BITS:
-                raise ExactTooLarge(
-                    f"the exact state at t = {t} has {bits}-bit numbers, over the bound of "
-                    f"{EXACT_BITS}; integrate in float mode or take fewer steps")
-        try:
-            vec = rk4(vec)
-        except (OverflowError, ZeroDivisionError):
-            raise BlowUp(t, out) from None
-        t_next = s0.t + (i + 1) * step
-        if not abs(vec[1]) <= h_bound or (num is float and not all(map(math.isfinite, vec))):
-            raise BlowUp(t_next, out)
-        out.append(SystemState(t_next, vec[0], vec[1], tuple(vec[2:])))
-    return out
+    return _lowering(spec, num, step)[1]([s0], nsteps, h_bound)
 
 
 # -- exact solution families ---------------------------------------------------
@@ -304,15 +333,23 @@ class PoleSum:
     def jet(self, t, max_order: int) -> list:
         """Exact jet (h, h', ..., h^(max_order)) at t; PoleHit on a pole.
 
-        The q-th derivative is (1/b) sum_k (-1)^q q!/(t - a_k)^(q+1).
+        The q-th derivative is (1/b) sum_k (-1)^q q!/(t - a_k)^(q+1).  At a
+        float t the poles and b are converted to float once: Fraction's
+        arithmetic with a float converts both operands to float at every
+        use, so the bits are the same.  The pole test stays exact, so a
+        float t that rounds to a pole without equalling it divides by 0.0.
         """
-        if any(t == a for a in self.poles):
+        poles, b = self.poles, self.b
+        if isinstance(t, float):
+            poles, b = tuple(map(float, poles)), float(b)
+        # float(a) is a rounded, so a float t can equal a only where it equals float(a)
+        if any(p == t and a == t for p, a in zip(poles, self.poles)):
             raise PoleHit(f"t = {t} is a pole")
         out = []
         fact = 1
         sign = 1
         for q in range(max_order + 1):
-            out.append(sum(sign * fact / (t - a) ** (q + 1) for a in self.poles) / self.b)
+            out.append(sum(sign * fact / (t - a) ** (q + 1) for a in poles) / b)
             fact *= q + 1
             sign = -sign
         return out

@@ -9,6 +9,7 @@ so converting early must not change a single bit, and the generated code
 performs the oracles' operations in their order.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as Q
@@ -21,8 +22,9 @@ from heatode.algebra import (SUM_CHUNK, GradedPoly, closing_monomials, eval_lowe
                              monomial_basis, unpack)
 from heatode.heat import lower_series, series_sums
 from heatode.series import ansatz_series, default_c
-from heatode.systems import (BlowUp, SystemSpec, SystemState, integrate_rk4, transform_system,
-                             vector_field, weierstrass_deformed_system)
+from heatode.systems import (EXACT_BITS, BlowUp, ExactTooLarge, PoleHit, SystemSpec, SystemState,
+                             integrate_rk4, pole_sum, transform_system, vector_field,
+                             weierstrass_deformed_system)
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -265,6 +267,100 @@ def test_golden_deformed_weierstrass_run():
         "0x1.14739df11ced0p-6", "-0x1.02e807ae59f0ep-5", "0x1.48f61f115dbebp-6"]
 
 
+# -- the generated loop: where a run stops and what it keeps -------------------------
+
+def oracle_rows(spec, s0, steps, step):
+    """The oracle's states after 0, 1, ... steps as rows, the i-th stamped s0.t + i * step.
+
+    Each step is one oracle_rk4 step from the row before; a step that raises
+    OverflowError ends the list.
+    """
+    rows = [s0.row()]
+    for i in range(1, steps + 1):
+        _, r, h, *x = rows[-1]
+        try:
+            vec = oracle_rk4(spec, SystemState(s0.t, r, h, tuple(x)), 1, step)
+        except OverflowError:
+            break
+        rows.append([s0.t + i * step, *vec])
+    return rows
+
+
+def keyed(rows):
+    """Rows compared bit for bit: a float by its hex, any other number by its type and value."""
+    return [[v.hex() if type(v) is float else (type(v), v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("num", [Q, float])
+def test_guard_trip_keeps_the_oracle_prefix(num):
+    # from h = -1 the oracle's |h| reads 1.04, 0.89 and then 274 after three steps of 1/4
+    spec, step = level_two(), num(Q(1, 4))
+    s0 = SystemState(num(0), num(0), num(-1), (num(Q(1, 2)), num(Q(-1, 4))))
+    rows = oracle_rows(spec, s0, 3, step)
+    assert [abs(row[2]) > 100 for row in rows] == [False, False, False, True]
+    with pytest.raises(BlowUp) as err:
+        integrate_rk4(spec, s0, 2 * num(1), step, h_bound=100)
+    assert keyed([[err.value.t_star]]) == keyed([[s0.t + 3 * step]])
+    assert keyed(s.row() for s in err.value.trajectory) == keyed(rows[:3])
+    assert all(type(s) is SystemState for s in err.value.trajectory)
+
+
+def test_overflow_keeps_the_oracle_prefix():
+    # g2 = 1e30: the first step ends near g3 = 7e202, whose square overflows in the second
+    spec, step = weierstrass_deformed_system(), 0.01
+    s0 = SystemState(0.0, 0.0, 0.0, (1e30, 0.0, 0.0))
+    rows = oracle_rows(spec, s0, 2, step)
+    assert len(rows) == 2
+    with pytest.raises(BlowUp) as err:
+        integrate_rk4(spec, s0, 0.05, step, h_bound=math.inf)
+    assert err.value.t_star.hex() == (s0.t + 1 * step).hex()
+    assert keyed(s.row() for s in err.value.trajectory) == keyed(rows)
+
+
+def test_non_finite_state_keeps_the_oracle_prefix():
+    # h = 1/(t - 1) from h = -1: with no bound the run stops at the first non-finite state
+    spec, step = level_two(), 1 / 16
+    s0 = SystemState(0.0, 0.0, -1.0, (0.0, 0.0))
+    rows = oracle_rows(spec, s0, 48, step)
+    last = next(i for i, row in enumerate(rows) if not all(map(math.isfinite, row)))
+    assert 16 < last < 48
+    with pytest.raises(BlowUp) as err:
+        integrate_rk4(spec, s0, 3.0, step, h_bound=math.inf)
+    assert err.value.t_star.hex() == rows[last][0].hex()
+    assert keyed(s.row() for s in err.value.trajectory) == keyed(rows[:last])
+
+
+def test_exact_too_large_at_the_oracle_step():
+    # an h of 2 ** -200 grows past EXACT_BITS only in the second step of 1/10
+    spec, step = level_two(), Q(1, 10)
+    s0 = SystemState(Q(0), Q(0), Q(1, 2 ** 200), (Q(1, 5), Q(-3, 20)))
+    rows = oracle_rows(spec, s0, 2, step)
+    bits = [max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in row[1:])
+            for row in rows]
+    assert bits[1] <= EXACT_BITS < bits[2]
+    with pytest.raises(ExactTooLarge) as err:
+        integrate_rk4(spec, s0, 1, step)
+    assert str(err.value) == (
+        f"the exact state at t = {2 * step} has {bits[2]}-bit numbers, over the bound of "
+        f"{EXACT_BITS}; integrate in float mode or take fewer steps")
+    trajectory = integrate_rk4(spec, s0, 2 * step, step)
+    assert keyed(s.row() for s in trajectory) == keyed(rows)
+    assert all(isinstance(v, Q) for v in trajectory[-1].row())
+
+
+def test_state_is_a_positional_immutable_tuple():
+    s = SystemState(Q(1), 2.0, 3.0, (4.0, 5.0))
+    assert (s.t, s.r, s.h, s.x) == (Q(1), 2.0, 3.0, (4.0, 5.0))
+    assert s.row() == [Q(1), 2.0, 3.0, 4.0, 5.0]
+    with pytest.raises(AttributeError):
+        s.h = 0.0
+    # dataclasses.replace still takes a state
+    moved = dataclasses.replace(s, t=Q(2))
+    assert type(moved) is SystemState and moved == SystemState(Q(2), 2.0, 3.0, (4.0, 5.0))
+    trajectory = integrate_rk4(level_two(), SystemState(0.0, 0.0, 0.25, (0.2, -0.15)), 0.2, 0.1)
+    assert all(type(s) is SystemState for s in trajectory)
+
+
 # -- the compile cache ------------------------------------------------------------
 
 def test_cache_keeps_modes_apart():
@@ -314,6 +410,27 @@ def test_cache_stays_bounded_over_a_mixed_run():
     assert 0 < info.currsize <= info.maxsize
 
 
+def test_cache_keys_are_ints(monkeypatch):
+    keys = []
+    compiled = systems._compiled
+
+    def spy(*key):
+        keys.append(key)
+        return compiled(*key)
+
+    monkeypatch.setattr(systems, "_compiled", spy)
+    spec = level_two()
+    integrate_rk4(spec, SystemState(0, 0, Q(1, 4), (Q(1, 5), Q(-3, 20))), Q(1, 5), Q(1, 10))
+    integrate_rk4(spec, SystemState(0.0, 0.0, 0.25, (0.2, -0.15)), 0.2, 0.1)
+    vector_field(spec, SystemState(0.0, 0.0, 0.25, (0.2, -0.15)))
+
+    def leaves(key):
+        return [v for item in key for v in leaves(item)] if type(key) is tuple else [key]
+
+    assert [key[0] for key in keys] == [1, 0, 0]
+    assert all(type(v) is int for key in keys for v in leaves(key))
+
+
 # -- the number-mode rule ---------------------------------------------------------
 
 def level_two():
@@ -354,3 +471,50 @@ def test_float_mode_rejects_a_rational_beyond_float_range():
     with pytest.raises(ValueError):
         vector_field(spec, SystemState(0.0, 0.0, huge, ()))
     assert integrate_rk4(spec, SystemState(0, huge, 1, ()), 1, Q(1, 2))[-1].r < huge  # exact mode
+
+
+# -- pole-sum jets at a float time ------------------------------------------------
+
+def oracle_jet(ps, t, max_order):
+    """PoleSum.jet with its Fraction poles and b in every operation, as before its float path."""
+    if any(t == a for a in ps.poles):
+        raise PoleHit(f"t = {t} is a pole")
+    out, fact, sign = [], 1, 1
+    for q in range(max_order + 1):
+        out.append(sum(sign * fact / (t - a) ** (q + 1) for a in ps.poles) / ps.b)
+        fact *= q + 1
+        sign = -sign
+    return out
+
+
+def jet_outcome(jet, t, max_order):
+    """The jet's hexes, or the type of the error it raised."""
+    try:
+        return hexes(jet(t, max_order))
+    except (ZeroDivisionError, OverflowError) as err:
+        return type(err)
+
+
+@SETTINGS
+@given(data=st.data(), max_order=st.integers(0, 6),
+       poles=st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=16),
+                      min_size=1, max_size=6, unique=True),
+       b=st.fractions(min_value=-8, max_value=8, max_denominator=6).filter(bool))
+def test_float_jet_matches_the_fraction_expression(data, max_order, poles, b):
+    ps = pole_sum(b, poles)
+    # a float pole, or the float nearest a pole that is not one, or any time
+    t = data.draw(st.one_of(st.sampled_from([float(a) for a in ps.poles]),
+                            st.floats(min_value=-6, max_value=6)))
+    want = jet_outcome(lambda t, m: oracle_jet(ps, t, m), t, max_order)
+    assert jet_outcome(ps.jet, t, max_order) == want
+
+
+def test_float_jet_pole_test_stays_exact():
+    ps = pole_sum(3, [Q(1, 2), Q(1, 3), Q(-2)])
+    for t in (0.5, -2.0):
+        with pytest.raises(PoleHit):
+            ps.jet(t, 2)
+    # the float nearest 1/3 is not the pole: the arithmetic divides by 0.0, as the Fractions did
+    near = float(Q(1, 3))
+    assert jet_outcome(ps.jet, near, 2) is ZeroDivisionError
+    assert jet_outcome(lambda t, m: oracle_jet(ps, t, m), near, 2) is ZeroDivisionError
