@@ -299,14 +299,14 @@ def test_guard_trip_keeps_the_oracle_prefix(num):
     rows = oracle_rows(spec, s0, 3, step)
     assert [abs(row[2]) > 100 for row in rows] == [False, False, False, True]
     with pytest.raises(BlowUp) as err:
-        integrate_rk4(spec, s0, 2 * num(1), step, h_bound=100)
+        integrate_rk4(spec, s0, num(2), step, h_bound=100)
     assert keyed([[err.value.t_star]]) == keyed([[s0.t + 3 * step]])
     assert keyed(s.row() for s in err.value.trajectory) == keyed(rows[:3])
     assert all(type(s) is SystemState for s in err.value.trajectory)
 
 
 def test_overflow_keeps_the_oracle_prefix():
-    # g2 = 1e30: the first step ends near g3 = 7e202, whose square overflows in the second
+    # g2 = 1e30: the first step ends near g2 = 7e202, whose square overflows in the second
     spec, step = weierstrass_deformed_system(), 0.01
     s0 = SystemState(0.0, 0.0, 0.0, (1e30, 0.0, 0.0))
     rows = oracle_rows(spec, s0, 2, step)
@@ -317,21 +317,25 @@ def test_overflow_keeps_the_oracle_prefix():
     assert keyed(s.row() for s in err.value.trajectory) == keyed(rows)
 
 
-def test_non_finite_state_keeps_the_oracle_prefix():
-    # h = 1/(t - 1) from h = -1: with no bound the run stops at the first non-finite state
-    spec, step = level_two(), 1 / 16
-    s0 = SystemState(0.0, 0.0, -1.0, (0.0, 0.0))
-    rows = oracle_rows(spec, s0, 48, step)
-    last = next(i for i, row in enumerate(rows) if not all(map(math.isfinite, row)))
-    assert 16 < last < 48
+@pytest.mark.parametrize("spec, s0, first", [
+    # h = 1/(t - 1) from h = -1 reaches -inf (r +inf) at step 19, where |h| <= inf still holds
+    (SystemSpec.reduced(0), SystemState(0.0, 0.0, -1.0, ()), 19),
+    # with c = 0 and a zero flow, x2 = 1e306 (1 - t)^-4 overflows at step 22 while h is -1.52
+    (SystemSpec(1, 0, Q(0), (GradedPoly.zero(),)), SystemState(0.0, 0.0, -1.0, (1e306,)), 22),
+], ids=["h-and-r", "x2-alone"])
+def test_non_finite_state_keeps_the_oracle_prefix(spec, s0, first):
+    step = 1 / 16 if spec.n == 0 else 1 / 64
+    rows = oracle_rows(spec, s0, 40, step)
+    assert [all(map(math.isfinite, row)) for row in rows[first - 1:first + 1]] == [True, False]
+    assert not math.isnan(rows[first][2])
     with pytest.raises(BlowUp) as err:
-        integrate_rk4(spec, s0, 3.0, step, h_bound=math.inf)
-    assert err.value.t_star.hex() == rows[last][0].hex()
-    assert keyed(s.row() for s in err.value.trajectory) == keyed(rows[:last])
+        integrate_rk4(spec, s0, s0.t + 40 * step, step, h_bound=math.inf)
+    assert err.value.t_star.hex() == rows[first][0].hex()
+    assert keyed(s.row() for s in err.value.trajectory) == keyed(rows[:first])
 
 
 def test_exact_too_large_at_the_oracle_step():
-    # an h of 2 ** -200 grows past EXACT_BITS only in the second step of 1/10
+    # an h of 2 ** -200 grows past EXACT_BITS in the second step of 1/10, so the third is refused
     spec, step = level_two(), Q(1, 10)
     s0 = SystemState(Q(0), Q(0), Q(1, 2 ** 200), (Q(1, 5), Q(-3, 20)))
     rows = oracle_rows(spec, s0, 2, step)
