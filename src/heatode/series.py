@@ -239,10 +239,6 @@ class BareSeries:
             raise IndexError(f"series truncated at K = {self.truncation}")
         return self.coeffs[k - 1]
 
-    def r_rate(self) -> GradedPoly:
-        """The side condition: r'(t) must equal half the first coefficient."""
-        return self.coeff(1).scale(Q(1, 2))
-
     def to_json(self) -> dict:
         return {
             "n": self.n,
@@ -318,11 +314,6 @@ def sigma_l2(p: GradedPoly) -> GradedPoly:
     """The lowering field 6 g3 d/dg2 + (1/3) g2^2 d/dg3 on (g2, g3) polynomials."""
     g2 = GradedPoly.variable(2)
     return p.derive({2: GradedPoly.variable(3, 6), 3: (g2 * g2).scale(Q(1, 3))})
-
-
-def sigma_l0(p: GradedPoly) -> GradedPoly:
-    """The scaling field 4 g2 d/dg2 + 6 g3 d/dg3."""
-    return p.derive({2: GradedPoly.variable(2, 4), 3: GradedPoly.variable(3, 6)})
 
 
 # -- Hermite polynomials ------------------------------------------------------

@@ -20,6 +20,7 @@ from .algebra import (
     closing_dim,
     closing_from_coeffs,
     closing_monomials,
+    monomial_basis,
     partition_count,
 )
 from .jets import (
@@ -286,7 +287,6 @@ def suite_heat(seed: int = 0) -> dict:
         entry["pass"] = report.all_ok
         cases.append(entry)
 
-    from .algebra import monomial_basis
     spec = SystemSpec.reduced(2, delta=1, closing=closing_from_coeffs(2, [24]))
     series = ansatz_series(2, closing_from_coeffs(2, [24]), Q(-6), 1, 8)
     fault_ok = True

@@ -16,26 +16,26 @@ mode is decided by the values, never by a flag: vector_field and
 integrate_rk4 run exact iff every scalar of the state (and of t_end and
 step) is an int or a Fraction; otherwise they convert every scalar, t
 included, to float once at entry, so no Fraction reaches a float row.
-build_field converts the system's constants once to the mode's number
-type; floats converted early give the same bits, because Fraction * float
-computes float(Fraction) * float.
+The constants are converted once to the mode's number type; floats
+converted early give the same bits, because Fraction * float computes
+float(Fraction) * float.
 
-The field and the whole fixed-step RK4 loop are generated Python source
-(_source), one text per structure and mode: the level, the flows'
-monomials and whether the run is exact, with every constant and
-coefficient bound by name, never written as a literal.  The field is
-straight-line code.  The loop unpacks the state into locals once; each
-step writes the field out once per stage with eval_lowered's products and
-sums in its order (lowered_source), reassigns the locals from the combined
-update and appends the new state as a plain tuple.  Each operation is one
-that eval_lowered and the RK4 formulas perform, on the same operands and
-in their order, so both modes keep their bits.  The two modes differ only
+vector_field writes the field above in plain Python.  The fixed-step RK4
+loop is generated Python source (_source), one text per structure and
+mode: the level, the flows' monomials and whether the run is exact, with
+every constant and coefficient bound by name, never written as a
+literal.  The loop unpacks the state into locals once; each step writes
+the field out once per stage with eval_lowered's products and sums in its
+order (lowered_source), reassigns the locals from the combined update and
+appends the new state as a plain tuple.  Each operation is one that
+eval_lowered and the RK4 formulas perform, on the same operands and in
+their order, so both modes keep their bits.  The two modes differ only
 in one guard line each: an exact run checks EXACT_BITS before every step,
 a float run checks after it that every coordinate is still finite.
 Compiling a level-4 text takes about half a millisecond, so the compiled
 code is kept in a bounded lru cache keyed on the structure and the mode,
-which hold only ints (_compiled); a build then only converts the
-constants and binds them.
+which hold only ints (_compiled); a run then only converts the constants
+and binds them.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .jets import JetTooShort, hierarchy_ode
 # to 485336.  A state past this many bits is refused before its next step.
 EXACT_BITS = 2 ** 15
 
-# Compiled lowerings kept, one per structure of flows and mode (see _compiled).
+# Compiled RK4 loops kept, one per structure of flows and mode (see _compiled).
 LOWERING_CACHE = 128
 
 
@@ -155,12 +155,11 @@ def _check_bits(t, vec) -> None:
 
 
 def _source(flows: tuple[tuple[Mono, ...], ...], exact: int) -> str:
-    """Source of make(constants) -> (field, walk) for flows with these monomial keys.
+    """Source of make(constants) -> walk for flows with these monomial keys.
 
-    field(vec) is the right-hand side as straight-line code, vec unpacked
-    into locals.  walk(out, nsteps, bound) runs nsteps classical RK4 steps
-    from out[-1] and appends each new state to out.  It unpacks the state
-    into locals once, and each step writes the field out once per stage:
+    walk(out, nsteps, bound) runs nsteps classical RK4 steps from out[-1]
+    and appends each new state to out.  It unpacks the state into locals
+    once, and each step writes the field out once per stage:
     dh = -h * h - coupling * x2, each flow by lowered_source and then
     dx_k = dx_k - rate_k * h * x_k, so a zero flow gives
     zero - rate_k * h * x_k (+0.0 where h * x_k is +0.0).  The stages and
@@ -208,17 +207,12 @@ def _source(flows: tuple[tuple[Mono, ...], ...], exact: int) -> str:
     coeffs = [f"p{k}_{i}" for k, monomials in zip(ks, flows) for i in range(len(monomials))]
     bind = [f"{', '.join(names)}, = {packed}"
             for names, packed in ((rates, "rates"), (coeffs, "coeffs")) if names]
-    first = stage(1)
-    rk4 = [*first, *advance(2, "half"), *stage(2), *advance(3, "half"), *stage(3),
+    rk4 = [*stage(1), *advance(2, "half"), *stage(2), *advance(3, "half"), *stage(3),
            *advance(4, "step"), *stage(4),
            f"{state} = {', '.join(combined(v) for v in ('r', 'h', *xs))}"]
     body = [
         "def make(rate_r, coupling, zero, half, step, sixth, rates, coeffs):",
         *(f"    {line}" for line in bind),
-        "    def field(vec):",
-        f"        {state} = vec",
-        *(f"        {line}" for line in first),
-        f"        return {', '.join(['dr_1', 'dh_1', *(f'dx{k}_1' for k in ks)])}",
         "    def walk(out, nsteps, bound):",
         f"        t0, r, h, {coords} = out[-1]",
         "        for i in range(nsteps):",
@@ -232,7 +226,7 @@ def _source(flows: tuple[tuple[Mono, ...], ...], exact: int) -> str:
         "                raise BlowUp(t_next, out)",
         f"            out.append(new(SystemState, (t_next, r, h, {coords})))",
         "        return out",
-        "    return field, walk",
+        "    return walk",
     ]
     return "\n".join(body) + "\n"
 
@@ -251,36 +245,19 @@ def _compiled(exact: int, flows: tuple[tuple[Mono, ...], ...]) -> Callable:
     return namespace["make"]
 
 
-def _lowering(spec: SystemSpec, num: Callable, step=None) -> tuple[Callable, Callable]:
-    """(field, walk) of the system in the mode of `num`, walk with step length `step`.
-
-    Every constant and coefficient is converted once by `num`; half and
-    sixth are Q(1, 2) * step and Q(1, 6) * step, in float mode
-    float(Q(1, 2)) * step and float(Q(1, 6)) * step.
-    """
-    rates = tuple(num(2 * k) for k in range(2, spec.n + 2))
-    coeffs = tuple(num(c) for p in spec.flows for c in p.terms.values())
-    coupling = num(spec.c / Q(2 * (1 + 2 * spec.delta))) if spec.n >= 1 else None
-    half, sixth = (None, None) if step is None else (Q(1, 2) * step, Q(1, 6) * step)
-    make = _compiled(int(num is Q), tuple(tuple(p.terms) for p in spec.flows))
-    return make(num(-(Q(spec.delta) + Q(1, 2))), coupling, num(0), half, step, sixth, rates, coeffs)
-
-
-def build_field(spec: SystemSpec, num: Callable) -> Callable[[Sequence], tuple]:
-    """The right-hand side as a function of (r, h, x_2, ..., x_{n+1}).
-
-    The function is generated code (see _source): its lines are the first
-    stage of integrate_rk4's step, from the same cached compile.  The
-    constants and the flows' coefficients are converted once by `num`
-    (Fraction or float) and bound by name.
-    """
-    return _lowering(spec, num)[0]
-
-
 def vector_field(spec: SystemSpec, state: SystemState) -> tuple:
-    """Right-hand side (dr, dh, dx_2, ..., dx_{n+1}) at a state."""
+    """Right-hand side (dr, dh, dx_2, ..., dx_{n+1}) at a state, in the state's mode.
+
+    The formulas of the module docstring, each constant converted once by
+    the mode's number type; a zero flow gives 0 - 2k h x_k.
+    """
     num, state, _ = _in_mode(spec, state)
-    return build_field(spec, num)([state.r, state.h, *state.x])
+    h, x = state.h, dict(enumerate(state.x, start=2))
+    dh = -h * h
+    if spec.n >= 1:
+        dh = dh - num(spec.c / Q(2 * (1 + 2 * spec.delta))) * x[2]
+    dx = [p.eval(x) - num(2 * k) * h * x[k] for k, p in enumerate(spec.flows, start=2)]
+    return (num(-(Q(spec.delta) + Q(1, 2))) * h, dh, *dx)
 
 
 def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
@@ -295,8 +272,10 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
     still stops at an overflow), the expected signal of a movable pole;
     an OverflowError or ZeroDivisionError inside a step raises BlowUp at
     that step's start.  An h_bound that is not positive (NaN included)
-    raises ValueError.  After the checks below, the whole run is one call
-    of the generated loop (see _source).
+    raises ValueError.  After the checks below, the constants are
+    converted once (half and sixth are Q(1, 2) * step and Q(1, 6) * step,
+    in float mode float(Q(1, 2)) * step and float(Q(1, 6)) * step) and the
+    whole run is one call of the generated loop (see _source).
     """
     if not h_bound > 0:
         raise ValueError(f"the blow-up bound must be positive, got {h_bound}")
@@ -314,7 +293,13 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
         off_grid = abs(nsteps * step - span) > 1e-9 * abs(step)
     if nsteps <= 0 or off_grid:
         raise ValueError("(t_end - t0) must be a positive multiple of step")
-    return _lowering(spec, num, step)[1]([s0], nsteps, h_bound)
+    rates = tuple(num(2 * k) for k in range(2, spec.n + 2))
+    coeffs = tuple(num(c) for p in spec.flows for c in p.terms.values())
+    coupling = num(spec.c / Q(2 * (1 + 2 * spec.delta))) if spec.n >= 1 else None
+    make = _compiled(int(num is Q), tuple(tuple(p.terms) for p in spec.flows))
+    walk = make(num(-(Q(spec.delta) + Q(1, 2))), coupling, num(0), Q(1, 2) * step, step,
+                Q(1, 6) * step, rates, coeffs)
+    return walk([s0], nsteps, h_bound)
 
 
 # -- exact solution families ---------------------------------------------------

@@ -93,6 +93,14 @@ def test_level_zero_solution_matches_fundamental():
         assert abs(sol.psi(z, t) - ref(z, t)) < 1e-14
 
 
+@pytest.mark.parametrize("n, delta, c", [(1, 0, None), (0, 1, None), (0, 0, Q(3))],
+                         ids=["level", "delta", "c"])
+def test_solution_rejects_a_series_of_another_system(n, delta, c):
+    series = ansatz_series(n, None, default_c(delta) if c is None else c, delta, 4)
+    with pytest.raises(ValueError, match="series parameters do not match the system"):
+        AnsatzSolution(SystemSpec.reduced(0), series, pole_state_provider(0, 1, [0], 0))
+
+
 def test_level_zero_grid_residual_is_fd_only():
     spec = SystemSpec.reduced(0, delta=0)
     series = ansatz_series(0, None, default_c(0), 0, 6)

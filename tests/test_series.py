@@ -18,7 +18,6 @@ from heatode.series import (
     hermite_eval,
     quartic_eigenfunction_check,
     series_from_table,
-    sigma_l0,
     sigma_l2,
     sigma_series,
 )
@@ -204,11 +203,6 @@ def test_bare_series_one_step():
     assert s.coeff(2) == expect
 
 
-def test_bare_series_side_condition():
-    s = bare_series(addendum_flows(), x1.scale(Q(-1, 2)), 3)
-    assert s.r_rate() == x1.scale(Q(-1, 4))
-
-
 def test_bare_series_weight_validation():
     with pytest.raises(WeightMismatch):
         bare_series((x1, x3), x1, 3)  # flow of x_1 must have weight 4
@@ -238,12 +232,12 @@ def test_sigma_annihilated_order_by_order():
 
 
 def test_sigma_scaling_operator():
-    # homogeneity makes the first-order operator hold automatically
+    # homogeneity makes the scaling field 4 g2 d/dg2 + 6 g3 d/dg3 hold automatically (Euler)
     S = sigma_series(8)
     for k, s in enumerate(S):
         if s:
             assert s.weight == 2 * k
-            assert sigma_l0(s) == s.scale(2 * k)
+            assert s.derive({2: x2.scale(4), 3: x3.scale(6)}) == s.scale(2 * k)
 
 
 def test_sigma_degenerate_case_oracle():

@@ -11,7 +11,7 @@ from heatode.algebra import (
 from heatode.cli import main
 from heatode.jets import PARAM, JetPoly, family_ode, pole_sum_ode
 from heatode.series import ansatz_series, bare_series, coeff_table
-from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4
+from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4, vector_field
 
 x1 = GradedPoly.variable(1)
 x2 = GradedPoly.variable(2)
@@ -136,6 +136,16 @@ def test_rk4_rejects_non_finite_input(bad):
             integrate_rk4(spec, s0, 1.0, 0.25)
     with pytest.raises(ValueError):
         integrate_rk4(spec, SystemState(0.0, 0.0, 1.0, (0.5,)), bad, 0.25)
+
+
+@pytest.mark.parametrize("x", [(), (0.5, 0.25)], ids=["too-few", "too-many"])
+def test_wrong_coordinate_count_is_rejected(x):
+    spec, s0 = SystemSpec.reduced(1), SystemState(0.0, 0.0, 1.0, x)
+    message = f"state has {len(x)} coordinates, spec wants 1"
+    with pytest.raises(ValueError, match=message):
+        vector_field(spec, s0)
+    with pytest.raises(ValueError, match=message):
+        integrate_rk4(spec, s0, 1.0, 0.25)
 
 
 def test_rk4_nan_during_run_trips_guard():
