@@ -16,6 +16,8 @@ stored key sets, so a product whose exponent would pass MAX_EXPONENT
 raises ExponentOverflow instead of carrying into the next variable.
 Only this module builds or takes apart a key: mono packs exponents,
 unpack lists the (index, exponent) pairs for printing and evaluation.
+unpack keeps its answers for the last UNPACK_CACHE keys, since evaluation
+decodes the same few hundred keys on every call.
 
 Coefficients are exact: an `int` when integral, else a `fractions.Fraction`
 (printed alike: str(3) is str(Fraction(3))), so no rounding ever occurs and
@@ -23,13 +25,13 @@ integral arithmetic skips Fraction's gcd work.  For float evaluation a
 polynomial is lowered once (GradedPoly.lower) to float coefficients, which
 eval_lowered sums with the same bits as the exact coefficients would.
 lowered_source writes the same sum as Python source, for code generated
-once and run many times (the field and the RK4 loop in systems).
+once and run many times (the RK4 loop in systems).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -42,6 +44,7 @@ SLOTS = 1024                                # fields the guard covers: indices -
 _MASK = (1 << FIELD) - 1
 _GUARD = (1 << (FIELD - 1)) * (((1 << (FIELD * SLOTS)) - 1) // _MASK)
 SUM_CHUNK = 200                             # terms per statement of lowered_source
+UNPACK_CACHE = 1024                         # keys whose unpacked pairs unpack keeps
 
 Q = Fraction
 Coeff = int | Fraction
@@ -71,8 +74,15 @@ def mono(exponents: Mapping[int, int], lowest: int = 1) -> Mono:
             key += j << (FIELD * (k + 1))
     return key
 
+@lru_cache(maxsize=UNPACK_CACHE)
 def unpack(m: Mono) -> Pairs:
-    """The (index, exponent) pairs of a key with a positive exponent, by ascending index."""
+    """The (index, exponent) pairs of a key with a positive exponent, by ascending index.
+
+    Kept for the last UNPACK_CACHE keys: a key is an int and its pairs a
+    tuple, so every caller may share them.  Evaluation (GradedPoly.eval,
+    the jets' eval, systems.lift_jet) and weighing (mono_weight) decode the
+    same few hundred keys again and again.
+    """
     return tuple((s - 1, j) for s, j in enumerate(m.to_bytes((m.bit_length() + 7) // 8, "little"))
                  if j)
 

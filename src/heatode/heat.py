@@ -16,6 +16,11 @@ equation into statements about the series coefficients and the flow of
                          successive sums agree, with an explicit Gaussian
                          tail bound.
 
+The numeric checks sample AnsatzSolution and WideSolution, which
+evaluate the series coefficients P_k(x(t)) once per time (series_values)
+and keep them for the last TIME_CACHE times, so the sums at every z of a
+grid row (series_sums) reuse them.
+
 polynomial_solution_check verifies the Gaussian-times-Hermite solutions
 exactly: the heat residual reduces to Hermite's operator on the
 polynomial factor, checked coefficient by coefficient.
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .algebra import GradedPoly, Q, eval_lowered
@@ -121,18 +127,33 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
 
 # -- assembled solutions ---------------------------------------------------------
 
+# Query times whose state values a solution keeps: a grid point reads three.
+# The cache key holds t's type as well as its value, since a provider may
+# answer an exact time exactly and the equal float in floats, with other bits.
+TIME_CACHE = 8
+
+
 def lower_series(series: AnsatzSeries | BareSeries) -> tuple:
-    """(delta, K, ((k, P_k lowered to float), ...)) over the nonzero P_k, for series_sums."""
+    """(delta, K, ((k, P_k lowered to float), ...)) over the nonzero P_k, for series_values."""
     K = series.truncation
     return series.delta, K, tuple((k, pk.lower(float))
                                   for k in range(1, K + 1) if (pk := series.coeff(k)))
 
 
-def series_sums(lowered: tuple, z: float,
-                x: Mapping[int, float]) -> tuple[float, float, float, float]:
+def series_values(lowered: tuple, x: Mapping[int, float]) -> tuple[float, ...]:
+    """The float values P_k(x) of the coefficients in lowered = lower_series(series), in order.
+
+    They depend on the state only, not on z: a solution computes them once
+    per time and hands them to series_sums for every z.
+    """
+    return tuple(eval_lowered(pk, x, 0.0) for _, pk in lowered[2])
+
+
+def series_sums(lowered: tuple, values: Sequence[float],
+                z: float) -> tuple[float, float, float, float]:
     """Float sums at z of z^delta + sum_k P_k(x) z^e/e!, e = 2k + delta.
 
-    `lowered` is lower_series(series) and x maps indices to floats.
+    `lowered` is lower_series(series) and `values` is series_values(lowered, x).
     Returns the value, its first and second z-derivatives, and the
     magnitude of the last retained term (the truncation estimate).
     Coefficients that vanish are skipped.
@@ -141,8 +162,7 @@ def series_sums(lowered: tuple, z: float,
     s = float(z) ** delta
     sz = 1.0 if delta else 0.0  # d/dz z^delta for delta in {0, 1}
     szz = tail = 0.0
-    for k, pk in coeffs:
-        v = eval_lowered(pk, x, 0.0)
+    for (k, _), v in zip(coeffs, values):
         e = 2 * k + delta
         s += v * z ** e / math.factorial(e)
         sz += v * z ** (e - 1) / math.factorial(e - 1)
@@ -165,7 +185,12 @@ def assemble(sums: tuple, z: float, h: float, r: float) -> tuple[float, float, f
 
 @dataclass
 class AnsatzSolution:
-    """A factored solution: system, series and a state provider t -> state."""
+    """A factored solution: system, series and a state provider t -> state.
+
+    The state provider must be a function of t alone: h, r and the
+    coefficient values at t are computed once and kept for the last
+    TIME_CACHE distinct query times.
+    """
 
     spec: SystemSpec
     series: AnsatzSeries
@@ -176,12 +201,18 @@ class AnsatzSolution:
         if (s.n, s.delta, s.c) != (self.spec.n, self.spec.delta, self.spec.c):
             raise ValueError("series parameters do not match the system")
         self._lowered = lower_series(s)
+        self._at = lru_cache(TIME_CACHE, typed=True)(self._values_at)
+
+    def _values_at(self, t: float) -> tuple[float, float, tuple[float, ...]]:
+        """(h, r, P_k(x)) at t as floats."""
+        state = self.state_at(t)
+        x = {k: float(v) for k, v in enumerate(state.x, start=2)}
+        return float(state.h), float(state.r), series_values(self._lowered, x)
 
     def parts(self, z: float, t: float) -> tuple[float, float, float]:
         """Value, exact-in-z second derivative and last-term magnitude at (z, t)."""
-        state = self.state_at(t)
-        x = {k: float(v) for k, v in enumerate(state.x, start=2)}
-        return assemble(series_sums(self._lowered, z, x), z, float(state.h), float(state.r))
+        h, r, values = self._at(t)
+        return assemble(series_sums(self._lowered, values, z), z, h, r)
 
     def psi(self, z: float, t: float) -> float:
         return self.parts(z, t)[0]
@@ -189,18 +220,28 @@ class AnsatzSolution:
 
 @dataclass
 class WideSolution:
-    """The Gaussian-free shape exp(r(t)) * (wide series in z)."""
+    """The Gaussian-free shape exp(r(t)) * (wide series in z).
+
+    As for AnsatzSolution, state_at must be a function of t alone, and r
+    and the coefficient values are kept for the last TIME_CACHE times.
+    """
 
     series: BareSeries
     state_at: Callable[[float], tuple[float, Mapping[int, float]]]
 
     def __post_init__(self):
         self._lowered = lower_series(self.series)
+        self._at = lru_cache(TIME_CACHE, typed=True)(self._values_at)
+
+    def _values_at(self, t: float) -> tuple[float, float, tuple[float, ...]]:
+        """(0.0, r, P_k(x)) at t: the shape has no Gaussian."""
+        r, x = self.state_at(t)
+        return 0.0, r, series_values(self._lowered, x)
 
     def parts(self, z: float, t: float) -> tuple[float, float, float]:
         """Value, exact-in-z second derivative and last-term magnitude at (z, t)."""
-        r, x = self.state_at(t)
-        return assemble(series_sums(self._lowered, z, x), z, 0.0, r)
+        h, r, values = self._at(t)
+        return assemble(series_sums(self._lowered, values, z), z, h, r)
 
     def psi(self, z: float, t: float) -> float:
         return self.parts(z, t)[0]

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from heatode import systems
 from heatode.algebra import (SUM_CHUNK, GradedPoly, closing_monomials, eval_lowered, lowered_source,
                              monomial_basis, unpack)
-from heatode.heat import lower_series, series_sums
+from heatode.heat import lower_series, series_sums, series_values
 from heatode.series import ansatz_series, default_c
 from heatode.systems import (EXACT_BITS, BlowUp, ExactTooLarge, PoleHit, SystemSpec, SystemState,
                              integrate_rk4, pole_sum, transform_system, vector_field,
@@ -229,27 +229,31 @@ def test_level_22_field_and_step_match_the_oracles():
 
 @SETTINGS
 @given(data=st.data(), delta=st.sampled_from((0, 1)),
-       z=st.floats(min_value=-2, max_value=2))
-def test_series_sums_match_fraction_coefficients(data, delta, z):
+       zs=st.lists(st.floats(min_value=-2, max_value=2), min_size=1, max_size=3))
+def test_series_sums_match_fraction_coefficients(data, delta, zs):
     monos = closing_monomials(3)
     closing = GradedPoly(dict(zip(monos, data.draw(st.lists(coefficients, min_size=len(monos),
                                                             max_size=len(monos))))))
     series = ansatz_series(3, closing, default_c(delta), delta, 8)
     x = {k: data.draw(st.floats(min_value=-1, max_value=1)) for k in (2, 3, 4)}
-    # the sums with the Fraction coefficients evaluated term by term
-    s, sz, szz, tail = float(z) ** delta, 1.0 if delta else 0.0, 0.0, 0.0
-    for k in range(1, 9):
-        pk = series.coeff(k)
-        if not pk:
-            continue
-        v = float(oracle_eval(pk, x))
-        e = 2 * k + delta
-        s += v * z ** e / math.factorial(e)
-        sz += v * z ** (e - 1) / math.factorial(e - 1)
-        szz += v * z ** (e - 2) / math.factorial(e - 2)
-        if k == 8:
-            tail = abs(v) * abs(z) ** e / math.factorial(e)
-    assert hexes(series_sums(lower_series(series), z, x)) == hexes((s, sz, szz, tail))
+    lowered = lower_series(series)
+    # the values once per state, then the sums at each z from the same values
+    values = series_values(lowered, x)
+    coeffs = [(k, pk) for k in range(1, 9) if (pk := series.coeff(k))]
+    assert [k for k, _ in lowered[2]] == [k for k, _ in coeffs]
+    assert hexes(values) == hexes(float(oracle_eval(pk, x)) for _, pk in coeffs)
+    for z in zs:
+        # the sums with the Fraction coefficients evaluated term by term
+        s, sz, szz, tail = float(z) ** delta, 1.0 if delta else 0.0, 0.0, 0.0
+        for k, pk in coeffs:
+            v = float(oracle_eval(pk, x))
+            e = 2 * k + delta
+            s += v * z ** e / math.factorial(e)
+            sz += v * z ** (e - 1) / math.factorial(e - 1)
+            szz += v * z ** (e - 2) / math.factorial(e - 2)
+            if k == 8:
+                tail = abs(v) * abs(z) ** e / math.factorial(e)
+        assert hexes(series_sums(lowered, values, z)) == hexes((s, sz, szz, tail))
 
 
 def test_golden_level_three_run():
