@@ -79,9 +79,7 @@ def unpack(m: Mono) -> Pairs:
     """The (index, exponent) pairs of a key with a positive exponent, by ascending index.
 
     Kept for the last UNPACK_CACHE keys: a key is an int and its pairs a
-    tuple, so every caller may share them.  Evaluation (GradedPoly.eval,
-    the jets' eval, systems.lift_jet) and weighing (mono_weight) decode the
-    same few hundred keys again and again.
+    tuple, so every caller may share them.
     """
     return tuple((s - 1, j) for s, j in enumerate(m.to_bytes((m.bit_length() + 7) // 8, "little"))
                  if j)

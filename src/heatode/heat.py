@@ -220,11 +220,7 @@ class AnsatzSolution:
 
 @dataclass
 class WideSolution:
-    """The Gaussian-free shape exp(r(t)) * (wide series in z).
-
-    As for AnsatzSolution, state_at must be a function of t alone, and r
-    and the coefficient values are kept for the last TIME_CACHE times.
-    """
+    """The Gaussian-free shape exp(r(t)) * (wide series in z), cached per time as AnsatzSolution."""
 
     series: BareSeries
     state_at: Callable[[float], tuple[float, Mapping[int, float]]]

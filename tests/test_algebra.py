@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from heatode.algebra import (
+    UNPACK_CACHE,
     GradedPoly,
     WeightMismatch,
     closing_from_coeffs,
@@ -13,6 +14,7 @@ from heatode.algebra import (
     mono,
     monomial_basis,
     partition_count,
+    unpack,
 )
 
 
@@ -164,6 +166,15 @@ def test_subst_into_another_grading():
 def test_eval_exact():
     p = x2 * x3 - (x2 * x3).scale(2)
     assert p.eval({2: Q(3), 3: Q(1, 2)}) == Q(-3, 2)
+
+
+def test_unpack_decodes_every_key_again_after_eviction():
+    assert unpack.cache_info().maxsize == UNPACK_CACHE
+    # UNPACK_CACHE + 50 distinct keys
+    exps = [{1: i % 7, 3: i // 7 % 5, 40: i // 35 + 1} for i in range(UNPACK_CACHE + 50)]
+    want = [tuple((k, j) for k, j in sorted(e.items()) if j) for e in exps]
+    for _ in range(2):  # the first pass evicts the first keys before the second asks again
+        assert [unpack(mono(e)) for e in exps] == want
 
 
 def test_text_form():

@@ -300,6 +300,81 @@ def test_addendum_side_condition():
         assert r_rate == Q(-1, 4) * jet[0]
 
 
+# -- the per-time cache of the assembled solutions ---------------------------------------
+
+THREE_POLES = [Q(-1), Q(-2), Q(-3)]
+
+
+def level_two_spec_series():
+    cl = closing(2, [24])
+    return SystemSpec.reduced(2, delta=1, closing=cl), ansatz_series(2, cl, default_c(1), 1, 10)
+
+
+def trajectory_solution():
+    spec, series = level_two_spec_series()
+    s0 = SystemState(0.0, 0.05, 0.2, (0.25, -0.1))
+    return AnsatzSolution(spec, series, trajectory_provider(spec, s0, 2.5e-4))
+
+
+def pole_solution():
+    spec, series = level_two_spec_series()
+    return AnsatzSolution(spec, series, pole_state_provider(2, 3, THREE_POLES, 1))
+
+
+def part_hexes(sol, z, t):
+    value, dzz, tail = sol.parts(z, t)
+    assert sol.psi(z, t) == value
+    return [v.hex() for v in (value, dzz, tail)]
+
+
+@pytest.mark.parametrize("make, times", [
+    (trajectory_solution, [0.003 + 0.0071 * i for i in range(3 * heat.TIME_CACHE)]),
+    (pole_solution, [1.0 + 0.0371 * i for i in range(3 * heat.TIME_CACHE)]),
+    (addendum_solution, [1.0 + 0.0371 * i for i in range(3 * heat.TIME_CACHE)]),
+], ids=["trajectory", "poles", "wide"])
+def test_cached_parts_match_a_fresh_solution_in_any_query_order(make, times):
+    # more distinct times than the cache keeps, each asked at several z and
+    # again later, so answers come both from the cache and after eviction
+    assert len(times) > heat.TIME_CACHE
+    queries = [(z, t) for t in times for z in (-0.4, 0.1, 0.35)] * 2
+    for seed in range(3):
+        random.Random(seed).shuffle(queries)
+        sol = make()
+        for z, t in queries:
+            assert part_hexes(sol, z, t) == part_hexes(make(), z, t)
+
+
+def test_an_exact_time_and_the_equal_float_are_cached_apart():
+    # the pole provider answers a Fraction time in exact arithmetic and a
+    # float time in floats, and the two give different bits
+    differ = 0
+    for num in range(8, 15):
+        exact = Q(num, 7)
+        sol = pole_solution()
+        at_exact = part_hexes(sol, 0.3, exact)
+        at_float = part_hexes(sol, 0.3, float(exact))
+        assert at_exact == part_hexes(pole_solution(), 0.3, exact)
+        assert at_float == part_hexes(pole_solution(), 0.3, float(exact))
+        differ += at_exact != at_float
+    assert differ > 0
+
+
+def test_grid_residual_reads_each_state_once_per_time():
+    spec, series = level_two_spec_series()
+    provider = pole_state_provider(2, 3, THREE_POLES, 1)
+    asked = []
+
+    def counted(t):
+        asked.append(t)
+        return provider(t)
+
+    zg = [-0.5 + i / 10 for i in range(11)]
+    tg = [1.0 + 0.04 * i for i in range(3)]
+    grid_heat_residual(AnsatzSolution(spec, series, counted), zg, tg, 1e-3)
+    # t - fd, t + fd and t per grid time, then t -/+ fd/2 at the worst point
+    assert len(asked) == len(set(asked)) == 3 * len(tg) + 2
+
+
 # -- conservation ----------------------------------------------------------------------
 
 def test_gaussian_integral_constant():

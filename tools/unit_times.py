@@ -58,7 +58,8 @@ def timed_unit(workload, inputs, caches) -> tuple[float, float]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("workloads", nargs="*", help=f"any of {', '.join(WORKLOADS)} (default: all)")
+    parser.add_argument("workloads", nargs="*",
+                        help=f"any of {', '.join(WORKLOADS)} (default: all)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--units", type=int, default=10)
     parser.add_argument("--repeats", type=int, default=3)
