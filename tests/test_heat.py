@@ -1,7 +1,9 @@
 """Heat-equation verification: symbolic residuals, grids, conservation."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -357,6 +359,22 @@ def test_an_exact_time_and_the_equal_float_are_cached_apart():
         assert at_float == part_hexes(pole_solution(), 0.3, float(exact))
         differ += at_exact != at_float
     assert differ > 0
+
+
+@pytest.mark.parametrize("make, t", [(trajectory_solution, 0.003), (pole_solution, 1.0),
+                                     (addendum_solution, 1.0)], ids=["trajectory", "poles", "wide"])
+def test_a_solution_is_freed_with_its_last_reference(make, t):
+    # the per-time cache must not point back at its solution: no reference
+    # cycle, so the solution goes without the cycle collector
+    sol = make()
+    sol.psi(0.1, t)
+    gone = weakref.ref(sol)
+    gc.disable()
+    try:
+        del sol
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_grid_residual_reads_each_state_once_per_time():
