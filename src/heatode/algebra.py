@@ -21,7 +21,8 @@ decodes the same few hundred keys on every call.
 
 Coefficients are exact: an `int` when integral, else a `fractions.Fraction`
 (printed alike: str(3) is str(Fraction(3))), so no rounding ever occurs and
-integral arithmetic skips Fraction's gcd work.  For float evaluation a
+integral arithmetic skips Fraction's gcd work.  Substitution has one
+generator, GradedPoly.images, which subst sums.  For float evaluation a
 polynomial is lowered once (GradedPoly.lower) to float coefficients, which
 eval_lowered sums with the same bits as the exact coefficients would.
 lowered_source writes the same sum as Python source, for code generated
@@ -282,39 +283,28 @@ class GradedPoly:
                 out = out + v * self.partial(k)
         return out
 
-    def images(self, values: Mapping[int, GradedPoly], target: type[GradedPoly] | None = None
-               ) -> Iterator[tuple[Mono, GradedPoly]]:
-        """(m, image of m) for each monomial m of self when values[k] replaces x_k.
-
-        Images are of class `target` (default: self's); variables without a value
-        are kept.  Values must weigh what their variables do (or be zero), and kept
-        variables the same in both classes.
-        """
-        target = target or type(self)
-        for top, kept, image in self._split_images(values, target):
-            if kept:  # times the kept part: each key shifted by it
-                image = target(_guarded({m + kept: c for m, c in image.terms.items()}), self.weight)
-            yield top, image
-
     def subst(self, values: Mapping[int, GradedPoly],
               target: type[GradedPoly] | None = None) -> GradedPoly:
         """Substitute polynomials for variables (weight-preserving), as in images()."""
         target = target or type(self)
         out: dict[Mono, Coeff] = {}
-        for top, kept, image in self._split_images(values, target):
+        for top, kept, image in self.images(values, target):
             c = self.terms[top]
             for m, v in image.terms.items():
                 m += kept
                 out[m] = out.get(m, 0) + c * v
         return target(_guarded(out), self.weight)
 
-    def _split_images(self, values: Mapping[int, GradedPoly], target: type[GradedPoly]
-                      ) -> Iterator[tuple[Mono, Mono, GradedPoly]]:
+    def images(self, values: Mapping[int, GradedPoly], target: type[GradedPoly]
+               ) -> Iterator[tuple[Mono, Mono, GradedPoly]]:
         """(m, kept part of m, image of the rest of m) for each monomial m of self.
 
-        The rest is built up from its lowest variable, each step one value times a
-        product built earlier in the call (held while it runs), so no product is
-        built twice.
+        values[k] replaces x_k in the image, of class `target`; variables
+        without a value form the kept part.  Values must weigh what their
+        variables do (or be zero), and kept variables the same in both
+        classes.  The rest is built up from its lowest variable, each step
+        one value times a product built earlier in the call (held while it
+        runs), so no product is built twice.
         """
         bases = {k: check_homogeneous(v, self._weight(self._mono({k: 1})), None,
                                       f"substitute for variable {k}") for k, v in values.items()}
@@ -338,14 +328,14 @@ class GradedPoly:
                 made[m] = made[rest] * factor if rest else factor
             yield top, kept, made.pop(sub) if pending and not kept else made[sub]
 
-    def lower(self, num: Callable[[Coeff], object]) -> Lowered:
-        """The terms as (unpack(m), num(c)) pairs, each coefficient converted once.
+    def lower(self) -> Lowered:
+        """The terms as (unpack(m), float(c)) pairs, each coefficient converted once.
 
         eval_lowered sums them in the order and with the operations of
-        eval, so lower(float) at float values gives eval's bits:
+        eval, so lower() at float values gives eval's bits:
         int * float and Fraction * float both compute float(c) * float.
         """
-        return tuple((unpack(m), num(c)) for m, c in self.terms.items())
+        return tuple((unpack(m), float(c)) for m, c in self.terms.items())
 
     def eval(self, values: Mapping[int, Fraction | float | int]):
         """Evaluate at a point; exact when all values are Fractions."""
@@ -382,11 +372,6 @@ class GradedPoly:
             "terms": [{"m": [[k, j] for k, j in unpack(m)], "c": str(c)}
                       for m, c in self.sorted_terms()],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> GradedPoly:
-        return cls({cls._mono({int(k): int(j) for k, j in t["m"]}): Q(t["c"])
-                    for t in data["terms"]})
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.text()})"

@@ -19,7 +19,8 @@ equation into statements about the series coefficients and the flow of
 The numeric checks sample AnsatzSolution and WideSolution.  Their shared
 base PerTimeSolution evaluates the series coefficients P_k(x(t)) once per
 time (series_values) and keeps them for the last TIME_CACHE times, so the
-sums at every z of a grid row (series_sums) reuse them.
+sums at every z of a grid row (series_sums) reuse them.  That cache is the
+only one in front of a trajectory_provider, which keeps no answers itself.
 
 polynomial_solution_check verifies the Gaussian-times-Hermite solutions
 exactly: the heat residual reduces to Hermite's operator on the
@@ -136,7 +137,7 @@ TIME_CACHE = 8
 def lower_series(series: AnsatzSeries | BareSeries) -> tuple:
     """(delta, K, ((k, P_k lowered to float), ...)) over the nonzero P_k, for series_values."""
     K = series.truncation
-    return series.delta, K, tuple((k, pk.lower(float))
+    return series.delta, K, tuple((k, pk.lower())
                                   for k in range(1, K + 1) if (pk := series.coeff(k)))
 
 
@@ -271,12 +272,9 @@ def trajectory_provider(spec: SystemSpec, s0: SystemState,
         raise ValueError(f"step_hint must be positive and finite, got {step_hint}")
     t0 = float(s0.t)
     nodes = [s0]
-    cache: dict[float, SystemState] = {t0: s0}
 
     def at(t: float) -> SystemState:
         t = float(t)
-        if t in cache:
-            return cache[t]
         if not math.isfinite(t):
             raise OutOfRange(f"t = {t} is not a finite time")
         if t < t0:
@@ -289,9 +287,7 @@ def trajectory_provider(spec: SystemSpec, s0: SystemState,
                           for j, s in enumerate(grown, len(nodes))])
         node = nodes[i]
         gap = t - node.t
-        state = node if gap <= 0 else integrate_rk4(spec, node, t, gap)[-1]
-        cache[t] = state
-        return state
+        return node if gap <= 0 else integrate_rk4(spec, node, t, gap)[-1]
 
     return at
 

@@ -5,7 +5,7 @@ h^(q) has grading degree -4-4q, and every polynomial built here is
 homogeneous in that grading.  The slot q = -1 is reserved for a symbolic
 parameter b of degree 0 (the pole-strength constant of the Hessenberg
 determinant family), so determinants can be expanded once with b left
-symbolic and specialised later.
+symbolic and specialised later; to_json writes its exponent as "b".
 
 The central objects:
 
@@ -141,11 +141,6 @@ class JetPoly(GradedPoly):
                 entry["b"] = bpow
             out.append(entry)
         return {"degree": self.degree, "terms": out}
-
-    @classmethod
-    def from_json(cls, data: dict) -> JetPoly:
-        return cls({jet_mono({**{int(q): int(e) for q, e in t["m"]}, PARAM: int(t.get("b", 0))}):
-                    Q(t["c"]) for t in data["terms"]})
 
 
 # -- derivations ------------------------------------------------------------
@@ -296,8 +291,8 @@ def match_pole_ode(n: int) -> PoleMatch:
     b = Q(n + 1)
     target = hierarchy_ode(n + 1) - pole_sum_ode(n, b)
     basis = closing_monomials(n)
-    image_of = dict(GradedPoly(dict.fromkeys(basis, 1), 2 * (n + 2)).images(
-        {k: hierarchy_ode(k - 1) for k in range(2, n + 2)}, JetPoly))
+    image_of = {m: image for m, _, image in GradedPoly(dict.fromkeys(basis, 1), 2 * (n + 2)).images(
+        {k: hierarchy_ode(k - 1) for k in range(2, n + 2)}, JetPoly)}
     images = [image_of[m].terms for m in basis]
     leads = [max(image) for image in images]
     if len(set(leads)) < len(leads):  # a shared leading monomial: no unique solution

@@ -1,5 +1,6 @@
 """Exact polynomial algebra: ring laws, partitions, closing-space bases."""
 
+import json
 import random
 from fractions import Fraction as Q
 
@@ -183,5 +184,8 @@ def test_text_form():
 
 
 def test_json_roundtrip():
+    # ascending key order puts x3^2 first; each monomial lists its variables by ascending index
     p = (x2 * x4).scale(Q(-31, 7)) + (x3 * x3).scale(2)
-    assert GradedPoly.from_json(p.to_json()) == p
+    data = p.to_json()
+    assert json.loads(json.dumps(data)) == data == {
+        "weight": 12, "terms": [{"m": [[3, 2]], "c": "2"}, {"m": [[2, 1], [4, 1]], "c": "-31/7"}]}

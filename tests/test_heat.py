@@ -228,6 +228,20 @@ def test_trajectory_provider_ignores_query_order():
     assert node.row() == [400 * 2.5e-4, want.r, want.h, *want.x]
 
 
+def test_trajectory_provider_repeats_a_query_bit_for_bit():
+    # the provider keeps no answers: a repeat at t, after queries past and before
+    # it, recomputes the state from the same node with the same short step
+    spec = SystemSpec.reduced(2, delta=1, closing=closing(2, [24]))
+    provider = trajectory_provider(spec, SystemState(0.0, 0.05, 0.2, (0.25, -0.1)), 2.5e-4)
+    t = 0.0301  # between two nodes
+    first = provider(t)
+    for other in (0.05, 0.1, 0.0302, 0.01, 0.03):
+        provider(other)
+    again = provider(t)
+    assert [v.hex() for v in (again.r, again.h, *again.x)] == \
+        [v.hex() for v in (first.r, first.h, *first.x)]
+
+
 def test_trajectory_provider_grows_no_further_than_the_query():
     # h' = -h^2 from h(0) = -1 is h = 1/(t - 1): a pole at t = 1
     provider = trajectory_provider(SystemSpec.reduced(0), SystemState(0.0, 0.0, -1.0, ()))

@@ -358,16 +358,18 @@ def test_homogeneity_of_everything():
 
 def test_basis_images_share_products(monkeypatch):
     # one images() call builds each shared power and cofactor once: the level-8
-    # basis needs fewer products than a chain of multiplies per monomial
+    # basis needs fewer products than a chain of multiplies per monomial, and
+    # with every variable substituted nothing is kept
     basis = closing_monomials(8)
     values = {k: hierarchy_ode(k - 1) for k in range(2, 10)}
     calls = []
     mul = JetPoly.__mul__
     monkeypatch.setattr(JetPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    images = dict(GradedPoly(dict.fromkeys(basis, 1)).images(values, JetPoly))
+    triples = list(GradedPoly(dict.fromkeys(basis, 1)).images(values, JetPoly))
     assert len(calls) < sum(j for m in basis for _, j in unpack(m))
     monkeypatch.undo()
-    assert all(images[m] == closing_in_jets(GradedPoly({m: 1})) for m in basis)
+    assert [m for m, _, _ in triples] == basis and not any(kept for _, kept, _ in triples)
+    assert all(image == closing_in_jets(GradedPoly({m: 1})) for m, _, image in triples)
 
 
 def test_closing_in_jets_degree():

@@ -195,7 +195,7 @@ def test_lowered_eval_matches_fraction_eval(data, weight):
     p = GradedPoly(dict(zip(monos, data.draw(st.lists(coefficients, min_size=len(monos),
                                                       max_size=len(monos))))))
     values = {k: data.draw(float_values) for k in range(1, 6)}
-    got = eval_lowered(p.lower(float), values, 0.0)
+    got = eval_lowered(p.lower(), values, 0.0)
     assert got.hex() == float(p.eval(values)).hex()
     assert got.hex() == float(oracle_eval(p, values)).hex()
 
@@ -213,7 +213,7 @@ def test_lowered_source_splits_a_long_sum_in_order(seed):
     values = [rng.uniform(-2, 2) for _ in range(24)]
     scope = {"v": values, "zero": 0.0, **{f"c{i}": float(c) for i, c in enumerate(p.terms.values())}}
     exec("\n".join(lines), scope)
-    assert scope["total"].hex() == eval_lowered(p.lower(float), values, 0.0).hex()
+    assert scope["total"].hex() == eval_lowered(p.lower(), values, 0.0).hex()
 
 
 def test_level_22_field_and_step_match_the_oracles():

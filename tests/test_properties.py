@@ -105,9 +105,13 @@ def test_mixed_weights_raise(cls, data, wu):
 @SETTINGS
 @given(data=st.data(), w=st.sampled_from(WEIGHTS))
 def test_graded_json_round_trip(data, w):
+    # through JSON text unchanged: the weight, then each term in key order, its
+    # variables by ascending index, its coefficient as str prints it
     p = data.draw(polys(GradedPoly, w))
-    back = GradedPoly.from_json(json.loads(json.dumps(p.to_json())))
-    assert back == p and back.weight == p.weight
+    out = p.to_json()
+    assert json.loads(json.dumps(out)) == out and out["weight"] == p.weight
+    assert [(t["m"], t["c"]) for t in out["terms"]] == \
+        [([[k, j] for k, j in unpack(m)], str(c)) for m, c in p.sorted_terms()]
 
 
 @SETTINGS
@@ -123,9 +127,16 @@ def test_total_derivative_leibniz(data, w, u):
 @SETTINGS
 @given(data=st.data(), w=st.sampled_from(WEIGHTS))
 def test_jet_json_round_trip(data, w):
+    # as for GradedPoly, with the degree, and b's exponent under "b" when positive
     p = data.draw(polys(JetPoly, w))
-    back = JetPoly.from_json(json.loads(json.dumps(p.to_json())))
-    assert back == p and back.weight == p.weight
+    out = p.to_json()
+    assert json.loads(json.dumps(out)) == out and out["degree"] == p.degree
+    want = []
+    for m, c in p.sorted_terms():
+        pairs = dict(unpack(m))
+        b = pairs.pop(PARAM, 0)
+        want.append(([[q, e] for q, e in pairs.items()], str(c), b))
+    assert [(t["m"], t["c"], t.get("b", 0)) for t in out["terms"]] == want
 
 
 @SETTINGS
@@ -247,7 +258,6 @@ def test_integral_coefficients_are_ints(cls, data, w, u, c, point):
         (a.partial(k), ref_partial(cls, A, k)),
         (a.derive(field), derived),
         (a.subst(values), ref_subst(cls, A, V)),
-        (cls.from_json(json.loads(json.dumps(a.to_json()))), A),
     ]
     at = dict(zip(variables(cls), point))
     for got, ref in cases:
@@ -259,8 +269,8 @@ def test_integral_coefficients_are_ints(cls, data, w, u, c, point):
         ref_poly.terms, ref_poly.weight = {m: ref[m] for m in got.terms}, got.weight
         assert got.text() == ref_poly.text()
         assert json.dumps(got.to_json()) == json.dumps(ref_poly.to_json())
-        got_f = eval_lowered(got.lower(float), at, 0.0)
-        ref_f = eval_lowered(ref_poly.lower(float), at, 0.0)
+        got_f = eval_lowered(got.lower(), at, 0.0)
+        ref_f = eval_lowered(ref_poly.lower(), at, 0.0)
         assert repr(got_f) == repr(ref_f)
 
 
@@ -432,10 +442,7 @@ def test_monomial_constructors_reject_an_exponent_out_of_range():
     with pytest.raises(ExponentOverflow):
         GradedPoly.variable(1) * GradedPoly({GradedPoly._mono({1: MAX_EXPONENT}): 1})
     for make in (lambda e: GradedPoly._mono({3: e}), lambda e: jet_mono({PARAM: e}),
-                 lambda e: jet_mono({2: e}),
-                 lambda e: GradedPoly.from_json({"terms": [{"m": [[2, e]], "c": "1"}]}),
-                 lambda e: JetPoly.from_json({"terms": [{"m": [[0, 1]], "b": e, "c": "1"}]}),
-                 lambda e: JetPoly.from_json({"terms": [{"m": [[4, e]], "c": "-2"}]})):
+                 lambda e: jet_mono({2: e})):
         assert make(MAX_EXPONENT)
         with pytest.raises(ExponentOverflow):
             make(MAX_EXPONENT + 1)
