@@ -261,27 +261,43 @@ class GradedPoly:
             c = Q(c)  # exact before multiplying: a float factor must not round the product
         return type(self)({m: c * v for m, v in self.terms.items()}, self.weight)
 
+    def _lowered(self, k: int) -> tuple[Mono, list[tuple[Mono, Coeff]]]:
+        """x_k's key, and (m - key, c * j) per term c * x^m of self with x_k^j, j > 0."""
+        shift = FIELD * (k + 1)
+        unit = 1 << shift  # lowering x_k is injective: no two pairs share a key
+        return unit, [(m - unit, c * j) for m, c in self.terms.items() if (j := m >> shift & _MASK)]
+
     def partial(self, k: int) -> GradedPoly:
         """Formal derivative by variable k; the weight drops by that variable's."""
-        shift = FIELD * (k + 1)
-        unit = 1 << shift                   # the key of x_k
-        out: dict[Mono, Coeff] = {}
-        for m, c in self.terms.items():
-            j = m >> shift & _MASK
-            if j:  # lowering x_k is injective: no two terms collide
-                out[m - unit] = c * j
-        return type(self)(out, (self.weight or 0) - self._weight(unit))
+        unit, pairs = self._lowered(k)
+        return type(self)(dict(pairs), (self.weight or 0) - self._weight(unit))
 
     def derive(self, field: Mapping[int, GradedPoly]) -> GradedPoly:
         """The derivation sum_k field[k] * d/dx_k applied to self; zero entries are skipped.
 
-        Every field[k] must shift the weight by one common amount (else WeightMismatch).
+        One loop adds each term of field[k] times each of d/dx_k self into one
+        dict, k by k, dropping the keys that sum to zero after each k: the term
+        order of the chain `out + field[k] * self.partial(k)`, which lower()
+        keeps.  All nonzero products must share one weight (else WeightMismatch).
         """
-        out = type(self).zero()
+        out: dict[Mono, Coeff] = {}
+        get = out.get
+        weight = None
         for k, v in field.items():
-            if v:
-                out = out + v * self.partial(k)
-        return out
+            unit, pairs = self._lowered(k) if v else (0, ())
+            if not pairs:
+                continue
+            w = v.weight + self.weight - self._weight(unit)
+            if weight is not None and w != weight:
+                raise WeightMismatch(f"cannot add weight {weight} to weight {w}")
+            weight = w
+            for mv, cv in v.terms.items():
+                for m, c in pairs:
+                    m += mv
+                    out[m] = get(m, 0) + cv * c
+            for m in [m for m, c in out.items() if not c]:
+                del out[m]
+        return type(self)(_guarded(out), weight)
 
     def subst(self, values: Mapping[int, GradedPoly],
               target: type[GradedPoly] | None = None) -> GradedPoly:

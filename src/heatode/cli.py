@@ -13,8 +13,10 @@ Commands
   sl2 orbit      transformed jet of a pole-sum solution under a matrix
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation
-error.  All reports are reproducible: the same configuration yields the
-same bytes up to the timestamp field.
+error.  A reader that closes the output pipe early ends the run with exit
+1 and nothing on stderr, as the Python docs' note on SIGPIPE advises.
+All reports are reproducible: the same configuration yields the same
+bytes up to the timestamp field.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -345,7 +348,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the flush at exit would fail again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, PoleOfAction, PoleHit) as err:  # CliError and the library's typed errors
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -2,7 +2,9 @@
 
 Each suite maps a seed, and max_n (its highest level) if it has levels, to
 a report dict: per-case entries and "passed", false when a case fails or
-there is none.  Suites are deterministic: identical inputs, identical reports.
+there is none.  A max_n below a suite's lowest level leaves no case to run
+and raises ValueError.  Suites are deterministic: identical inputs,
+identical reports.
 """
 
 from __future__ import annotations
@@ -96,6 +98,14 @@ def _report(name: str, seed: int, cases: list[dict]) -> dict:
     }
 
 
+def _levels(lowest: int, max_n: int) -> range:
+    """The levels lowest..max_n of a suite; none at all raises ValueError."""
+    if max_n < lowest:
+        raise ValueError(f"max_n {max_n} is below the suite's lowest level {lowest}: "
+                         "there is no case to run")
+    return range(lowest, max_n + 1)
+
+
 # -- suites --------------------------------------------------------------------
 
 def suite_rational(seed: int = 0, max_n: int = 6) -> dict:
@@ -109,7 +119,7 @@ def suite_rational(seed: int = 0, max_n: int = 6) -> dict:
     rng = random.Random(seed)
     trials = 20
     cases = []
-    for n in range(max_n + 1):
+    for n in _levels(0, max_n):
         ode = pole_sum_ode(n, n + 1)
         off_odes = [pole_sum_ode(n, b) for b in (n, n + 2) if b]
         zeros = 0
@@ -164,7 +174,7 @@ def suite_phi_equiv(seed: int = 0, max_n: int = 4) -> dict:
     rng = random.Random(seed)
     K = 12
     cases = []
-    for n in range(1, max_n + 1):
+    for n in _levels(1, max_n):
         for delta in (0, 1):
             agree = True
             seen = set()          # closings already compared at this (n, delta)
@@ -352,7 +362,7 @@ def suite_dims(seed: int = 0, max_n: int = 12) -> dict:
     """The closing-space dimension formula against direct enumeration."""
     cases = []
     expected_small = {0: 0, 1: 0, 2: 1, 3: 1, 4: 3}
-    for n in range(max_n + 1):
+    for n in _levels(0, max_n):
         dim = closing_dim(n)
         count = len(closing_monomials(n))
         ok = dim == count
@@ -366,7 +376,7 @@ def suite_detmatch(seed: int = 0, max_n: int = 6) -> dict:
     """Match the determinant family against the closing space, level by level."""
     expected = {2: [-3], 3: [-16], 4: [-45, -26, -31]}
     cases = []
-    for n in range(1, max_n + 1):
+    for n in _levels(1, max_n):
         match = match_pole_ode(n)
         necessary_b = necessary_pole_strength(n)
         entry = {

@@ -271,8 +271,9 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
     number, or when a float state stops being finite (so h_bound = inf
     still stops at an overflow), the expected signal of a movable pole;
     an OverflowError or ZeroDivisionError inside a step raises BlowUp at
-    that step's start.  An h_bound that is not positive (NaN included)
-    raises ValueError.  After the checks below, the constants are
+    that step's start.  An h_bound that is not positive (NaN included),
+    or a float step count (t_end - t0) / step that is not finite, raises
+    ValueError.  After the checks below, the constants are
     converted once (half and sixth are Q(1, 2) * step and Q(1, 6) * step,
     in float mode float(Q(1, 2)) * step and float(Q(1, 6)) * step) and the
     whole run is one call of the generated loop (see _source).
@@ -286,6 +287,8 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
         raise ValueError("step must be positive")
     span = t_end - s0.t
     steps = span / step
+    if num is float and not math.isfinite(steps):
+        raise ValueError(f"(t_end - t0) / step is {steps}, not a finite step count")
     nsteps = round(steps)
     if num is Q:
         off_grid = steps != nsteps

@@ -239,6 +239,14 @@ def test_integrate_rejects_a_guard_that_is_not_positive(capsys, guard):
     assert out == "" and "bound" in err
 
 
+def test_integrate_rejects_an_infinite_step_count(capsys):
+    # 1e300 / 1e-300 overflows to inf, which no round() turns into a step count
+    code, out, err = run(capsys, "integrate", "--n", "2", "--state", "1,2,3,4",
+                         "--t-end", "1e300", "--step", "1e-300")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "finite step count" in err
+
+
 def test_integrate_blowup_metadata(capsys):
     code, out, _ = run(capsys, "integrate", "--n", "0", "--state", "0,-1",
                        "--t-end", "2", "--step", "0.001", "--guard", "1e6", "--json")
@@ -427,11 +435,14 @@ def test_verify_max_n_without_levels_exits_two(capsys):
 
 
 def test_verify_empty_level_range_fails(capsys):
+    # a span with no level is a usage error, not a failed verification
     for suite, max_n in (("detmatch", "0"), ("rational", "-1"), ("dims", "-5"),
                          ("phi-equiv", "0")):
-        code, out, _ = run(capsys, "verify", suite, "--max-n", max_n)
-        assert code == 1, suite
-        assert out.startswith(f"suite {suite}: FAIL")
+        code, out, err = run(capsys, "verify", suite, "--max-n", max_n)
+        assert code == 2, suite
+        assert out == "" and err.startswith(f"error: max_n {max_n} is below"), suite
+    code, out, _ = run(capsys, "verify", "rational", "--max-n", "0")
+    assert code == 0 and out.startswith("suite rational: PASS")
 
 
 def test_verify_report_deterministic(capsys):
@@ -534,18 +545,36 @@ def test_out_file(tmp_path, capsys):
 
 # -- the package as a program ----------------------------------------------------
 
-def run_python(*args):
-    """A fresh interpreter with this checkout's src/ first on the import path."""
+def checkout_env():
+    """The environment with this checkout's src/ first on the import path."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*args):
+    """A fresh interpreter that imports heatode from this checkout."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                          env=checkout_env(), timeout=120)
 
 
 def test_python_dash_m_runs_the_cli():
     done = run_python("-m", "heatode", "ode", "basis", "--n", "4")
     assert done.returncode == 0, done.stderr
     assert "dim = 3" in done.stdout
+
+
+def test_a_closed_pipe_ends_the_run_quietly():
+    # the output (about 100 kB) overfills the pipe, so the reader's close
+    # reaches a write in progress
+    with subprocess.Popen([sys.executable, "-m", "heatode", "series", "sigma", "--K", "60"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=checkout_env()) as proc:
+        assert len(proc.stdout.read(300)) == 300
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 def test_import_loads_only_the_standard_library():

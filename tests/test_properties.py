@@ -7,6 +7,7 @@ so each law is checked once per grading, and so is the coefficient rule
 group law of the matrix action are checked on random inputs as well, and
 the unit-triangular linear solver against its own right-hand side, and
 the monomial keys: round trips, order and the guard against exponent overflow.
+derive is checked against the chain of products it sums, term order included.
 The references below add exponents on unpacked monomials, never on keys, so
 they check the key arithmetic of the core instead of repeating it.
 """
@@ -180,6 +181,58 @@ def test_derive_leibniz_and_linearity(cls, data, w, u, shift):
     assert a.derive({k: f[k] + g[k] for k in f}) == d + a.derive(g)
     if d:
         assert d.weight == w + shift
+
+
+def chain_derive(p, field):
+    """The derivation as a chain of polynomials: field[k] * p.partial(k), added in field order."""
+    out = type(p).zero()
+    for k, v in field.items():
+        if v:
+            out = out + v * p.partial(k)
+    return out
+
+
+def sparse_polys(cls, weight):
+    """Zero or a few terms of one weight, with coefficients chosen so that sums often cancel."""
+    return st.dictionaries(st.sampled_from(basis(cls, weight)),
+                           st.sampled_from((-2, -1, 1, 2, Q(1, 2), Q(-1, 2))), max_size=4).map(cls)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), w=st.sampled_from(WEIGHTS), shift=st.sampled_from((0, 2)))
+def test_derive_matches_the_chain_in_term_order(cls, data, w, shift):
+    """derive's one loop gives the chain's terms, weight and term order; lower() sums in that
+    order, so a different order would change float bits."""
+    p = data.draw(sparse_polys(cls, w))
+    keys = data.draw(st.permutations(variables(cls)))
+    field = {k: data.draw(sparse_polys(cls, cls.variable(k).weight + shift)) for k in keys}
+    got, ref = p.derive(field), chain_derive(p, field)
+    assert got.terms == ref.terms and got.weight == ref.weight
+    assert list(got.terms) == list(ref.terms)
+
+
+def test_derive_puts_a_term_that_cancels_and_returns_at_the_end():
+    x1, x2, x3 = (GradedPoly.variable(k) for k in (1, 2, 3))
+    p = x1 * x2 * x3
+    # x1^2*x2*x3 comes first from k = 1, cancels at k = 2 and comes back at k = 3
+    field = {1: x1 * x1 + x2, 2: -(x1 * x2), 3: x1 * x3}
+    got = p.derive(field)
+    assert list(got.terms) == list(chain_derive(p, field).terms)
+    assert [GradedPoly({m: 1}) for m in got.terms] == [x2 * x2 * x3, x1 * x1 * x2 * x3]
+
+
+def test_derive_rejects_contributions_of_two_weights():
+    x1, x2, x3 = (GradedPoly.variable(k) for k in (1, 2, 3))
+    p = x1 * x2 * x3
+    with pytest.raises(WeightMismatch):
+        p.derive({1: x1, 3: x3 * x3})
+    # the first two contributions cancel; the third still has to match their weight
+    with pytest.raises(WeightMismatch):
+        p.derive({1: x1, 2: -x2, 3: x3 * x3})
+    # a zero entry, or one whose variable p lacks, contributes nothing and no weight
+    assert p.derive({1: x1, 4: x3 * x3, 2: GradedPoly.zero()}) == p
+    assert not GradedPoly.zero().derive({1: x1, 2: x2 * x2})
 
 
 # -- the coefficient rule -------------------------------------------------------------

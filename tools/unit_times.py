@@ -15,11 +15,19 @@ keys).  A unit's time is the fastest of REPEATS runs; per workload the
 median over the units prints in ms and in cal: wall time over
 perfbench's calibration kernel, timed just before and after the run, as
 perfbench scales wall_cal.
+
+Each workload's line also gives `kept`: the tracemalloc size of what one
+cold unit (unit 0, run once more) leaves behind in its inputs and output.
+perfbench's closed loop keeps every unit's inputs and output until the
+run ends, so peak_rss_mb grows by about this much per unit finished, and
+a faster unit raises the peak by finishing more units in the same time.
 """
 
 import argparse
+import gc
 import statistics
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +63,22 @@ def timed_unit(workload, seed: int, index: int, caches) -> tuple[float, float]:
     return record.wall_s, record.wall_s / record.cal_s
 
 
+def kept_bytes(workload, seed: int, caches) -> int:
+    """Traced bytes that unit 0's (inputs, output) alone hold, once every cache is cleared."""
+    tracemalloc.start()
+    try:
+        kept = run.run_unit(workload, seed, 0)[1:]
+        for cached in caches:
+            cached.cache_clear()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del kept
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="*",
@@ -76,7 +100,8 @@ def main(argv=None) -> int:
                 for index in range(args.units)]
         ms = statistics.median(wall for wall, _ in best) * 1e3
         cal = statistics.median(cal for _, cal in best)
-        print(f"{name:<14} {ms:9.2f} ms {cal:8.4f} cal  "
+        kept = kept_bytes(workload, args.seed, caches.values()) / 2 ** 20
+        print(f"{name:<14} {ms:9.2f} ms {cal:8.4f} cal {kept:7.3f} MB kept  "
               f"(median of {args.units} units, seed {args.seed}, best of {REPEATS})")
     return 0
 
