@@ -15,7 +15,9 @@ vectors", CASC 2007).  The top bit of every field is a guard that no
 stored key sets, so a product whose exponent would pass MAX_EXPONENT
 raises ExponentOverflow instead of carrying into the next variable.
 Only this module builds or takes apart a key: mono packs exponents,
-unpack lists the (index, exponent) pairs for printing and evaluation.
+unpack lists the (index, exponent) pairs for printing and evaluation,
+keys_by_weight lists every key up to a weight and exponents reads a
+key's fields in a range as bytes (the discrete series recursion).
 unpack keeps its answers for the last UNPACK_CACHE keys, since evaluation
 decodes the same few hundred keys on every call.
 
@@ -84,6 +86,36 @@ def unpack(m: Mono) -> Pairs:
     """
     return tuple((s - 1, j) for s, j in enumerate(m.to_bytes((m.bit_length() + 7) // 8, "little"))
                  if j)
+
+def keys_by_weight(variables: range, max_weight: int) -> list[list[Mono]]:
+    """The key of every monomial in `variables` of weight <= max_weight, by weight / 2.
+
+    Within a weight the keys come in lex order of the exponent tuple with
+    the lowest variable first.  Each exponent in turn ranges only up to
+    what the weight left by the earlier ones allows, so no monomial beyond
+    the bound is built; a bound that admits an exponent past MAX_EXPONENT
+    raises ExponentOverflow before any is.
+    """
+    for k in variables:
+        if max_weight // (2 * k) > MAX_EXPONENT:
+            raise ExponentOverflow(f"weight {max_weight} admits x{k}^{max_weight // (2 * k)}, "
+                                   f"past {MAX_EXPONENT}, the largest exponent a monomial key holds")
+    out = [(0, 0)]  # (weight, key), in lex order of the exponents so far
+    for k in variables:
+        step, unit = 2 * k, 1 << FIELD * (k + 1)
+        out = [(w + e * step, m + e * unit)
+               for w, m in out for e in range((max_weight - w) // step + 1)]
+    levels: list[list[Mono]] = [[] for _ in range(max_weight // 2 + 1)]
+    for w, m in out:
+        levels[w // 2].append(m)
+    return levels
+
+def exponents(m: Mono, variables: range) -> bytes:
+    """The exponents of x_k in a key, one byte per k in the ascending range `variables`.
+
+    The key must use no variable past the range.
+    """
+    return m.to_bytes(variables.stop + 1, "little")[variables.start + 1:]
 
 def _guarded(terms: dict[Mono, Coeff]) -> dict[Mono, Coeff]:
     """The terms, once no key sets a guard bit: a sum of keys carried no exponent past its field."""
@@ -280,6 +312,34 @@ class GradedPoly:
         order of the chain `out + field[k] * self.partial(k)`, which lower()
         keeps.  All nonzero products must share one weight (else WeightMismatch).
         """
+        out, weight = self._derivation(field)
+        return type(self)(_guarded(out), weight)
+
+    def derive_plus(self, field: Mapping[int, GradedPoly], key: Mono, coeff: Coeff,
+                    other: GradedPoly) -> GradedPoly:
+        """self.derive(field) + coeff * x^key * other, summed in derive's dict.
+
+        The terms of `other`, shifted by the key and scaled, are added after
+        the derivative's, which is the term order and the value of that sum
+        of a derivative, a one-term product and a product: no intermediate
+        polynomial is built.  Both parts must share one weight (else
+        WeightMismatch), and no exponent may pass MAX_EXPONENT (else
+        ExponentOverflow).
+        """
+        out, weight = self._derivation(field)
+        if coeff and other:
+            w = self._weight(key) + other.weight
+            if out and w != weight:
+                raise WeightMismatch(f"cannot add weight {weight} to weight {w}")
+            weight = w
+            get = out.get
+            for m, c in other.terms.items():
+                m += key
+                out[m] = get(m, 0) + coeff * c
+        return type(self)(_guarded(out), weight)
+
+    def _derivation(self, field: Mapping[int, GradedPoly]) -> tuple[dict[Mono, Coeff], int | None]:
+        """derive's terms, unguarded, and their weight (None when there are none)."""
         out: dict[Mono, Coeff] = {}
         get = out.get
         weight = None
@@ -297,7 +357,7 @@ class GradedPoly:
                     out[m] = get(m, 0) + cv * c
             for m in [m for m, c in out.items() if not c]:
                 del out[m]
-        return type(self)(_guarded(out), weight)
+        return out, weight
 
     def subst(self, values: Mapping[int, GradedPoly],
               target: type[GradedPoly] | None = None) -> GradedPoly:

@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping, Sequence
 
-from .algebra import Coeff, GradedPoly, Mono, Q, check_closing, check_homogeneous, mono, unpack
+from .algebra import (Coeff, GradedPoly, Mono, Q, check_closing, check_homogeneous, exponents,
+                      keys_by_weight, mono)
 from .jets import JetPoly, jet_mono, pole_sum_ode
 from .systems import SystemSpec, default_c
 
@@ -84,6 +86,8 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
     folded into its scalar c(2q+delta-3)(2q+delta-2)/(2(1+2*delta)), which
     is an int whenever it is integral (at the default c, and at c = 3, for
     both parities), so integral coefficients never pass through Fraction.
+    Each P_q is one GradedPoly.derive_plus along the flows scaled by 2:
+    the derivative's terms, then x_2 * P_{q-2}'s, in one dict.
     """
     spec = SystemSpec.reduced(n, delta, closing, Q(c))
     if K < 2:
@@ -91,23 +95,20 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
     c = spec.c
     if n == 0:
         return AnsatzSeries(0, delta, c, K, tuple(GradedPoly.zero() for _ in range(K - 1)))
-    p = dict(enumerate(spec.flows, start=2))  # p[k] is the flow of x_k
+    p2 = {k: p.scale(2) for k, p in enumerate(spec.flows, start=2)}  # twice the flow of x_k
+    x2 = mono({2: 1})
     coeffs = [GradedPoly.zero(), GradedPoly.variable(2, c)]  # P_1, P_2
     den = c.denominator * 2 * (1 + 2 * delta)
     for q in range(3, K + 1):
-        term = coeffs[-1].derive(p).scale(2)
-        # x_2 times the scalar num/den of P_2 * P_{q-2}, an int when integral
+        # the scalar num/den of P_2 * P_{q-2} over x_2, an int when integral
         num = c.numerator * (2 * q + delta - 3) * (2 * q + delta - 2)
-        x2 = GradedPoly.variable(2, Q(num, den) if num % den else num // den)
-        term = term + x2 * coeffs[-2]
+        term = coeffs[-1].derive_plus(p2, x2, Q(num, den) if num % den else num // den,
+                                      coeffs[-2])
         coeffs.append(check_homogeneous(term, 2 * q, None, f"coefficient {q}"))
     return AnsatzSeries(n, delta, c, K, tuple(coeffs[1:]))
 
 
 # -- the discrete route -------------------------------------------------------
-
-Index = tuple[int, ...]  # dense (j_2, ..., j_{n+1})
-
 
 @dataclass(frozen=True)
 class CoeffTable:
@@ -117,36 +118,21 @@ class CoeffTable:
     delta: int
     c: Fraction
     truncation: int
-    entries: Mapping[Index, Coeff]  # an int when integral, else a Fraction
+    # a(J) by the key of x^J, an int when integral, else a Fraction; in fill
+    # order: by weight, then by the exponent tuple (j_2, ..., j_{n+1})
+    entries: Mapping[Mono, Coeff]
+    counts: tuple[int, ...]  # counts[k]: how many entries have weight 2k, k = 0..K
 
     def to_json(self) -> dict:
-        rows = sorted(self.entries.items(), key=lambda t: (_index_weight(t[0]), t[0]))
+        top = range(2, self.n + 2)
         return {
             "n": self.n,
             "delta": self.delta,
             "c": str(self.c),
             "K": self.truncation,
-            "entries": [{"J": list(j), "a": str(a)} for j, a in rows],
+            "entries": [{"J": list(exponents(m, top)), "a": str(a)}
+                        for m, a in self.entries.items()],
         }
-
-
-def _index_weight(j: Index) -> int:
-    return sum(2 * (i + 2) * e for i, e in enumerate(j))
-
-
-def _indices_up_to(n: int, max_weight: int) -> list[tuple[int, Index]]:
-    """(weight, index) for every dense index of weight <= max_weight, in that order.
-
-    Each exponent in turn ranges only up to what the weight left by the
-    earlier ones allows, so no index beyond the bound is built.
-    """
-    out: list[tuple[int, Index]] = [(0, ())]
-    for i in range(n):
-        step = 2 * (i + 2)
-        out = [(w + e * step, j + (e,))
-               for w, j in out for e in range((max_weight - w) // step + 1)]
-    out.sort()
-    return out
 
 
 def coeff_table(n: int, closing: GradedPoly | None, c: Fraction | int,
@@ -160,7 +146,13 @@ def coeff_table(n: int, closing: GradedPoly | None, c: Fraction | int,
            + sum_S 2 (j_{n+1} + 1) p(S) a(J - S + e_{n+1})
 
     with a(0) = 1 and a(J) = 0 off the nonnegative orthant.  K = 0 leaves
-    a(0) alone; a negative K raises ValueError.
+    a(0) alone; a negative K raises ValueError, and a K whose weight bound
+    admits an exponent past MAX_EXPONENT (K >= 256) ExponentOverflow.
+
+    Entries are keyed by monomial, so each neighbour is one int
+    subtraction from J's key.  A neighbour off the orthant borrows from a
+    higher field, which leaves a key with a guard bit set (or a negative
+    int), and no stored key has one: it reads 0 with no exponent check.
 
     The recursion runs on ints: with D the lcm of the denominators of
     c/(2(1+2d)) and of every p(S), the scaled entries b(J) = D^(||J||/2) a(J)
@@ -181,42 +173,43 @@ def coeff_table(n: int, closing: GradedPoly | None, c: Fraction | int,
     scale = math.lcm(ratio.denominator, *(v.denominator for v in closing_terms.values()))
     r = (ratio * scale * scale).numerator
     two_scale = 2 * scale
-    # the scaled closing by dense index, less e_{n+1}: J - S + e_{n+1} is then J minus the key
-    pmap = {tuple(dict(unpack(m)).get(k, 0) - (k == n + 1) for k in range(2, n + 2)):
-            (v * scale).numerator for m, v in closing_terms.items()}
-    indices = _indices_up_to(n, 2 * K)
-    entries: dict[Index, Coeff] = {}
+    top = range(2, n + 2)
+    levels = keys_by_weight(top, 2 * K)
+    x2 = mono({2: 1})
+    # J + e_k - e_{k+1} is J's key less the step; i = k - 2 indexes j_k in exponents(J)
+    steps = [(i, mono({k + 1: 1}) - mono({k: 1})) for i, k in enumerate(range(2, n + 1))]
+    # the scaled closing by key less e_{n+1}: J - S + e_{n+1} is J's key less the shift
+    xtop = mono({n + 1: 1})
+    shifts = [(m - xtop, (v * scale).numerator) for m, v in closing_terms.items()]
+    entries: dict[Mono, Coeff] = {0: 1}
     get = entries.get
-    # a neighbour off the nonnegative orthant is never stored, so it reads 0
-    for w, j in indices:
-        if w == 0:
-            entries[j] = 1
-            continue
-        value = r * (w + delta - 2) * (w + delta - 3) * get((j[0] - 1, *j[1:]), 0)
-        for i in range(n - 1):  # k = i+2 runs over 2..n
-            value += two_scale * (j[i] + 1) * get((*j[:i], j[i] + 1, j[i + 1] - 1, *j[i + 2:]), 0)
-        for s, ps in pmap.items():
-            value += 2 * (j[n - 1] + 1) * ps * get(tuple(a - b for a, b in zip(j, s)), 0)
-        entries[j] = value
+    for h in range(1, K + 1):  # weight w = 2h
+        first = r * (2 * h + delta - 2) * (2 * h + delta - 3)
+        for key in levels[h]:
+            js = exponents(key, top)
+            value = first * get(key - x2, 0)
+            for i, step in steps:
+                value += two_scale * (js[i] + 1) * get(key - step, 0)
+            value += 2 * (js[-1] + 1) * sum([ps * get(key - shift, 0) for shift, ps in shifts])
+            entries[key] = value
     if scale != 1:
-        for w, j in indices:
-            power = scale ** (w // 2)
-            a, rest = divmod(entries[j], power)
-            entries[j] = Q(entries[j], power) if rest else a
-    return CoeffTable(n, delta, c, K, entries)
+        for h, keys in enumerate(levels):
+            power = scale ** h
+            for key in keys:
+                a, rest = divmod(entries[key], power)
+                entries[key] = Q(entries[key], power) if rest else a
+    return CoeffTable(n, delta, c, K, entries, tuple(map(len, levels)))
 
 
 def series_from_table(table: CoeffTable) -> AnsatzSeries:
-    """Regroup table entries by weight into series coefficients."""
-    buckets: dict[int, dict[Mono, Coeff]] = {}
-    for j, a in table.entries.items():
-        w = _index_weight(j)
-        if w == 0 or a == 0:
-            continue
-        buckets.setdefault(w // 2, {})[mono({i + 2: e for i, e in enumerate(j)})] = a
-    coeffs = tuple(GradedPoly(buckets.get(k, {}), 2 * k)
-                   for k in range(2, table.truncation + 1))
-    return AnsatzSeries(table.n, table.delta, table.c, table.truncation, coeffs)
+    """Regroup table entries by weight into series coefficients.
+
+    The entries come by weight, counts[k] of weight 2k, so each coefficient
+    is the next run of them; GradedPoly drops the zero ones.
+    """
+    items = iter(table.entries.items())
+    coeffs = [GradedPoly(dict(islice(items, count)), 2 * k) for k, count in enumerate(table.counts)]
+    return AnsatzSeries(table.n, table.delta, table.c, table.truncation, tuple(coeffs[2:]))
 
 
 # -- the wide (Gaussian-free) ansatz ------------------------------------------

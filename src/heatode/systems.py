@@ -54,6 +54,12 @@ from .jets import JetTooShort, hierarchy_ode
 # to 485336.  A state past this many bits is refused before its next step.
 EXACT_BITS = 2 ** 15
 
+# The most RK4 steps one integrate_rk4 call takes; a longer run is refused
+# before its first step.  The trajectory keeps every state: at level 2 in float
+# mode 10^5 steps take about 0.26 s and 30 MB, so this bound costs seconds and a
+# few hundred MB.  The heat suite's trajectories take about 800 steps.
+MAX_STEPS = 10 ** 6
+
 # Compiled RK4 loops kept, one per structure of flows and mode (see _compiled).
 LOWERING_CACHE = 128
 
@@ -272,11 +278,12 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
     still stops at an overflow), the expected signal of a movable pole;
     an OverflowError or ZeroDivisionError inside a step raises BlowUp at
     that step's start.  An h_bound that is not positive (NaN included),
-    or a float step count (t_end - t0) / step that is not finite, raises
-    ValueError.  After the checks below, the constants are
-    converted once (half and sixth are Q(1, 2) * step and Q(1, 6) * step,
-    in float mode float(Q(1, 2)) * step and float(Q(1, 6)) * step) and the
-    whole run is one call of the generated loop (see _source).
+    or a step count (t_end - t0) / step that is not finite or that rounds
+    past MAX_STEPS, raises ValueError before the first step.  After the
+    checks below, the constants are converted once (half and sixth are
+    Q(1, 2) * step and Q(1, 6) * step, in float mode float(Q(1, 2)) * step
+    and float(Q(1, 6)) * step) and the whole run is one call of the
+    generated loop (see _source).
     """
     if not h_bound > 0:
         raise ValueError(f"the blow-up bound must be positive, got {h_bound}")
@@ -290,6 +297,9 @@ def integrate_rk4(spec: SystemSpec, s0: SystemState, t_end, step,
     if num is float and not math.isfinite(steps):
         raise ValueError(f"(t_end - t0) / step is {steps}, not a finite step count")
     nsteps = round(steps)
+    if nsteps > MAX_STEPS:
+        raise ValueError(f"(t_end - t0) / step asks for {nsteps} steps, "
+                         f"past the bound of {MAX_STEPS} steps per run")
     if num is Q:
         off_grid = steps != nsteps
     else:

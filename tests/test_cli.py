@@ -152,6 +152,17 @@ def test_series_past_the_largest_exponent_exits_2(capsys):
     assert out == "" and "exponent past 127, the largest a monomial key holds" in err
 
 
+def test_series_table_past_the_largest_exponent_exits_2(capsys):
+    # the table holds x2^(K // 2) at n = 1 as the series does, and refuses it past 127 before filling
+    code, out, _ = run(capsys, "series", "table", "--n", "1", "--K", "255", "--json")
+    assert code == 0
+    assert json.loads(out)["series"]["entries"][-1]["J"] == [127]
+    for K in ("256", "300"):
+        code, out, err = run(capsys, "series", "table", "--n", "1", "--K", K, "--json")
+        assert code == 2
+        assert out == "" and "past 127, the largest exponent a monomial key holds" in err
+
+
 # -- integrate ------------------------------------------------------------------------
 
 def test_integrate_level_zero_accuracy(capsys):
@@ -245,6 +256,19 @@ def test_integrate_rejects_an_infinite_step_count(capsys):
                          "--t-end", "1e300", "--step", "1e-300")
     assert code == 2
     assert out == "" and err.startswith("error: ") and "finite step count" in err
+
+
+def test_integrate_refuses_a_step_count_past_the_bound():
+    # 10^9 steps would run for minutes and keep every state; the bound refuses
+    # them before the first step.  A fresh process with a timeout, so a run that
+    # does start fails the test instead of hanging it
+    from heatode.systems import MAX_STEPS
+    assert 1 / 1e-9 > MAX_STEPS >= 5000
+    done = run_python("-m", "heatode", "integrate", "--n", "2", "--state", "1,2,3,4",
+                      "--t-end", "1", "--step", "1e-9", timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and f"past the bound of {MAX_STEPS} steps" in done.stderr
 
 
 def test_integrate_blowup_metadata(capsys):
@@ -552,10 +576,10 @@ def checkout_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
-def run_python(*args):
+def run_python(*args, timeout=120):
     """A fresh interpreter that imports heatode from this checkout."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=checkout_env(), timeout=120)
+                          env=checkout_env(), timeout=timeout)
 
 
 def test_python_dash_m_runs_the_cli():

@@ -146,7 +146,8 @@ def test_exact_field_matches_oracle(data, spec):
 @given(data=st.data(), spec=specs())
 def test_exact_rk4_matches_oracle(data, spec):
     s0 = data.draw(states(spec.n, exact_values))
-    final = integrate_rk4(spec, s0, s0.t + Q(2, 100), Q(1, 100))[-1]
+    # the oracle has no blow-up guard, so none here either (as in the float test)
+    final = integrate_rk4(spec, s0, s0.t + Q(2, 100), Q(1, 100), h_bound=math.inf)[-1]
     assert all(type(v) is Q for v in final.row())
     assert final.row()[1:] == oracle_rk4(spec, s0, 2, Q(1, 100))
 

@@ -20,12 +20,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from heatode.algebra import (
     MAX_EXPONENT, ExponentOverflow, GradedPoly, WeightMismatch, closing_monomials, eval_lowered,
-    monomial_basis, solve_linear, unpack,
+    mono, monomial_basis, solve_linear, unpack,
 )
 from heatode.jets import PARAM, JetPoly, hierarchy_ode, jet_mono, pole_sum_ode, total_derivative
 from heatode.mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_psi
 from heatode.series import ansatz_series, coeff_table, series_from_table
-from heatode.systems import pole_sum
+from heatode.systems import SystemSpec, pole_sum
 
 CLASSES = [GradedPoly, JetPoly]
 WEIGHTS = (0, 2, 4, 6)
@@ -222,6 +222,39 @@ def test_derive_puts_a_term_that_cancels_and_returns_at_the_end():
     assert [GradedPoly({m: 1}) for m in got.terms] == [x2 * x2 * x3, x1 * x1 * x2 * x3]
 
 
+@pytest.mark.parametrize("cls", CLASSES)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), w=st.sampled_from(WEIGHTS), shift=st.sampled_from((0, 2)),
+       coeff=st.sampled_from((0, 1, -2, Q(1, 2))))
+def test_derive_plus_matches_the_sum_in_term_order(cls, data, w, shift, coeff):
+    """derive_plus gives derive(field) + coeff * x^key * other, which ansatz_series
+    builds in five polynomials, with the same terms, weight and term order."""
+    p = data.draw(sparse_polys(cls, w))
+    keys = data.draw(st.permutations(variables(cls)))
+    field = {k: data.draw(sparse_polys(cls, cls.variable(k).weight + shift)) for k in keys}
+    # the monomial 1 or a variable that fits the weight of the derivative
+    units = [next(iter(cls.variable(k).terms)) for k in variables(cls)]
+    key = data.draw(st.sampled_from([0] + [m for m in units if cls({m: 1}).weight <= w + shift]))
+    other = data.draw(sparse_polys(cls, w + shift - cls({key: 1}).weight))
+    got = p.derive_plus(field, key, coeff, other)
+    ref = p.derive(field) + cls({key: coeff}) * other
+    assert got.terms == ref.terms and got.weight == ref.weight
+    assert list(got.terms) == list(ref.terms)
+
+
+def test_derive_plus_keeps_the_sum_errors():
+    x1, x2, x3 = (GradedPoly.variable(k) for k in (1, 2, 3))
+    e1, e3 = mono({1: 1}), mono({3: 1})
+    p = x1 * x2
+    with pytest.raises(WeightMismatch):  # weight 6 from the derivative, 8 from x3 * x1
+        p.derive_plus({1: x1}, e3, 1, x1)
+    # a derivative that cancels adds no weight, as zero + (3 x3) * x1 does not
+    assert p.derive_plus({1: x1, 2: -x2}, e3, 3, x1) == (x1 * x3).scale(3)
+    top = GradedPoly({mono({1: MAX_EXPONENT}): 1})
+    with pytest.raises(ExponentOverflow):
+        GradedPoly.one().derive_plus({}, e1, 1, top)
+
+
 def test_derive_rejects_contributions_of_two_weights():
     x1, x2, x3 = (GradedPoly.variable(k) for k in (1, 2, 3))
     p = x1 * x2 * x3
@@ -338,6 +371,32 @@ def test_series_routes_agree(data, n, K, delta, c):
         st.lists(coefficients, min_size=len(monos), max_size=len(monos))))))
     table = coeff_table(n, closing, c, delta, K)
     assert series_from_table(table) == ansatz_series(n, closing, c, delta, K)
+
+
+def chain_series(n, closing, c, delta, K):
+    """P_2..P_K built as derive(p).scale(2) + variable(2, s) * P_{q-2}: five polynomials a step."""
+    spec = SystemSpec.reduced(n, delta, closing, c)
+    flows = dict(enumerate(spec.flows, start=2))
+    coeffs = [GradedPoly.zero(), GradedPoly.variable(2, spec.c)]
+    for q in range(3, K + 1):
+        s = spec.c * (2 * q + delta - 3) * (2 * q + delta - 2) / (2 * (1 + 2 * delta))
+        coeffs.append(coeffs[-1].derive(flows).scale(2) + GradedPoly.variable(2, s) * coeffs[-2])
+    return coeffs[1:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), K=st.integers(2, 12),
+       delta=st.sampled_from((0, 1)), c=st.one_of(st.integers(-4, 4), coefficients))
+def test_ansatz_series_keeps_the_chain_term_order(data, n, K, delta, c):
+    # one dict per coefficient gives the chain's terms in its order, so lower() keeps its bits
+    monos = closing_monomials(n)
+    closing = GradedPoly(dict(zip(monos, data.draw(
+        st.lists(st.one_of(st.integers(-4, 4), coefficients), min_size=len(monos),
+                 max_size=len(monos))))))
+    got = ansatz_series(n, closing, c, delta, K)
+    for k, ref in enumerate(chain_series(n, closing, Q(c), delta, K), start=2):
+        assert list(got.coeff(k).terms.items()) == list(ref.terms.items())
+        assert got.coeff(k).weight == ref.weight
 
 
 # -- the integral pole-sum jet -----------------------------------------------------------

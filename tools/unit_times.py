@@ -21,12 +21,18 @@ cold unit (unit 0, run once more) leaves behind in its inputs and output.
 perfbench's closed loop keeps every unit's inputs and output until the
 run ends, so peak_rss_mb grows by about this much per unit finished, and
 a faster unit raises the peak by finishing more units in the same time.
+
+After verify-all, one line per suite gives the suite's share of that
+unit: each suite of each unit's seed run on its own, every cache cleared
+and garbage collected before it, the fastest of REPEATS runs, and the
+median over the units in ms and in percent of the sum of the medians.
 """
 
 import argparse
 import gc
 import statistics
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -36,6 +42,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True
 
 import heatode  # noqa: E402
+from heatode import suites  # noqa: E402
 import run  # noqa: E402  (perfbench/, found through the path above)
 from workloads import WORKLOADS  # noqa: E402
 
@@ -79,6 +86,27 @@ def kept_bytes(workload, seed: int, caches) -> int:
         tracemalloc.stop()
 
 
+def suite_ms(workload, seed: int, units: int, caches) -> dict[str, float]:
+    """Median over the units of each suite's cold time in ms, in run_all's order."""
+    times: dict[str, list[float]] = {name: [] for name in suites.SUITES}
+    for index in range(units):
+        unit_seed = workload.make_input(seed, index)
+        for name, samples in times.items():
+            best = None
+            for _ in range(REPEATS):
+                for cached in caches:
+                    cached.cache_clear()
+                gc.collect()
+                start = time.perf_counter()
+                report = suites.run_suite(name, seed=unit_seed)
+                wall = time.perf_counter() - start
+                if not report["passed"]:
+                    raise SystemExit(f"suite {name} failed at seed {unit_seed}")
+                best = wall if best is None else min(best, wall)
+            samples.append(best * 1e3)
+    return {name: statistics.median(samples) for name, samples in times.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workloads", nargs="*",
@@ -103,6 +131,11 @@ def main(argv=None) -> int:
         kept = kept_bytes(workload, args.seed, caches.values()) / 2 ** 20
         print(f"{name:<14} {ms:9.2f} ms {cal:8.4f} cal {kept:7.3f} MB kept  "
               f"(median of {args.units} units, seed {args.seed}, best of {REPEATS})")
+        if name == "verify-all":
+            per_suite = suite_ms(workload, args.seed, args.units, caches.values())
+            total = sum(per_suite.values())
+            for suite, suite_time in per_suite.items():
+                print(f"  suite {suite:<12} {suite_time:7.2f} ms {100 * suite_time / total:5.1f} %")
     return 0
 
 
