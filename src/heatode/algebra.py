@@ -16,17 +16,22 @@ stored key sets, so a product whose exponent would pass MAX_EXPONENT
 raises ExponentOverflow instead of carrying into the next variable.
 Only this module builds or takes apart a key: mono packs exponents,
 unpack lists the (index, exponent) pairs for printing and evaluation,
-keys_by_weight lists every key up to a weight and exponents reads a
-key's fields in a range as bytes (the discrete series recursion).
+monomial_basis lists the keys of one weight in key order (the closing
+bases), keys_by_weight lists every key up to a weight and exponents reads
+a key's fields in a range as bytes (the discrete series recursion), and
+check_key_count counts the keys up to a weight without building one, so
+that a series route refuses more than MAX_KEYS before it starts.
 unpack keeps its answers for the last UNPACK_CACHE keys, since evaluation
 decodes the same few hundred keys on every call.
 
 Coefficients are exact: an `int` when integral, else a `fractions.Fraction`
 (printed alike: str(3) is str(Fraction(3))), so no rounding ever occurs and
-integral arithmetic skips Fraction's gcd work.  Substitution has one
-generator, GradedPoly.images, which subst sums.  For float evaluation a
-polynomial is lowered once (GradedPoly.lower) to float coefficients, which
-eval_lowered sums with the same bits as the exact coefficients would.
+integral arithmetic skips Fraction's gcd work.  Derivation has one entry
+point, GradedPoly.derive, whose optional tail adds a product into the same
+dict; substitution has one generator, GradedPoly.images, which subst sums.
+For float evaluation a polynomial is lowered once (GradedPoly.lower) to
+float coefficients, which eval_lowered sums with the same bits as the
+exact coefficients would.
 lowered_source writes the same sum as Python source, for code generated
 once and run many times (the RK4 loop in systems).
 """
@@ -46,8 +51,12 @@ MAX_EXPONENT = (1 << (FIELD - 1)) - 1       # the field's top bit is its guard
 SLOTS = 1024                                # fields the guard covers: indices -1 .. SLOTS-2
 _MASK = (1 << FIELD) - 1
 _GUARD = (1 << (FIELD - 1)) * (((1 << (FIELD * SLOTS)) - 1) // _MASK)
+_PAST = 1 << FIELD * SLOTS                  # above every field: marks a key that cannot be built
 SUM_CHUNK = 200                             # terms per statement of lowered_source
 UNPACK_CACHE = 1024                         # keys whose unpacked pairs unpack keeps
+# Monomials a series route may hold, all weights together.  At the bound, series phi --n 5
+# --K 60 (19858 monomials) ran 1.1 s at 88 MB peak RSS, the table 0.7 s at 54 MB.
+MAX_KEYS = 20_000
 
 Q = Fraction
 Coeff = int | Fraction
@@ -94,12 +103,14 @@ def keys_by_weight(variables: range, max_weight: int) -> list[list[Mono]]:
     the lowest variable first.  Each exponent in turn ranges only up to
     what the weight left by the earlier ones allows, so no monomial beyond
     the bound is built; a bound that admits an exponent past MAX_EXPONENT
-    raises ExponentOverflow before any is.
+    raises ExponentOverflow before any is, and then one that admits more
+    than MAX_KEYS monomials ValueError.
     """
     for k in variables:
         if max_weight // (2 * k) > MAX_EXPONENT:
             raise ExponentOverflow(f"weight {max_weight} admits x{k}^{max_weight // (2 * k)}, "
                                    f"past {MAX_EXPONENT}, the largest exponent a monomial key holds")
+    check_key_count(variables, max_weight)
     out = [(0, 0)]  # (weight, key), in lex order of the exponents so far
     for k in variables:
         step, unit = 2 * k, 1 << FIELD * (k + 1)
@@ -109,6 +120,17 @@ def keys_by_weight(variables: range, max_weight: int) -> list[list[Mono]]:
     for w, m in out:
         levels[w // 2].append(m)
     return levels
+
+def check_key_count(variables: range, max_weight: int) -> int:
+    """The number of monomials in `variables` of weight <= max_weight; past MAX_KEYS, ValueError.
+
+    Counted by the partition DP in O(len(variables) * max_weight) ints, with no monomial built.
+    """
+    count = sum(_partition_table(max_weight // 2, variables))
+    if count > MAX_KEYS:
+        raise ValueError(f"weight {max_weight} in x{variables.start}..x{variables.stop - 1} admits "
+                         f"{count} monomials, past the bound of {MAX_KEYS}; take a smaller K")
+    return count
 
 def exponents(m: Mono, variables: range) -> bytes:
     """The exponents of x_k in a key, one byte per k in the ascending range `variables`.
@@ -304,42 +326,19 @@ class GradedPoly:
         unit, pairs = self._lowered(k)
         return type(self)(dict(pairs), (self.weight or 0) - self._weight(unit))
 
-    def derive(self, field: Mapping[int, GradedPoly]) -> GradedPoly:
-        """The derivation sum_k field[k] * d/dx_k applied to self; zero entries are skipped.
+    def derive(self, field: Mapping[int, GradedPoly], key: Mono = 0, coeff: Coeff = 0,
+               other: GradedPoly | None = None) -> GradedPoly:
+        """The derivation sum_k field[k] * d/dx_k applied to self, plus coeff * x^key * other.
 
         One loop adds each term of field[k] times each of d/dx_k self into one
         dict, k by k, dropping the keys that sum to zero after each k: the term
         order of the chain `out + field[k] * self.partial(k)`, which lower()
-        keeps.  All nonzero products must share one weight (else WeightMismatch).
+        keeps; zero entries of the field are skipped.  The tail adds the terms
+        of `other`, shifted by the key and scaled, after the derivative's: the
+        order and value of that sum, with no intermediate polynomial built.
+        All nonzero parts must share one weight (else WeightMismatch), and no
+        exponent may pass MAX_EXPONENT (else ExponentOverflow).
         """
-        out, weight = self._derivation(field)
-        return type(self)(_guarded(out), weight)
-
-    def derive_plus(self, field: Mapping[int, GradedPoly], key: Mono, coeff: Coeff,
-                    other: GradedPoly) -> GradedPoly:
-        """self.derive(field) + coeff * x^key * other, summed in derive's dict.
-
-        The terms of `other`, shifted by the key and scaled, are added after
-        the derivative's, which is the term order and the value of that sum
-        of a derivative, a one-term product and a product: no intermediate
-        polynomial is built.  Both parts must share one weight (else
-        WeightMismatch), and no exponent may pass MAX_EXPONENT (else
-        ExponentOverflow).
-        """
-        out, weight = self._derivation(field)
-        if coeff and other:
-            w = self._weight(key) + other.weight
-            if out and w != weight:
-                raise WeightMismatch(f"cannot add weight {weight} to weight {w}")
-            weight = w
-            get = out.get
-            for m, c in other.terms.items():
-                m += key
-                out[m] = get(m, 0) + coeff * c
-        return type(self)(_guarded(out), weight)
-
-    def _derivation(self, field: Mapping[int, GradedPoly]) -> tuple[dict[Mono, Coeff], int | None]:
-        """derive's terms, unguarded, and their weight (None when there are none)."""
         out: dict[Mono, Coeff] = {}
         get = out.get
         weight = None
@@ -357,7 +356,15 @@ class GradedPoly:
                     out[m] = get(m, 0) + cv * c
             for m in [m for m, c in out.items() if not c]:
                 del out[m]
-        return out, weight
+        if coeff and other:
+            w = self._weight(key) + other.weight
+            if out and w != weight:
+                raise WeightMismatch(f"cannot add weight {weight} to weight {w}")
+            weight = w
+            for m, c in other.terms.items():
+                m += key
+                out[m] = get(m, 0) + coeff * c
+        return type(self)(_guarded(out), weight)
 
     def subst(self, values: Mapping[int, GradedPoly],
               target: type[GradedPoly] | None = None) -> GradedPoly:
@@ -455,42 +462,41 @@ class GradedPoly:
 
 # -- partitions and the closing-polynomial space ---------------------------
 
+def _partition_table(top: int, parts: Iterable[int]) -> list[int]:
+    """table[s]: the number of partitions of s = 0..top into `parts`, by the bounded-part DP."""
+    table = [1] + [0] * top
+    for part in parts:
+        for s in range(part, top + 1):
+            table[s] += table[s - part]
+    return table
+
+
 def partition_count(m: int) -> int:
-    """Number p(m) of integer partitions, by the bounded-part DP table."""
+    """Number p(m) of integer partitions."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    # table[s] = number of partitions of s using parts <= current bound
-    table = [1] + [0] * m
-    for part in range(1, m + 1):
-        for s in range(part, m + 1):
-            table[s] += table[s - part]
-    return table[m]
-
-
-def partitions_into(total: int, kmin: int, kmax: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of `total` with parts in [kmin, kmax], parts descending.
-
-    Emitted in ascending lex order of the descending part tuple, which is
-    the fixed monomial order used everywhere for reports.
-    """
-    if total == 0:
-        yield ()
-        return
-    for largest in range(kmin, min(kmax, total) + 1):
-        for rest in partitions_into(total - largest, kmin, largest):
-            yield (largest,) + rest
-
-
-def _parts_to_mono(parts: tuple[int, ...]) -> Mono:
-    exps: dict[int, int] = {}
-    for p in parts:
-        exps[p] = exps.get(p, 0) + 1
-    return mono(exps)
+    return _partition_table(m, range(1, m + 1))[m]
 
 
 def monomial_basis(total: int, kmin: int, kmax: int) -> list[Mono]:
-    """All monomials with sum k*j_k = total and variable indices in [kmin, kmax]."""
-    return [_parts_to_mono(p) for p in partitions_into(total, kmin, kmax)]
+    """Every monomial with sum k*j_k = total and variable indices in [kmin, kmax], in key order.
+
+    The keys are built from the highest variable down, each exponent
+    ascending, so they come out ascending: lex order on the descending list
+    of parts, the fixed monomial order used everywhere for reports.  A
+    returned monomial with an exponent past MAX_EXPONENT raises
+    ExponentOverflow; a partial one that completes no monomial does not.
+    """
+    out = [(total, 0)]  # (what is left of the total, key so far, plus _PAST per exponent too large)
+    for k in range(kmax, kmin - 1, -1):
+        unit = 1 << FIELD * (k + 1)
+        out = [(left - e * k, m + (e * unit if e <= MAX_EXPONENT else _PAST))
+               for left, m in out for e in range(left // k + 1)]
+    keys = [m for left, m in out if not left]
+    if max(keys, default=0) >= _PAST:
+        raise ExponentOverflow(f"a monomial of total {total} in x{kmin}..x{kmax} has an exponent "
+                               f"past {MAX_EXPONENT}, the largest a monomial key holds")
+    return keys
 
 
 def closing_monomials(n: int) -> list[Mono]:

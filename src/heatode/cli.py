@@ -106,8 +106,11 @@ def _emit(args, payload) -> None:
     else:  # strict JSON: no bare NaN or Infinity tokens
         text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as err:  # a path that cannot be written is a usage error
+            raise CliError(f"cannot write {args.out!r}: {err.strerror}") from None
     else:
         print(text)
 
@@ -273,9 +276,11 @@ def cmd_sl2_orbit(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # series and sl2 orbit always print JSON, so they take only --out
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write output to a file instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--out", help="write output to a file instead of stdout")
 
     parser = argparse.ArgumentParser(
         prog="heatode",
@@ -295,18 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
     ser = sub.add_parser("series", help="series coefficient generation")
     ser_sub = ser.add_subparsers(dest="kind", required=True)
     for kind in ("phi", "table"):
-        p = ser_sub.add_parser(kind, parents=[common])
+        p = ser_sub.add_parser(kind, parents=[output])
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--delta", type=int, choices=(0, 1), default=0)
         p.add_argument("--c", help="series normalisation, default -2(1+2*delta)")
         p.add_argument("--p", help="closing coefficients")
         p.add_argument("--K", type=int, required=True)
         p.set_defaults(func=cmd_series, kind=kind)
-    p = ser_sub.add_parser("sigma", parents=[common])
+    p = ser_sub.add_parser("sigma", parents=[output])
     p.add_argument("--K", type=int, required=True)
     p.set_defaults(func=cmd_series, kind="sigma")
     # no abbreviations: "--seed" must not silently mean "--seed-coeff"
-    p = ser_sub.add_parser("psi", parents=[common], allow_abbrev=False)
+    p = ser_sub.add_parser("psi", parents=[output], allow_abbrev=False)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--seed-coeff", default="-1/2",
                    help="coefficient of x1 in the seed term")
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sl2 = sub.add_parser("sl2", help="matrix actions on solutions")
     sl2_sub = sl2.add_subparsers(dest="sl2_command", required=True)
-    p = sl2_sub.add_parser("orbit", parents=[common])
+    p = sl2_sub.add_parser("orbit", parents=[output])
     p.add_argument("--mobius", required=True, help="four rationals a,b,c,d with ad-bc=1")
     p.add_argument("--poles", required=True, help="comma-separated rational poles")
     p.add_argument("--t", required=True, help="rational evaluation time")

@@ -145,14 +145,14 @@ class JetPoly(GradedPoly):
 
 # -- derivations ------------------------------------------------------------
 
-def total_derivative(p: JetPoly) -> JetPoly:
-    """d/dt on jet polynomials: the derivation sum_q h^(q+1) d/dh^(q); b is constant."""
-    return p.derive({q: JetPoly.h(q + 1) for q in range(p.order() + 1)})
-
-
 def shifted_derivative(p: JetPoly, m: Fraction | int) -> JetPoly:
-    """(d/dt + m*h) applied to p."""
-    return total_derivative(p) + (JetPoly.h(0) * p).scale(m)
+    """(d/dt + m*h) applied to p, d/dt = sum_q h^(q+1) d/dh^(q) (b is constant): one derive."""
+    return p.derive({q: JetPoly.h(q + 1) for q in range(p.order() + 1)}, jet_mono({0: 1}), m, p)
+
+
+def total_derivative(p: JetPoly) -> JetPoly:
+    """d/dt on jet polynomials."""
+    return shifted_derivative(p, 0)
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,11 @@ Three independent constructions of the same object live here:
                   x3 = g3/2.
 
 Keeping the routes independent is the point: each one is an oracle for
-the others, and the tests compare them term by term.
+the others, and the tests compare them term by term.  The polynomial
+route builds each coefficient with one GradedPoly.derive and its tail.
+Before any work, the polynomial route, the discrete route and the wide
+ansatz count the monomials their coefficients could hold
+(algebra.check_key_count) and refuse a truncation past MAX_KEYS of them.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Mapping, Sequence
 
-from .algebra import (Coeff, GradedPoly, Mono, Q, check_closing, check_homogeneous, exponents,
-                      keys_by_weight, mono)
+from .algebra import (Coeff, GradedPoly, Mono, Q, check_closing, check_homogeneous,
+                      check_key_count, exponents, keys_by_weight, mono)
 from .jets import JetPoly, jet_mono, pole_sum_ode
 from .systems import SystemSpec, default_c
 
@@ -86,8 +90,10 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
     folded into its scalar c(2q+delta-3)(2q+delta-2)/(2(1+2*delta)), which
     is an int whenever it is integral (at the default c, and at c = 3, for
     both parities), so integral coefficients never pass through Fraction.
-    Each P_q is one GradedPoly.derive_plus along the flows scaled by 2:
-    the derivative's terms, then x_2 * P_{q-2}'s, in one dict.
+    The coefficients hold the monomials of weight <= 2K in x_2..x_{n+1}, so
+    a K that admits more than MAX_KEYS of them raises ValueError first.
+    Each P_q is one GradedPoly.derive along the flows scaled by 2, with
+    the tail x_2 * P_{q-2}: the derivative's terms, then the tail's, in one dict.
     """
     spec = SystemSpec.reduced(n, delta, closing, Q(c))
     if K < 2:
@@ -95,6 +101,7 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
     c = spec.c
     if n == 0:
         return AnsatzSeries(0, delta, c, K, tuple(GradedPoly.zero() for _ in range(K - 1)))
+    check_key_count(range(2, n + 2), 2 * K)
     p2 = {k: p.scale(2) for k, p in enumerate(spec.flows, start=2)}  # twice the flow of x_k
     x2 = mono({2: 1})
     coeffs = [GradedPoly.zero(), GradedPoly.variable(2, c)]  # P_1, P_2
@@ -102,8 +109,7 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
     for q in range(3, K + 1):
         # the scalar num/den of P_2 * P_{q-2} over x_2, an int when integral
         num = c.numerator * (2 * q + delta - 3) * (2 * q + delta - 2)
-        term = coeffs[-1].derive_plus(p2, x2, Q(num, den) if num % den else num // den,
-                                      coeffs[-2])
+        term = coeffs[-1].derive(p2, x2, Q(num, den) if num % den else num // den, coeffs[-2])
         coeffs.append(check_homogeneous(term, 2 * q, None, f"coefficient {q}"))
     return AnsatzSeries(n, delta, c, K, tuple(coeffs[1:]))
 
@@ -146,8 +152,10 @@ def coeff_table(n: int, closing: GradedPoly | None, c: Fraction | int,
            + sum_S 2 (j_{n+1} + 1) p(S) a(J - S + e_{n+1})
 
     with a(0) = 1 and a(J) = 0 off the nonnegative orthant.  K = 0 leaves
-    a(0) alone; a negative K raises ValueError, and a K whose weight bound
-    admits an exponent past MAX_EXPONENT (K >= 256) ExponentOverflow.
+    a(0) alone; a negative K raises ValueError, a K whose weight bound
+    admits an exponent past MAX_EXPONENT (K >= 256) ExponentOverflow, and
+    then one that admits more than MAX_KEYS monomials ValueError, before
+    any entry is filled.
 
     Entries are keyed by monomial, so each neighbour is one int
     subtraction from J's key.  A neighbour off the orthant borrows from a
@@ -248,7 +256,8 @@ def bare_series(p_list: Sequence[GradedPoly], psi1: GradedPoly, K: int) -> BareS
     `p_list` gives the flows p_2..p_{n+2} of x_1..x_{n+1} (each p_{j+1}
     homogeneous of weight 2(j+1)); `psi1` is the weight-2 seed.  The
     recursion is P_{k+1} = 2 sum_j p_{j+1} dP_k/dx_j + P_1 * P_k.
-    A negative K raises ValueError.
+    A negative K raises ValueError, and so does one whose coefficients
+    could hold more than MAX_KEYS monomials, before any is built.
     """
     _check_truncation(K)
     n = len(p_list) - 1
@@ -258,6 +267,7 @@ def bare_series(p_list: Sequence[GradedPoly], psi1: GradedPoly, K: int) -> BareS
     for j, p in flows.items():
         check_homogeneous(p, 2 * (j + 1), range(1, n + 2), f"flow of x_{j}")
     check_homogeneous(psi1, 2, range(1, n + 2), "the seed coefficient")
+    check_key_count(range(1, n + 2), 2 * K)
     coeffs = [psi1]
     for _ in range(1, K):
         prev = coeffs[-1]

@@ -6,17 +6,24 @@ from fractions import Fraction as Q
 
 import pytest
 
+from heatode import algebra
 from heatode.algebra import (
+    MAX_EXPONENT,
+    MAX_KEYS,
     UNPACK_CACHE,
+    ExponentOverflow,
     GradedPoly,
     WeightMismatch,
+    check_key_count,
     closing_from_coeffs,
     closing_monomials,
+    keys_by_weight,
     mono,
     monomial_basis,
     partition_count,
     unpack,
 )
+from heatode.series import ansatz_series
 
 
 def enumerate_partitions(m):
@@ -120,6 +127,63 @@ def test_partition_values():
     assert partition_count(0) == 1
     assert partition_count(4) == 5
     assert partition_count(6) == 11
+
+
+def bounded_partitions(total, kmin, kmax):
+    """Oracle: the descending part tuples of `total` with parts in [kmin, kmax], in ascending lex
+    order of the tuple, the report order."""
+    if total == 0:
+        yield ()
+        return
+    for largest in range(kmin, min(kmax, total) + 1):
+        for rest in bounded_partitions(total - largest, kmin, largest):
+            yield (largest,) + rest
+
+
+@pytest.mark.parametrize("kmin", (1, 2, 3))
+def test_monomial_basis_matches_the_partition_oracle_in_key_order(kmin):
+    for total in range(-2, 31):
+        for kmax in (0, 1, 2, 3, 4, 5, 7, 10, 15, 30, 31):  # kmin > kmax included
+            want = [mono({k: parts.count(k) for k in set(parts)})
+                    for parts in bounded_partitions(total, kmin, kmax)]
+            got = monomial_basis(total, kmin, kmax)
+            assert got == want == sorted(want), (total, kmin, kmax)
+    assert monomial_basis(0, kmin, kmin - 1) == [mono({})]
+
+
+def test_monomial_basis_overflows_only_on_a_returned_monomial():
+    # total 256 in x2, x3 holds x2^128; total 257 reaches x2^128 with 1 left over, which
+    # completes no monomial, so every returned exponent fits
+    with pytest.raises(ExponentOverflow):
+        monomial_basis(256, 2, 3)
+    keys = monomial_basis(257, 2, 3)
+    assert len(keys) == 43
+    assert keys[0] == mono({2: MAX_EXPONENT, 3: 1}) and keys[-1] == mono({2: 1, 3: 85})
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_key_count_is_the_number_of_keys_by_weight(n):
+    for K in range(13):
+        levels = keys_by_weight(range(2, n + 2), 2 * K)
+        assert check_key_count(range(2, n + 2), 2 * K) == sum(map(len, levels))
+
+
+def test_key_count_admits_every_series_the_package_runs():
+    # levels up to 6 at K <= 32 (the goldens, the benchmark's series) and level 1 up to K = 255
+    assert check_key_count(range(2, 8), 64) <= MAX_KEYS
+    assert check_key_count(range(2, 3), 510) <= MAX_KEYS
+
+
+def test_key_count_refuses_only_past_the_bound(monkeypatch):
+    count = check_key_count(range(2, 8), 48)
+    monkeypatch.setattr(algebra, "MAX_KEYS", count)
+    assert sum(map(len, keys_by_weight(range(2, 8), 48))) == count
+    monkeypatch.setattr(algebra, "MAX_KEYS", count - 1)
+    for call in (lambda: keys_by_weight(range(2, 8), 48),
+                 lambda: ansatz_series(6, None, Q(1), 0, 24)):
+        with pytest.raises(ValueError, match=f"admits {count} monomials, past the bound"):
+            call()
 
 
 def test_closing_basis_explicit():

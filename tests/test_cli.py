@@ -86,6 +86,13 @@ def test_ode_print_bad_value_exits_2(capsys):
     assert "error" in err
 
 
+def test_ode_print_closing_outside_the_basis_exits_2(capsys):
+    # level 4 has three closing slots, p0..p2
+    code, out, err = run(capsys, "ode", "print", "--n", "4", "--p", "p3=1")
+    assert code == 2
+    assert out == "" and "coefficient 'p3' is outside the level-4 basis" in err
+
+
 def test_ode_basis(capsys):
     code, out, _ = run(capsys, "ode", "basis", "--n", "4", "--json")
     assert code == 0
@@ -137,28 +144,58 @@ def test_series_psi(capsys):
     ("series", "psi", "--K", "-3"),
 ])
 def test_series_negative_K_exits_2(capsys, argv):
-    code, out, err = run(capsys, *argv, "--json")
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and "K must be nonnegative" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("series", "phi", "--n", "2", "--K", "4"),
+    ("series", "table", "--n", "2", "--K", "4"),
+    ("series", "sigma", "--K", "2"),
+    ("series", "psi", "--K", "2"),
+    ("sl2", "orbit", "--mobius", "1,0,0,1", "--poles", "0", "--t", "3"),
+])
+def test_json_is_not_offered_where_the_output_is_always_json(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--json"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("table", "--n", "6", "--K", "255"),
+                                  ("phi", "--n", "6", "--K", "200"),
+                                  ("psi", "--K", "127")])
+def test_series_past_the_size_bound_exits_2_before_any_work(argv):
+    # these would hold 10^8, 2.6 * 10^7 and 6 * 10^4 monomials; the count is made
+    # without building one.  A fresh process with a timeout, so a run that does
+    # start fails the test instead of hanging it
+    from heatode.algebra import MAX_KEYS
+    done = run_python("-m", "heatode", "series", *argv, timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and f"past the bound of {MAX_KEYS}" in done.stderr
+
+
 def test_series_past_the_largest_exponent_exits_2(capsys):
     # at n = 1 the series coefficient P_K holds x2^(K/2): 127 fits a key's field, 128 does not
-    code, out, _ = run(capsys, "series", "phi", "--n", "1", "--K", "254", "--json")
+    code, out, _ = run(capsys, "series", "phi", "--n", "1", "--K", "254")
     assert code == 0
     assert [t["m"] for t in json.loads(out)["series"]["coeffs"][-1]["poly"]["terms"]] == [[[2, 127]]]
-    code, out, err = run(capsys, "series", "phi", "--n", "1", "--K", "256", "--json")
+    code, out, err = run(capsys, "series", "phi", "--n", "1", "--K", "256")
     assert code == 2
     assert out == "" and "exponent past 127, the largest a monomial key holds" in err
 
 
 def test_series_table_past_the_largest_exponent_exits_2(capsys):
     # the table holds x2^(K // 2) at n = 1 as the series does, and refuses it past 127 before filling
-    code, out, _ = run(capsys, "series", "table", "--n", "1", "--K", "255", "--json")
+    code, out, _ = run(capsys, "series", "table", "--n", "1", "--K", "255")
     assert code == 0
     assert json.loads(out)["series"]["entries"][-1]["J"] == [127]
     for K in ("256", "300"):
-        code, out, err = run(capsys, "series", "table", "--n", "1", "--K", K, "--json")
+        code, out, err = run(capsys, "series", "table", "--n", "1", "--K", K)
         assert code == 2
         assert out == "" and "past 127, the largest exponent a monomial key holds" in err
 
@@ -519,7 +556,7 @@ def test_sl2_orbit_short_jet_skips_the_match(capsys, monkeypatch):
         raise AssertionError("match_pole_ode called for a short jet")
 
     monkeypatch.setattr(cli, "match_pole_ode", no_match)
-    code, out, _ = run(capsys, *argv, "--order", "2", "--json")
+    code, out, _ = run(capsys, *argv, "--order", "2")
     assert code == 0
     data = json.loads(out)
     assert data["jet"] == ["-23/44", "-2643/1936", "-226543/42592"] == full["jet"][:3]
@@ -565,6 +602,13 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["passed"]
+
+
+def test_an_out_path_that_cannot_be_written_exits_2(tmp_path, capsys):
+    for target in (tmp_path, tmp_path / "missing" / "report.txt"):
+        code, out, err = run(capsys, "ode", "basis", "--n", "2", "--out", str(target))
+        assert code == 2
+        assert out == "" and err.startswith(f"error: cannot write {str(target)!r}: ")
 
 
 # -- the package as a program ----------------------------------------------------

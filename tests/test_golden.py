@@ -19,13 +19,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     **{f"ode_print_n{n}": ["ode", "print", "--n", str(n), "--json"] for n in range(2, 7)},
+    # the text report of the closing basis, in the report order of closing_monomials
+    "ode_basis_n6": ["ode", "basis", "--n", "6"],
     **{f"series_{kind}_n{n}_delta{d}": ["series", kind, "--n", str(n), "--delta", str(d),
-                                       "--K", "12", "--json"]
+                                       "--K", "12"]
        for kind in ("phi", "table") for n in (4, 6) for d in (0, 1)},
     # a fractional c and closing: the table's scaled recursion with D > 1
     **{f"series_{kind}_n4_delta1_c5_3": ["series", kind, "--n", "4", "--delta", "1",
                                          "--c", "5/3", "--p", "p0=1/2,p1=-3,p2=2/5",
-                                         "--K", "10", "--json"]
+                                         "--K", "10"]
        for kind in ("phi", "table")},
     "series_sigma_K12": ["series", "sigma", "--K", "12"],
     "series_psi_K10": ["series", "psi", "--K", "10"],

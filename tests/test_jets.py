@@ -58,6 +58,15 @@ def test_shifted_derivative():
     assert shifted_derivative(h, 0) == h1
 
 
+def test_hierarchy_keeps_the_term_order_of_the_derivative_plus_product_chain():
+    # lift_jet sums each member in its term order, so its float bits rest on that order
+    chain = jp([({1: 1}, 1), ({0: 2}, 1)])
+    for n in range(2, 15):
+        field = {q: JetPoly.h(q + 1) for q in range(chain.order() + 1)}
+        chain = chain.derive(field) + (h * chain).scale(2 * n)
+        assert list(hierarchy_ode(n).terms.items()) == list(chain.terms.items()), n
+
+
 def test_hierarchy_members():
     assert hierarchy_ode(1) == jp([({1: 1}, 1), ({0: 2}, 1)])
     assert hierarchy_ode(2) == jp([({2: 1}, 1), ({0: 1, 1: 1}, 6), ({0: 3}, 4)])

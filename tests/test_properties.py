@@ -226,9 +226,10 @@ def test_derive_puts_a_term_that_cancels_and_returns_at_the_end():
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), w=st.sampled_from(WEIGHTS), shift=st.sampled_from((0, 2)),
        coeff=st.sampled_from((0, 1, -2, Q(1, 2))))
-def test_derive_plus_matches_the_sum_in_term_order(cls, data, w, shift, coeff):
-    """derive_plus gives derive(field) + coeff * x^key * other, which ansatz_series
-    builds in five polynomials, with the same terms, weight and term order."""
+def test_derive_tail_matches_the_sum_in_term_order(cls, data, w, shift, coeff):
+    """derive(field, key, coeff, other) gives derive(field) + coeff * x^key * other, the sum
+    that ansatz_series and shifted_derivative would otherwise build in several polynomials,
+    with the same terms, weight and term order."""
     p = data.draw(sparse_polys(cls, w))
     keys = data.draw(st.permutations(variables(cls)))
     field = {k: data.draw(sparse_polys(cls, cls.variable(k).weight + shift)) for k in keys}
@@ -236,23 +237,23 @@ def test_derive_plus_matches_the_sum_in_term_order(cls, data, w, shift, coeff):
     units = [next(iter(cls.variable(k).terms)) for k in variables(cls)]
     key = data.draw(st.sampled_from([0] + [m for m in units if cls({m: 1}).weight <= w + shift]))
     other = data.draw(sparse_polys(cls, w + shift - cls({key: 1}).weight))
-    got = p.derive_plus(field, key, coeff, other)
+    got = p.derive(field, key, coeff, other)
     ref = p.derive(field) + cls({key: coeff}) * other
     assert got.terms == ref.terms and got.weight == ref.weight
     assert list(got.terms) == list(ref.terms)
 
 
-def test_derive_plus_keeps_the_sum_errors():
+def test_derive_tail_keeps_the_sum_errors():
     x1, x2, x3 = (GradedPoly.variable(k) for k in (1, 2, 3))
     e1, e3 = mono({1: 1}), mono({3: 1})
     p = x1 * x2
     with pytest.raises(WeightMismatch):  # weight 6 from the derivative, 8 from x3 * x1
-        p.derive_plus({1: x1}, e3, 1, x1)
+        p.derive({1: x1}, e3, 1, x1)
     # a derivative that cancels adds no weight, as zero + (3 x3) * x1 does not
-    assert p.derive_plus({1: x1, 2: -x2}, e3, 3, x1) == (x1 * x3).scale(3)
+    assert p.derive({1: x1, 2: -x2}, e3, 3, x1) == (x1 * x3).scale(3)
     top = GradedPoly({mono({1: MAX_EXPONENT}): 1})
     with pytest.raises(ExponentOverflow):
-        GradedPoly.one().derive_plus({}, e1, 1, top)
+        GradedPoly.one().derive({}, e1, 1, top)
 
 
 def test_derive_rejects_contributions_of_two_weights():

@@ -7,12 +7,16 @@ from fractions import Fraction as Q
 import pytest
 
 from heatode.algebra import (
-    GradedPoly, WeightMismatch, check_closing, closing_monomials, mono, solve_linear, unpack,
+    GradedPoly, WeightMismatch, check_closing, closing_dim, closing_monomials, mono,
+    partition_count, solve_linear, unpack,
 )
 from heatode.cli import main
-from heatode.jets import PARAM, JetPoly, family_ode, pole_sum_ode
-from heatode.series import ansatz_series, bare_series, coeff_table
-from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4, vector_field
+from heatode.heat import OutOfRange, fundamental_psi
+from heatode.jets import (PARAM, JetPoly, family_ode, head_tail_coefficients, hierarchy_ode,
+                          necessary_pole_strength, pole_sum_ode)
+from heatode.series import ansatz_series, bare_series, coeff_table, hermite, three_pole_flows
+from heatode.systems import (BlowUp, PoleSum, SystemSpec, SystemState, integrate_rk4,
+                             sigma_reduction, transform_system, vector_field, weierstrass_system)
 
 x1 = GradedPoly.variable(1)
 x2 = GradedPoly.variable(2)
@@ -69,6 +73,45 @@ def test_every_caller_rejects_a_delta_other_than_0_or_1(delta):
                  lambda: coeff_table(2, None, Q(1), delta, 4)):
         with pytest.raises(ValueError, match="delta must be 0 or 1"):
             call()
+
+
+# Each guard of a library entry point, with the typed error and the message it raises.
+GUARDS = {
+    "partition_count-negative": (lambda: partition_count(-1), ValueError, "m must be nonnegative"),
+    "closing_monomials-negative": (lambda: closing_monomials(-1), ValueError,
+                                   "n must be nonnegative"),
+    "closing_dim-negative": (lambda: closing_dim(-1), ValueError, "n must be nonnegative"),
+    "pole_sum_ode-negative": (lambda: pole_sum_ode(-1, 2), ValueError, "n must be nonnegative"),
+    "pole_sum_ode-b-zero": (lambda: pole_sum_ode(2, 0), ValueError, "b must be nonzero"),
+    "hierarchy_ode-zero": (lambda: hierarchy_ode(0), ValueError, "hierarchy starts at n = 1"),
+    "head_tail_coefficients-one": (lambda: head_tail_coefficients(1), ValueError,
+                                   "defined for n > 1"),
+    "necessary_pole_strength-zero": (lambda: necessary_pole_strength(0), ValueError,
+                                     "n must be positive"),
+    "PoleSum-b-zero": (lambda: PoleSum(Q(0), (Q(1),)), ValueError, "b must be nonzero"),
+    "transform_system-rows": (lambda: transform_system(weierstrass_system(), [(Q(1), None)]),
+                              ValueError, "expected 2 transform rows"),
+    "sigma_reduction-case": (lambda: sigma_reduction(4), ValueError, "case must be 2 or 3"),
+    "hermite-negative": (lambda: hermite(-1), ValueError, "k must be nonnegative"),
+    "SystemSpec-flow-count": (lambda: SystemSpec(2, 0, Q(-2), (x3,)), ValueError,
+                              "expected 2 flows, got 1"),
+    "bare_series-no-flows": (lambda: bare_series([], x1, 2), ValueError,
+                             "p_list must cover x_1..x_{n+1}"),
+    "AnsatzSeries-coeff-past-K": (lambda: ansatz_series(2, None, Q(1), 0, 4).coeff(5), IndexError,
+                                  "series truncated at K = 4"),
+    "BareSeries-coeff-past-K": (lambda: bare_series(three_pole_flows(), x1, 3).coeff(4),
+                                IndexError, "series truncated at K = 3"),
+    "fundamental_psi-before-center": (lambda: fundamental_psi(1.0)(0.0, 0.5), OutOfRange,
+                                      "is not beyond the center"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDS))
+def test_each_guard_raises_its_typed_error(name):
+    call, error, message = GUARDS[name]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and message in str(caught.value)
 
 
 def test_ansatz_series_needs_c_and_two_orders():
