@@ -28,7 +28,9 @@ Coefficients are exact: an `int` when integral, else a `fractions.Fraction`
 (printed alike: str(3) is str(Fraction(3))), so no rounding ever occurs and
 integral arithmetic skips Fraction's gcd work.  Derivation has one entry
 point, GradedPoly.derive, whose optional tail adds a product into the same
-dict; substitution has one generator, GradedPoly.images, which subst sums.
+dict (each polynomial series coefficient, hierarchy step and transformed
+flow is one call); substitution has one generator, GradedPoly.images, which
+subst sums.
 For float evaluation a polynomial is lowered once (GradedPoly.lower) to
 float coefficients, which eval_lowered sums with the same bits as the
 exact coefficients would.

@@ -94,9 +94,12 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
 
     The residual of exp(-h z^2/2 + r) * S(z; x(t)) is expanded in z with
     every time derivative replaced through the flow; the coefficient of
-    z^m is a polynomial in (h, x_2..x_{n+1}) (h occupies slot 1 of the
-    grading) and must be exactly zero for every m <= 2K + delta - 2 of the
-    series parity, K the truncation (opposite-parity ones vanish structurally).
+    z^m must be exactly zero for every m <= 2K + delta - 2 of the series
+    parity, K the truncation (opposite-parity ones vanish structurally).
+    It is computed over (h, x_2..x_{n+1}), h in slot 1 of the grading, yet
+    holds no h: c_m is homogeneous of weight m - delta, so by Euler's
+    identity the flow's -2k h x_k terms add -(m - delta) h c_m, which
+    cancels the (m - delta) h c_m term exactly.
     """
     if (series.n, series.delta, series.c) != (spec.n, spec.delta, spec.c):
         raise ValueError("series parameters do not match the system")

@@ -193,16 +193,6 @@ def head_tail_coefficients(n: int) -> tuple[Fraction, Fraction, Fraction]:
             p.coefficient(jet_mono({0: n + 1})))
 
 
-def raise_closing(p: GradedPoly) -> GradedPoly:
-    """Ladder step sending a level-n closing to the level-(n+1) one.
-
-    Applies sum_k x_{k+1} d/dx_k, which matches the action of
-    (d/dt + 2(n+2)h) on the family: the weight rises by 2.
-    """
-    return p.derive({k: GradedPoly.variable(k + 1)
-                     for k in sorted({k for m in p.terms for k, _ in unpack(m)})})
-
-
 # -- the pole matrix family -------------------------------------------------
 
 @lru_cache(maxsize=None)

@@ -11,8 +11,8 @@ Three independent constructions of the same object live here:
                   x3 = g3/2.
 
 Keeping the routes independent is the point: each one is an oracle for
-the others, and the tests compare them term by term.  The polynomial
-route builds each coefficient with one GradedPoly.derive and its tail.
+the others, and the tests compare them term by term.  Each polynomial
+builder (ansatz, bare, sigma) builds a coefficient with one derive and its tail.
 Before any work, the polynomial route, the discrete route and the wide
 ansatz count the monomials their coefficients could hold
 (algebra.check_key_count) and refuse a truncation past MAX_KEYS of them.
@@ -255,23 +255,24 @@ def bare_series(p_list: Sequence[GradedPoly], psi1: GradedPoly, K: int) -> BareS
 
     `p_list` gives the flows p_2..p_{n+2} of x_1..x_{n+1} (each p_{j+1}
     homogeneous of weight 2(j+1)); `psi1` is the weight-2 seed.  The
-    recursion is P_{k+1} = 2 sum_j p_{j+1} dP_k/dx_j + P_1 * P_k.
-    A negative K raises ValueError, and so does one whose coefficients
-    could hold more than MAX_KEYS monomials, before any is built.
+    recursion is P_{k+1} = 2 sum_j p_{j+1} dP_k/dx_j + P_1 * P_k, one derive
+    with the tail a*x_1*P_k as P_1 = a*x_1, x_1 being the only weight-2
+    monomial.  A negative K raises ValueError, and so does one whose
+    coefficients could hold more than MAX_KEYS monomials, before any is built.
     """
     _check_truncation(K)
     n = len(p_list) - 1
     if n < 0:
         raise ValueError("p_list must cover x_1..x_{n+1}")
-    flows = dict(enumerate(p_list, start=1))
-    for j, p in flows.items():
+    for j, p in enumerate(p_list, start=1):
         check_homogeneous(p, 2 * (j + 1), range(1, n + 2), f"flow of x_{j}")
     check_homogeneous(psi1, 2, range(1, n + 2), "the seed coefficient")
     check_key_count(range(1, n + 2), 2 * K)
+    p2 = {j: p.scale(2) for j, p in enumerate(p_list, start=1)}  # twice the flow of x_j
+    x1 = mono({1: 1})
     coeffs = [psi1]
     for _ in range(1, K):
-        prev = coeffs[-1]
-        coeffs.append(prev.derive(flows).scale(2) + psi1 * prev)
+        coeffs.append(coeffs[-1].derive(p2, x1, psi1.coefficient(x1), coeffs[-1]))
     return BareSeries(n, 0, K, tuple(coeffs))
 
 
@@ -302,13 +303,16 @@ def sigma_series(K: int) -> list[GradedPoly]:
 
     with l2 = 6 g3 d/dg2 + (1/3) g2^2 d/dg3; the scaling operator is then
     satisfied automatically because every S_k is homogeneous of weight 2k
-    (asserted below, not assumed).  A negative K raises ValueError.
+    (asserted below, not assumed), and each S_{m+1} is one derive with the
+    tail g2 * S_{m-1}.  A negative K raises ValueError.
     """
     _check_truncation(K)
     g2 = GradedPoly.variable(2)
+    # 2 l2, written out rather than taken from sigma_l2, which verify sigma checks against it
+    twice_l2 = {2: GradedPoly.variable(3, 12), 3: (g2 * g2).scale(Q(2, 3))}
     out = [GradedPoly.one(), GradedPoly.zero()]
     for m in range(1, K):
-        nxt = sigma_l2(out[m]).scale(2) - (g2 * out[m - 1]).scale(Q(m * (2 * m + 1), 6))
+        nxt = out[m].derive(twice_l2, mono({2: 1}), -Q(m * (2 * m + 1), 6), out[m - 1])
         out.append(check_homogeneous(nxt, 2 * (m + 1), None, f"sigma coefficient {m + 1}"))
     return out[:K + 1]
 

@@ -421,9 +421,9 @@ def transform_system(spec: SystemSpec,
     inverse: dict[int, GradedPoly] = {}
     for k, ck, q in zip(range(2, spec.n + 2), scales, shears):
         inverse[k] = (GradedPoly.variable(k) - q.subst(inverse)).scale(1 / ck)
-    # X_k' = c_k p_{k+1} + (derivative of q_k along the old flows), then back to X
+    # X_k' = (derivative of q_k along the old flows) + c_k p_{k+1}, one derive, then back to X
     old_flows = dict(enumerate(spec.flows, start=2))
-    new_flows = tuple((p.scale(ck) + q.derive(old_flows)).subst(inverse)
+    new_flows = tuple(q.derive(old_flows, 0, ck, p).subst(inverse)
                       for p, ck, q in zip(spec.flows, scales, shears))
     return SystemSpec(spec.n, spec.delta, spec.c / scales[0] if scales else spec.c, new_flows)
 

@@ -27,7 +27,6 @@ from heatode.jets import (
     match_pole_ode,
     necessary_pole_strength,
     pole_sum_ode,
-    raise_closing,
     rescale_dependent,
     shifted_derivative,
 )
@@ -169,7 +168,9 @@ def test_criterion_07_ladder_and_factorization():
         for _ in range(5):
             p = closing(n, [rng.randint(-6, 6) for _ in closing_monomials(n)])
             lhs = shifted_derivative(family_ode(n, p), 2 * (n + 2))
-            assert lhs == family_ode(n + 1, raise_closing(p))
+            # the ladder field sum_k x_{k+1} d/dx_k on x_2..x_{n+1}
+            raised = p.derive({k: GradedPoly.variable(k + 1) for k in range(2, n + 2)})
+            assert lhs == family_ode(n + 1, raised)
     for c4 in (Q(24), Q(-3), Q(9)):
         assert family_ode(3, closing(3, [2 * c4])) == \
             shifted_derivative(family_ode(2, closing(2, [c4])), 8)

@@ -438,6 +438,22 @@ def test_verify_sigma_fails_on_a_wrong_reduction(capsys, monkeypatch):
     assert out.startswith("suite sigma: FAIL") and "[FAIL] system-reductions" in out
 
 
+def test_verify_sigma_fails_on_a_wrong_second_operator(capsys, monkeypatch):
+    from heatode import series, suites
+    # l2 with g2^2/2 in place of g2^2/3 at d/dg3: the operator the suite checks
+    # is wrong, while the series is built from its own field and stays right
+    g2, g3 = GradedPoly.variable(2), GradedPoly.variable(3)
+    wrong = lambda p: p.derive({2: g3.scale(6), 3: (g2 * g2).scale(Q(1, 2))})
+    monkeypatch.setattr(series, "sigma_l2", wrong)
+    monkeypatch.setattr(suites, "sigma_l2", wrong)
+    code, out, _ = run(capsys, "verify", "sigma", "--json")
+    assert code == 1
+    report = json.loads(out)
+    passes = {c["case"]: c["pass"] for c in report["cases"]}
+    assert passes == {"second-operator": False, "scaling-operator": True,
+                      "bridge-to-level-two": True, "system-reductions": True}
+
+
 def test_verify_phi_equiv_fails_when_the_routes_disagree(capsys, monkeypatch):
     from heatode import suites
     table_series = suites.series_from_table

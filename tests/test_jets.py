@@ -24,7 +24,6 @@ from heatode.jets import (
     match_pole_ode,
     necessary_pole_strength,
     pole_sum_ode,
-    raise_closing,
     rescale_dependent,
     shifted_derivative,
     total_derivative,
@@ -128,14 +127,19 @@ def test_head_tail_values():
     assert head_tail_coefficients(5) == (1, 30, 1920)
 
 
-def test_raise_closing():
+def ladder(p, n):
+    """The ladder field sum_k x_{k+1} d/dx_k on a level-n closing (variables x_2..x_{n+1})."""
+    return p.derive({k: GradedPoly.variable(k + 1) for k in range(2, n + 2)})
+
+
+def test_ladder_field_raises_the_closing():
     c4 = Q(7)
     p2 = closing(2, [c4])
-    assert raise_closing(p2) == closing(3, [2 * c4])
+    assert ladder(p2, 2) == closing(3, [2 * c4])
     c5 = Q(-16)
     p3 = closing(3, [c5])
-    assert raise_closing(p3) == closing(4, [0, c5, c5])
-    assert not raise_closing(GradedPoly.zero())
+    assert ladder(p3, 3) == closing(4, [0, c5, c5])
+    assert not ladder(GradedPoly.zero(), 2)
 
 
 def test_factorization_lemma_n3():
@@ -178,6 +182,15 @@ def test_pole_det_rational_b():
 def test_necessary_pole_strength():
     for n in range(1, 7):
         assert necessary_pole_strength(n) == n + 1
+
+
+def test_necessary_pole_strength_refuses_a_coefficient_not_linear_in_b(monkeypatch):
+    # a determinant family carrying b^2 at h*h^(n) pins no single b
+    from heatode import jets
+    b = JetPoly({jet_mono({PARAM: 1}): 1})
+    monkeypatch.setattr(jets, "pole_sum_ode", lambda n, strength: pole_sum_ode(n, None) * b)
+    with pytest.raises(ArithmeticError, match="is not linear in b"):
+        necessary_pole_strength(3)
 
 
 def test_match_n1_trivial_closing():

@@ -193,8 +193,22 @@ def test_bare_series_zero_seed():
 
 def test_bare_series_is_zero_below_order_zero():
     s = bare_series(addendum_flows(), x1.scale(Q(-1, 2)), 4)
+    assert s.coeff(0) == GradedPoly.one()  # the z^0 term of the series
     assert s.coeff(3)  # the coefficient a negative index must not wrap around to
     assert all(not s.coeff(k) for k in (-1, -2, -4))
+
+
+@pytest.mark.parametrize("seed", [Q(-1, 2), Q(7, 3)])
+def test_bare_series_keeps_the_term_order_of_the_derive_scale_multiply_add_chain(seed):
+    # the float sums lower() each coefficient in its term order, so order is
+    # compared as well as value, against the chain P' = 2 derive(P) + psi1 * P
+    flows = addendum_flows()
+    psi1 = x1.scale(seed)
+    s = bare_series(flows, psi1, 60)
+    expect = psi1
+    for k in range(1, 61):
+        assert list(s.coeff(k).terms.items()) == list(expect.terms.items())
+        expect = expect.derive(dict(enumerate(flows, start=1))).scale(2) + psi1 * expect
 
 
 def test_bare_series_one_step():
@@ -234,6 +248,19 @@ def test_sigma_annihilated_order_by_order():
                 Q((2 * m + 1) * (2 * m), 24)) \
             - sigma_l2(S[m])
         assert not residual
+
+
+def test_sigma_series_keeps_the_term_order_of_the_operator_chain():
+    # S_{m+1} = 2 l2(S_m) - m(2m+1)/6 * g2 * S_{m-1}, built as a chain of
+    # polynomials, against the builder's one derive per coefficient
+    K = 120
+    S = sigma_series(K)
+    expect = [GradedPoly.one(), GradedPoly.zero()]
+    for m in range(1, K):
+        expect.append(sigma_l2(expect[m]).scale(2) - (x2 * expect[m - 1]).scale(Q(m * (2 * m + 1), 6)))
+    assert len(S) == K + 1
+    for s, e in zip(S, expect):
+        assert list(s.terms.items()) == list(e.terms.items())
 
 
 def test_sigma_scaling_operator():

@@ -156,6 +156,16 @@ def test_rk4_step_validation():
         integrate_rk4(spec, s0, Q(1), Q(3, 7))  # span not a multiple of step
 
 
+def test_rk4_refuses_a_step_count_past_the_bound_before_any_step(monkeypatch):
+    spec = SystemSpec.reduced(2, delta=0, closing=closing(2, [24]))
+    monkeypatch.setattr(systems, "_compiled", None)  # a run that starts stepping fails on this
+    for s0, t_end, step in ((SystemState(Q(0), Q(0), Q(1), (Q(1), Q(2))), Q(1),
+                             Q(1, systems.MAX_STEPS + 1)),
+                            (SystemState(0.0, 0.0, 1.0, (1.0, 2.0)), 1.0, 1e-9)):
+        with pytest.raises(ValueError, match=f"past the bound of {systems.MAX_STEPS} steps"):
+            integrate_rk4(spec, s0, t_end, step)
+
+
 def test_lift_flow_consistency_along_trajectory():
     # the finite-difference slope of x_k matches x_{k+1} - 2k h x_k to O(step^2)
     spec = SystemSpec.reduced(2, delta=0, closing=closing(2, [24]))
@@ -375,6 +385,24 @@ def test_transform_round_trip():
     back = transform_system(
         fwd, [(1 / c2, None), (1 / c3, None), (1 / c4, back_shear)])
     assert back == spec
+
+
+def test_transformed_flows_keep_the_term_order_of_the_scale_plus_derive_chain():
+    # each sigma reduction against X_k' = c_k p_{k+1} + (derivative of q_k along
+    # the old flows), then back to X, built as a chain of polynomials
+    g2 = GradedPoly.variable(2)
+    cases = ((2, weierstrass_system(), [(Q(1, 12), None), (Q(1, 2), None)]),
+             (3, systems.weierstrass_deformed_system(),
+              [(Q(1, 12), None), (Q(1, 2), None), (Q(1), (g2 * g2).scale(Q(1, 6)))]))
+    for case, spec, rows in cases:
+        inverse = {}
+        for k, (ck, q) in enumerate(rows, start=2):
+            inverse[k] = (GradedPoly.variable(k) - (q or GradedPoly.zero()).subst(inverse)).scale(1 / ck)
+        old_flows = dict(enumerate(spec.flows, start=2))
+        expect = [(p.scale(ck) + (q or GradedPoly.zero()).derive(old_flows)).subst(inverse)
+                  for p, (ck, q) in zip(spec.flows, rows)]
+        got = sigma_reduction(case).flows
+        assert [list(f.terms.items()) for f in got] == [list(f.terms.items()) for f in expect]
 
 
 def test_sigma_reduction_level_two():
