@@ -4,7 +4,7 @@ A jet monomial maps derivative orders q >= 0 to exponents; the variable
 h^(q) has grading degree -4-4q, and every polynomial built here is
 homogeneous in that grading.  The slot q = -1 is reserved for a symbolic
 parameter b of degree 0 (the pole-strength constant of the Hessenberg
-determinant family), so determinants can be expanded once with b left
+determinant family), so the family can be built once with b left
 symbolic and specialised later; to_json writes its exponent as "b".
 
 The central objects:
@@ -16,12 +16,11 @@ The central objects:
                       (F_1, ..., F_{n-1}); its zero set is the order-n+1
                       ODE attached to the reduced dynamical system.
   pole_sum_ode(n, b)  (1/b) det of the (n+2)x(n+2) lower-Hessenberg pole
-                      matrix, expanded by an O(n^2) cofactor recursion.
+                      matrix, the ladder (d/dt + b h)^(n+1) h.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -97,10 +96,6 @@ class JetPoly(GradedPoly):
     def h(cls, q: int = 0) -> JetPoly:
         return cls.variable(q)
 
-    @classmethod
-    def param(cls) -> JetPoly:
-        return cls.variable(PARAM)
-
     @property
     def degree(self) -> int | None:
         """Grading degree -2*weight, or None for the zero polynomial."""
@@ -145,9 +140,9 @@ class JetPoly(GradedPoly):
 
 # -- derivations ------------------------------------------------------------
 
-def shifted_derivative(p: JetPoly, m: Fraction | int) -> JetPoly:
-    """(d/dt + m*h) applied to p, d/dt = sum_q h^(q+1) d/dh^(q) (b is constant): one derive."""
-    return p.derive({q: JetPoly.h(q + 1) for q in range(p.order() + 1)}, jet_mono({0: 1}), m, p)
+def shifted_derivative(p: JetPoly, m: Fraction | int, key: JetMono = jet_mono({0: 1})) -> JetPoly:
+    """(d/dt + m*x^key) applied to p, x^key = h by default, d/dt = sum_q h^(q+1) d/dh^(q)."""
+    return p.derive({q: JetPoly.h(q + 1) for q in range(p.order() + 1)}, key, m, p)
 
 
 def total_derivative(p: JetPoly) -> JetPoly:
@@ -199,24 +194,23 @@ def head_tail_coefficients(n: int) -> tuple[Fraction, Fraction, Fraction]:
 def _pole_det(size: int) -> JetPoly:
     """(1/b) det of the leading size x size block of the pole matrix, size >= 1.
 
-    The matrix is lower Hessenberg: row i carries b h^(i-j)/(i-j)! up to
-    the diagonal and -i on the superdiagonal.  Expanding the determinant
-    d_m along the last row gives
-        d_m = b * sum_{i<m} C(m-1, i) h^(m-1-i) d_i,   d_0 = 1,
-    the sign of the superdiagonal cancelling the cofactor sign exactly;
-    so D_m = d_m/b is h^(m-1) + b * sum_{0<i<m} C(m-1, i) h^(m-1-i) D_i.
+    Row i carries b h^(i-j)/(i-j)! up to the diagonal and -i on the
+    superdiagonal.  The determinant is the complete Bell polynomial in
+    b h, b h', ... (Bell, Ann. of Math. 35, 1934), so D_1 = h and
+    D_{m+1} = (d/dt + b h) D_m: one shifted derivative per size.
     """
-    acc = JetPoly.zero()
-    for i in range(1, size):
-        acc = acc + JetPoly.h(size - 1 - i).scale(math.comb(size - 1, i)) * _pole_det(i)
-    return JetPoly.h(size - 1) + JetPoly.param() * acc
+    if size == 1:
+        return JetPoly.h()
+    return shifted_derivative(_pole_det(size - 1), 1, jet_mono({PARAM: 1, 0: 1}))
 
 
 def pole_sum_ode(n: int, b: Fraction | int | None = None) -> JetPoly:
     """(1/b) det of the (n+2)x(n+2) pole matrix; symbolic in b when b is None.
 
-    Homogeneous of degree -4(n+1); its general solution is the sum of
-    n+1 simple poles with residue 1/b each.
+    That is (d/dt + b h)^(n+1) h, homogeneous of degree -4(n+2), and the
+    sum of n+1 simple poles with residue 1/b each solves it: for
+    u = prod (t - a_k), b h = u'/u and (d/dt + u'/u) f = (u f)'/u, so the
+    ladder gives u^(n+2)/(b u) = 0, u having degree n+1.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -29,6 +29,11 @@ from typing import Callable, NamedTuple, Sequence
 
 from .algebra import Q
 
+# The highest jet order transformed_h_jet computes, refused before any jet: order 150
+# took 0.23 s at 1 pole, 0.45 s at 3 and 1.4-2.6 s at 9 (in-process, 2-vCPU x86-64 VM,
+# Python 3.11); order 1000 at 1 pole took 44.9 s.
+MAX_ORDER = 150
+
 
 class PoleOfAction(ZeroDivisionError):
     """The action was evaluated on the line ct + d = 0."""
@@ -167,11 +172,11 @@ def transformed_h_jet(m: Mobius, h_jet_at: Callable[[object, int], Sequence],
     d/dt sends w^-(q+j+2) h^(j)(t~) to -(q+j+2) c w^-(q+j+3) h^(j)(t~)
     + D w^-(q+j+4) h^(j+1)(t~), and the two contributions to h^(j) at
     order q+1 add up to its coefficient there.  `h_jet_at(s, q)` must
-    return the exact jet of h at s through order q.  A negative order
-    raises ValueError.
+    return the exact jet of h at s through order q.  An order below 0 or
+    past MAX_ORDER raises ValueError.
     """
-    if order < 0:
-        raise ValueError(f"jet order must be nonnegative, got {order}")
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
     inv = 1 / m._nonzero_denom(t)
     inner = h_jet_at(m.apply(t), order)
     c, det = m.c, m.det()

@@ -20,6 +20,7 @@ from heatode.algebra import (
     partition_count,
 )
 from heatode.jets import (
+    PARAM,
     JetPoly,
     chazy12_parameter,
     family_ode,
@@ -85,7 +86,7 @@ def test_criterion_02_dimension_formula():
 
 def test_criterion_03_determinant_displays():
     t0 = time.monotonic()
-    b = JetPoly.param()
+    b = JetPoly.variable(PARAM)
 
     def bp(k):
         out = JetPoly.one()

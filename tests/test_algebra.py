@@ -247,6 +247,13 @@ def test_text_form():
     assert p.text() == "-45*x2^3 - 26*x3^2 - 31*x2*x4"
 
 
+def test_repr_names_the_class_and_the_text():
+    from heatode.jets import JetPoly
+    assert repr((x2 * x2).scale(-3) + x4) == "GradedPoly(-3*x2^2 + x4)"
+    assert repr(GradedPoly.zero()) == "GradedPoly(0)"
+    assert repr(JetPoly.h(1) + JetPoly.h() * JetPoly.h()) == "JetPoly(h' + h^2)"
+
+
 def test_json_roundtrip():
     # ascending key order puts x3^2 first; each monomial lists its variables by ascending index
     p = (x2 * x4).scale(Q(-31, 7)) + (x3 * x3).scale(2)

@@ -595,6 +595,19 @@ def test_sl2_orbit_rejects_a_negative_order(capsys):
     assert out == "" and "order" in err
 
 
+def test_sl2_orbit_refuses_a_jet_order_past_the_bound():
+    # order 1000 would run for about 45 s; the bound refuses it before any jet.
+    # A fresh process with a timeout, so a run that does start fails the test
+    # instead of hanging it
+    from heatode.mobius import MAX_ORDER
+    assert 1000 > MAX_ORDER
+    done = run_python("-m", "heatode", "sl2", "orbit", "--mobius", "1,0,0,1", "--poles", "1",
+                      "--t", "2", "--order", "1000", timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and f"in 0..{MAX_ORDER}" in done.stderr
+
+
 def test_sl2_orbit_at_a_pole_of_the_action_exits_2(capsys):
     # c t + d = t + 1 vanishes at t = -1
     code, out, err = run(capsys, "sl2", "orbit", "--mobius", "1,0,1,1",

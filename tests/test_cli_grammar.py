@@ -5,11 +5,13 @@ with nan and inf, zero, negative, tiny and huge steps and spans, empty lists
 and paths that cannot be written.  No example may raise out of main, and each
 must finish within WALL_S.  Where the program bounds the work of a run, the
 test predicts the cost from the input and expects exit 2 above the bound: the
-RK4 step count against systems.MAX_STEPS, and the monomial count of a series
-against algebra.MAX_KEYS.  The program bounds neither a level nor a jet order,
-so those are drawn only up to where their cost stays small: levels up to
-MAX_LEVEL (closing_dim(14) = 54), at most MAX_POLES poles for `sl2 orbit`
-(closing_dim(8) = 9) and jet orders up to MAX_ORDER.
+RK4 step count against systems.MAX_STEPS, the monomial count of a series
+against algebra.MAX_KEYS and the jet order of `sl2 orbit` against
+mobius.MAX_ORDER.  Jet orders are drawn up to SMALL_ORDER, where a run stays
+fast, or past mobius.MAX_ORDER.  The program does not bound a level, so levels
+are drawn only up to where their cost stays small: up to MAX_LEVEL
+(closing_dim(14) = 54), and at most MAX_POLES poles for `sl2 orbit`
+(closing_dim(8) = 9).
 """
 
 import io
@@ -22,13 +24,14 @@ from hypothesis import given, settings, strategies as st
 
 from heatode import algebra
 from heatode.cli import main
+from heatode.mobius import MAX_ORDER
 from heatode.suites import SUITES
 from heatode.systems import MAX_STEPS
 
 WALL_S = 30          # seconds one example may take; the slowest admitted series take about 2
 MAX_LEVEL = 14
 MAX_POLES = 9
-MAX_ORDER = 12
+SMALL_ORDER = 12
 SETTINGS = settings(max_examples=40, deadline=None)
 
 NUMBERS = ["0", "-0", "1", "2", "-1", "3", "1/3", "-7/2", "1/0", "0.25", "-0.5", "0.01", "1e-9",
@@ -189,5 +192,9 @@ def test_sl2_orbit(outputs, data):
                              st.lists(rationals, max_size=MAX_POLES).map(",".join)))
     argv = ["sl2", "orbit", f"--mobius={mobius}", f"--poles={poles}",
             f"--t={data.draw(rationals)}"]
-    argv += optional(data, "order", st.integers(-2, MAX_ORDER))
-    assert run(with_options(data, outputs, argv, json=False)) in (0, 2)
+    order = data.draw(st.none() | st.integers(-2, SMALL_ORDER)
+                      | st.integers(MAX_ORDER + 1, 10 ** 9))
+    if order is not None:
+        argv.append(f"--order={order}")
+    code = run(with_options(data, outputs, argv, json=False))
+    assert code == 2 if order is not None and order > MAX_ORDER else code in (0, 2)

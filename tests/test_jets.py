@@ -1,6 +1,8 @@
 """Jet calculus: the ODE hierarchy, pole determinants, variable changes."""
 
+import itertools
 import json
+import math
 import random
 from fractions import Fraction as Q
 from pathlib import Path
@@ -177,6 +179,62 @@ def test_pole_det_b2_is_second_member():
 def test_pole_det_rational_b():
     p = pole_sum_ode(0, Q(3))
     assert p == h1 + (h * h).scale(3)
+
+
+B = JetPoly.variable(PARAM)
+
+
+def hessenberg_pole_matrix(size):
+    """The literal pole matrix: b h^(i-j)/(i-j)! on and below the diagonal, -i above it."""
+    def entry(i, j):  # rows and columns counted from 1
+        if j <= i:
+            return B * JetPoly.h(i - j).scale(Q(1, math.factorial(i - j)))
+        return JetPoly.one().scale(-i) if j == i + 1 else JetPoly.zero()
+    return [[entry(i, j) for j in range(1, size + 1)] for i in range(1, size + 1)]
+
+
+def leibniz_det(matrix):
+    total = JetPoly.zero()
+    for perm in itertools.permutations(range(len(matrix))):
+        term = JetPoly.one()
+        for row, col in enumerate(perm):
+            term = term * matrix[row][col]
+        if term:
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            total = total + term.scale((-1) ** inversions)
+    return total
+
+
+def cofactor_pole_dets(top):
+    """The last-row cofactor expansion, D_m = h^(m-1) + b sum_{0<i<m} C(m-1, i) h^(m-1-i) D_i."""
+    dets = {}
+    for m in range(1, top + 1):
+        acc = JetPoly.zero()
+        for i in range(1, m):
+            acc = acc + JetPoly.h(m - 1 - i).scale(math.comb(m - 1, i)) * dets[i]
+        dets[m] = JetPoly.h(m - 1) + B * acc
+    return dets
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_pole_det_is_the_leibniz_determinant_of_the_hessenberg_matrix(size):
+    from heatode import jets
+    assert leibniz_det(hessenberg_pole_matrix(size)) == B * jets._pole_det(size)
+
+
+def test_pole_det_ladder_equals_the_cofactor_expansion():
+    from heatode import jets
+    for size, expanded in cofactor_pole_dets(18).items():
+        assert jets._pole_det(size) == expanded, size
+
+
+def test_pole_sum_ode_is_the_shifted_derivative_ladder_on_h():
+    for n in range(11):
+        for b in (1, n + 1, Q(-3, 2), Q(7, 3)):
+            ladder = h
+            for _ in range(n + 1):
+                ladder = shifted_derivative(ladder, b)
+            assert pole_sum_ode(n, b) == ladder, (n, b)
 
 
 def test_necessary_pole_strength():

@@ -216,6 +216,39 @@ def test_sl2_suite_samples_inside_the_domain(monkeypatch):
     assert escaped == []
 
 
+def test_sl2_suite_redraws_a_matrix_whose_pole_is_the_sampled_time(monkeypatch):
+    # the first matrix drawn for the transformed residuals claims ct + d = 0 at every t;
+    # the suite must draw again instead of moving a jet through that pole
+    class AtAPole(Mobius):
+        def denom(self, t):
+            return 0
+
+    armed, planted = [], []
+    real_draw, real_hierarchy = suites._random_mobius, suites.hierarchy_ode
+
+    def hierarchy(n):  # called only to build the residual families
+        armed.append(n)
+        return real_hierarchy(n)
+
+    def draw(rng):
+        m = real_draw(rng)
+        if armed and not planted:
+            m = AtAPole(m.a, m.b, m.c, m.d)
+            planted.append(m)
+        return m
+
+    moved = []
+    real_move = suites.transformed_h_jet
+    monkeypatch.setattr(suites, "_random_mobius", draw)
+    monkeypatch.setattr(suites, "hierarchy_ode", hierarchy)
+    monkeypatch.setattr(suites, "transformed_h_jet",
+                        lambda m, *args: moved.append(m) or real_move(m, *args))
+    report = suites.run_suite("sl2", 5)
+    assert report["passed"]
+    assert planted and not any(isinstance(m, AtAPole) for m in moved)
+    assert len(moved) == 20  # five residuals at each of four levels
+
+
 # -- jets of the transformed solution -----------------------------------------------
 
 def test_transformed_jet_matches_transformed_pole_sum():
