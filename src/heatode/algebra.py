@@ -21,6 +21,8 @@ bases), keys_by_weight lists every key up to a weight and exponents reads
 a key's fields in a range as bytes (the discrete series recursion), and
 check_key_count counts the keys up to a weight without building one, so
 that a series route refuses more than MAX_KEYS before it starts.
+check_level refuses a level past MAX_LEVEL in the same way, before any
+partition count or hierarchy build.
 unpack keeps its answers for the last UNPACK_CACHE keys, since evaluation
 decodes the same few hundred keys on every call.
 
@@ -59,6 +61,10 @@ UNPACK_CACHE = 1024                         # keys whose unpacked pairs unpack k
 # Monomials a series route may hold, all weights together.  At the bound, series phi --n 5
 # --K 60 (19858 monomials) ran 1.1 s at 88 MB peak RSS, the table 0.7 s at 54 MB.
 MAX_KEYS = 20_000
+# The highest level a closing basis, family member or match is built for.  On a 2-vCPU
+# x86-64 VM, verify detmatch and verify rational at --max-n 26 ran 21 and 20 s, and each
+# further 4 levels cost about 5 times as much.
+MAX_LEVEL = 26
 
 Q = Fraction
 Coeff = int | Fraction
@@ -501,15 +507,22 @@ def monomial_basis(total: int, kmin: int, kmax: int) -> list[Mono]:
     return keys
 
 
+def check_level(n: int) -> int:
+    """n, if it is a level in 0..MAX_LEVEL; ValueError otherwise, before any work."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > MAX_LEVEL:
+        raise ValueError(f"level {n} is past the bound of {MAX_LEVEL}, the highest level built")
+    return n
+
+
 def closing_monomials(n: int) -> list[Mono]:
     """Basis monomials for the admissible closing polynomials at level n.
 
     These are the weight-2(n+2) monomials in x_2..x_{n+1}, i.e. the
     partitions of n+2 into parts between 2 and n+1.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return monomial_basis(n + 2, 2, n + 1) if n >= 1 else []
+    return monomial_basis(n + 2, 2, n + 1) if check_level(n) >= 1 else []
 
 
 def closing_from_coeffs(n: int, coeffs: Sequence) -> GradedPoly:
@@ -542,10 +555,10 @@ def check_closing(n: int, closing: GradedPoly | None) -> GradedPoly:
 
     A nonzero closing must lie in the span of closing_monomials(n): weight
     2(n+2) and only the variables x_2..x_{n+1}.  Anything else raises
-    WeightMismatch, and a negative n ValueError, so no level misreads a closing.
+    WeightMismatch, and a level outside 0..MAX_LEVEL ValueError, so no level
+    misreads a closing.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_level(n)
     if closing is None:
         return GradedPoly.zero()
     return check_homogeneous(closing, 2 * (n + 2), range(2, n + 2), f"closing at level {n}")
@@ -553,8 +566,7 @@ def check_closing(n: int, closing: GradedPoly | None) -> GradedPoly:
 
 def closing_dim(n: int) -> int:
     """Dimension p(n+2) - p(n+1) - 1 of the closing space at level n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    check_level(n)
     return partition_count(n + 2) - partition_count(n + 1) - 1
 
 

@@ -31,7 +31,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .algebra import GradedPoly, Q, closing_dim, closing_from_coeffs, closing_monomials, mono_text
+from .algebra import (GradedPoly, Q, check_level, closing_dim, closing_from_coeffs, closing_monomials,
+                      mono_text)
 from .jets import family_ode, hierarchy_ode, match_pole_ode
 from .series import ansatz_series, bare_series, coeff_table, sigma_series, three_pole_flows
 from .systems import BlowUp, PoleHit, SystemSpec, SystemState, default_c, integrate_rk4, pole_sum
@@ -250,7 +251,7 @@ def cmd_sl2_orbit(args) -> int:
     m = Mobius(*(parse_rational(v) for v in parts))
     m.require_unimodular()
     poles = [parse_rational(v) for v in args.poles.split(",")]
-    n = len(poles) - 1
+    n = check_level(len(poles) - 1)  # the pole sum's level, refused before any jet or match
     ps = pole_sum(Q(n + 1), poles)
     t = parse_rational(args.t)
     order = args.order if args.order is not None else n + 1

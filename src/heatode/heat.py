@@ -17,10 +17,11 @@ equation into statements about the series coefficients and the flow of
                          tail bound.
 
 The numeric checks sample AnsatzSolution and WideSolution.  Their shared
-base PerTimeSolution evaluates the series coefficients P_k(x(t)) once per
-time (series_values) and keeps them for the last TIME_CACHE times, so the
-sums at every z of a grid row (series_sums) reuse them.  That cache is the
-only one in front of a trajectory_provider, which keeps no answers itself.
+base PerTimeSolution is the one float evaluator of a series: it lowers
+each coefficient P_k once, evaluates P_k(x(t)) once per time and keeps the
+values for the last TIME_CACHE times, and its parts method sums at every z
+of a grid row from them.  That cache is the only one in front of a
+trajectory_provider, which keeps no answers itself.
 
 polynomial_solution_check verifies the Gaussian-times-Hermite solutions
 exactly: the heat residual reduces to Hermite's operator on the
@@ -88,6 +89,12 @@ def predicted_failure_order(k: int, delta: int) -> int:
     return 2 * k + delta - 2
 
 
+def _check_series(spec: SystemSpec, series: AnsatzSeries) -> None:
+    """ValueError unless the series was built for the system's n, delta and c."""
+    if (series.n, series.delta, series.c) != (spec.n, spec.delta, spec.c):
+        raise ValueError("series parameters do not match the system")
+
+
 def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
                          case: str = "") -> SymbolicHeatReport:
     """Check the heat equation order by order as exact polynomial identities.
@@ -101,8 +108,7 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
     identity the flow's -2k h x_k terms add -(m - delta) h c_m, which
     cancels the (m - delta) h c_m term exactly.
     """
-    if (series.n, series.delta, series.c) != (spec.n, spec.delta, spec.c):
-        raise ValueError("series parameters do not match the system")
+    _check_series(spec, series)
     n, delta, c, K = spec.n, spec.delta, spec.c, series.truncation
     h = GradedPoly.variable(1)
 
@@ -119,7 +125,7 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
     for m in orders:
         cm = coeff(m)
         residual = (h * cm).scale(m - delta)
-        if n >= 1:
+        if n >= 1:  # h' has no x2 term at n = 0, where P_0 = 1 would give one at m = delta + 2
             x2cm = GradedPoly.variable(2) * coeff(m - 2)
             residual = residual + x2cm.scale(c / Q(4 * (1 + 2 * delta)))
         residual = residual + cm.derive(flow)
@@ -137,83 +143,54 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
 TIME_CACHE = 8
 
 
-def lower_series(series: AnsatzSeries | BareSeries) -> tuple:
-    """(delta, K, ((k, P_k lowered to float), ...)) over the nonzero P_k, for series_values."""
-    K = series.truncation
-    return series.delta, K, tuple((k, pk.lower())
-                                  for k in range(1, K + 1) if (pk := series.coeff(k)))
-
-
-def series_values(lowered: tuple, x: Mapping[int, float]) -> tuple[float, ...]:
-    """The float values P_k(x) of the coefficients in lowered = lower_series(series), in order.
-
-    They depend on the state only, not on z: a solution computes them once
-    per time and hands them to series_sums for every z.
-    """
-    return tuple(eval_lowered(pk, x, 0.0) for _, pk in lowered[2])
-
-
-def series_sums(lowered: tuple, values: Sequence[float],
-                z: float) -> tuple[float, float, float, float]:
-    """Float sums at z of z^delta + sum_k P_k(x) z^e/e!, e = 2k + delta.
-
-    `lowered` is lower_series(series) and `values` is series_values(lowered, x).
-    Returns the value, its first and second z-derivatives, and the
-    magnitude of the last retained term (the truncation estimate).
-    Coefficients that vanish are skipped.
-    """
-    delta, K, coeffs = lowered
-    s = float(z) ** delta
-    sz = 1.0 if delta else 0.0  # d/dz z^delta for delta in {0, 1}
-    szz = tail = 0.0
-    for (k, _), v in zip(coeffs, values):
-        e = 2 * k + delta
-        s += v * z ** e / math.factorial(e)
-        sz += v * z ** (e - 1) / math.factorial(e - 1)
-        szz += v * z ** (e - 2) / math.factorial(e - 2)
-        if k == K:
-            tail = abs(v) * abs(z) ** e / math.factorial(e)
-    return s, sz, szz, tail
-
-
-def assemble(sums: tuple, z: float, h: float, r: float) -> tuple[float, float, float]:
-    """exp(-h z^2/2 + r) times the value, the exact d^2/dz^2 and the tail of a series.
-
-    `sums` is series_sums(...) at z; h = 0.0 gives the Gaussian-free shape.
-    """
-    s, sz, szz, tail = sums
-    envelope = math.exp(-0.5 * h * z * z + r)
-    return (envelope * s, envelope * (h * h * z * z * s - 2 * h * z * sz - h * s + szz),
-            envelope * tail)
-
-
 class PerTimeSolution:
-    """The evaluation the assembled solutions share: series sums per time, then per z.
+    """The float evaluator of the assembled solutions: coefficients per time, sums per z.
 
     A subclass holds `series` and a provider `state_at` that must be a
     function of t alone, and reads one provider answer into floats
-    (h, r, x) in its static `read_state`.  h, r and the coefficient values
-    P_k(x) are computed once per time and kept for the last TIME_CACHE
-    distinct query times.  The cache holds the lowered series and the
-    provider, not the solution, so a solution is freed with its last
-    reference and not only by the cycle collector.
+    (h, r, x) in its static `read_state`.  Each nonzero P_k is lowered
+    once, with its exponent e = 2k + delta and the ints e!, (e-1)! and
+    (e-2)!.  h, r and the values P_k(x) are computed once per time and
+    kept for the last TIME_CACHE distinct query times.  The cache holds
+    the lowered terms and the provider, not the solution, so a solution
+    is freed with its last reference and not only by the cycle collector.
     """
 
     def __post_init__(self):
-        lowered = self._lowered = lower_series(self.series)
-        state_at, read_state = self.state_at, self.read_state
+        series, state_at, read_state = self.series, self.state_at, self.read_state
+        K, delta = series.truncation, series.delta
+        terms = self._terms = tuple(
+            (e, math.factorial(e), math.factorial(e - 1), math.factorial(e - 2), k == K, pk.lower())
+            for k in range(1, K + 1) if (pk := series.coeff(k)) for e in (2 * k + delta,))
+        self._delta = delta
 
         @lru_cache(TIME_CACHE, typed=True)
         def values_at(t: float) -> tuple[float, float, tuple[float, ...]]:
             h, r, x = read_state(state_at(t))
-            return h, r, series_values(lowered, x)
+            return h, r, tuple(eval_lowered(pk, x, 0.0) for *_, pk in terms)
 
         self._at = values_at
 
     def parts(self, z: float, t: float) -> tuple[float, float, float]:
-        """Value, exact-in-z second derivative and last-term magnitude at (z, t)."""
+        """exp(-h z^2/2 + r) times the series, its exact d^2/dz^2 and its last term, at (z, t).
+
+        The series is z^delta + sum_k P_k(x) z^e/e!, e = 2k + delta; the
+        last term is the magnitude |P_K(x)| |z|^e/e!, the truncation estimate.
+        """
         h, r, values = self._at(t)
-        return assemble(series_sums(self._lowered, values, z), z, h, r)
+        delta = self._delta
+        s = float(z) ** delta
+        sz = 1.0 if delta else 0.0  # d/dz z^delta for delta in {0, 1}
+        szz = tail = 0.0
+        for (e, f0, f1, f2, last, _), v in zip(self._terms, values):
+            s += v * z ** e / f0
+            sz += v * z ** (e - 1) / f1
+            szz += v * z ** (e - 2) / f2
+            if last:
+                tail = abs(v) * abs(z) ** e / f0
+        envelope = math.exp(-0.5 * h * z * z + r)
+        return (envelope * s, envelope * (h * h * z * z * s - 2 * h * z * sz - h * s + szz),
+                envelope * tail)
 
     def psi(self, z: float, t: float) -> float:
         return self.parts(z, t)[0]
@@ -228,9 +205,7 @@ class AnsatzSolution(PerTimeSolution):
     state_at: Callable[[float], SystemState]
 
     def __post_init__(self):
-        s = self.series
-        if (s.n, s.delta, s.c) != (self.spec.n, self.spec.delta, self.spec.c):
-            raise ValueError("series parameters do not match the system")
+        _check_series(self.spec, self.series)
         super().__post_init__()
 
     @staticmethod

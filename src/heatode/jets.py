@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .algebra import (GradedPoly, Mono, Q, check_closing, closing_monomials, mono, solve_linear,
-                      unpack)
+from .algebra import (GradedPoly, Mono, Q, check_closing, check_level, closing_monomials, mono,
+                      solve_linear, unpack)
 
 # Jet monomial: an algebra key over the indices q >= -1, q = -1 holding the
 # symbolic parameter b (the lowest field) and q >= 0 the derivative order
@@ -212,9 +212,7 @@ def pole_sum_ode(n: int, b: Fraction | int | None = None) -> JetPoly:
     u = prod (t - a_k), b h = u'/u and (d/dt + u'/u) f = (u f)'/u, so the
     ladder gives u^(n+2)/(b u) = 0, u having degree n+1.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    sym = _pole_det(n + 2)
+    sym = _pole_det(check_level(n) + 2)
     if b is None:
         return sym
     b = Q(b)
@@ -272,7 +270,7 @@ def match_pole_ode(n: int) -> PoleMatch:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    b = Q(n + 1)
+    b = Q(check_level(n) + 1)
     target = hierarchy_ode(n + 1) - pole_sum_ode(n, b)
     basis = closing_monomials(n)
     image_of = {m: image for m, _, image in GradedPoly(dict.fromkeys(basis, 1), 2 * (n + 2)).images(

@@ -19,6 +19,7 @@ from .algebra import (
     GradedPoly,
     Q,
     bare_monomials,
+    check_level,
     closing_dim,
     closing_from_coeffs,
     closing_monomials,
@@ -99,11 +100,11 @@ def _report(name: str, seed: int, cases: list[dict]) -> dict:
 
 
 def _levels(lowest: int, max_n: int) -> range:
-    """The levels lowest..max_n of a suite; none at all raises ValueError."""
+    """The levels lowest..max_n of a suite; none, or a max_n past MAX_LEVEL, raises ValueError."""
     if max_n < lowest:
         raise ValueError(f"max_n {max_n} is below the suite's lowest level {lowest}: "
                          "there is no case to run")
-    return range(lowest, max_n + 1)
+    return range(lowest, check_level(max_n) + 1)
 
 
 # -- suites --------------------------------------------------------------------

@@ -608,6 +608,33 @@ def test_sl2_orbit_refuses_a_jet_order_past_the_bound():
     assert done.stderr.startswith("error: ") and f"in 0..{MAX_ORDER}" in done.stderr
 
 
+@pytest.mark.parametrize("argv", [("ode", "basis", "--n", "70"),
+                                  ("ode", "print", "--n", "520"),
+                                  ("verify", "dims", "--max-n", "300"),
+                                  ("sl2", "orbit", "--mobius", "1,0,0,1",
+                                   "--poles", ",".join(map(str, range(1, 31))), "--t", "100")])
+def test_a_level_past_the_bound_exits_2_before_any_work(argv):
+    # without the bound the first three ran past 10 s or, at level 520, ended in a
+    # RecursionError, and 30 poles would match at level 29.  A fresh process with a
+    # timeout, so a run that does start fails the test instead of hanging it
+    from heatode.algebra import MAX_LEVEL
+    done = run_python("-m", "heatode", *argv, timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and f"past the bound of {MAX_LEVEL}" in done.stderr
+
+
+def test_the_level_bound_admits_every_level_in_use(capsys):
+    # verify detmatch --max-n 26 is the highest level the README runs
+    from heatode.algebra import MAX_LEVEL
+    assert MAX_LEVEL >= 26
+    code, out, _ = run(capsys, "ode", "basis", "--n", str(MAX_LEVEL))
+    assert code == 0 and out.startswith(f"level n={MAX_LEVEL}: dim = ")
+    for argv in (("ode", "basis", "--n"), ("verify", "dims", "--max-n")):
+        code, out, err = run(capsys, *argv, str(MAX_LEVEL + 1))
+        assert (code, out) == (2, "") and f"level {MAX_LEVEL + 1} is past the bound" in err
+
+
 def test_sl2_orbit_at_a_pole_of_the_action_exits_2(capsys):
     # c t + d = t + 1 vanishes at t = -1
     code, out, err = run(capsys, "sl2", "orbit", "--mobius", "1,0,1,1",

@@ -6,12 +6,13 @@ and paths that cannot be written.  No example may raise out of main, and each
 must finish within WALL_S.  Where the program bounds the work of a run, the
 test predicts the cost from the input and expects exit 2 above the bound: the
 RK4 step count against systems.MAX_STEPS, the monomial count of a series
-against algebra.MAX_KEYS and the jet order of `sl2 orbit` against
-mobius.MAX_ORDER.  Jet orders are drawn up to SMALL_ORDER, where a run stays
-fast, or past mobius.MAX_ORDER.  The program does not bound a level, so levels
-are drawn only up to where their cost stays small: up to MAX_LEVEL
-(closing_dim(14) = 54), and at most MAX_POLES poles for `sl2 orbit`
-(closing_dim(8) = 9).
+against algebra.MAX_KEYS, the jet order of `sl2 orbit` against
+mobius.MAX_ORDER and a level against algebra.MAX_LEVEL.  Jet orders are drawn
+up to SMALL_ORDER, where a run stays fast, or past mobius.MAX_ORDER.  Levels
+are drawn up to SMALL_LEVEL (closing_dim(14) = 54) or past algebra.MAX_LEVEL,
+since a verify suite at a level near the bound runs for about 20 s.  `sl2
+orbit` gets at most MAX_POLES poles (closing_dim(8) = 9), or more than
+algebra.MAX_LEVEL + 1: n + 1 poles make a level-n pole sum.
 """
 
 import io
@@ -29,7 +30,7 @@ from heatode.suites import SUITES
 from heatode.systems import MAX_STEPS
 
 WALL_S = 30          # seconds one example may take; the slowest admitted series take about 2
-MAX_LEVEL = 14
+SMALL_LEVEL = 14
 MAX_POLES = 9
 SMALL_ORDER = 12
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -52,7 +53,7 @@ VALID = {"float": (["0", "1", "2", "-1", "0.5", "0.25", "1e-3"], ["1", "0.5", "2
                    ["0.25", "0.01"]),
          "exact": (["0", "1", "2", "-1", "1/2", "1/4", "-3/5"], ["1", "1/2", "2"],
                    ["1/4", "1/100"])}
-levels = st.integers(-3, MAX_LEVEL)
+levels = mostly(st.integers(-3, SMALL_LEVEL), st.integers(algebra.MAX_LEVEL + 1, 10 ** 9))
 names = st.one_of(st.integers(0, 60).map("p{}".format),
                   st.sampled_from(["c4", "c5", "c62", "c63", "c64", "q1", "p", "p-1", ""]))
 entries = st.one_of(st.builds("{}={}".format, names, rationals),
@@ -113,7 +114,8 @@ def test_ode_commands(outputs, data):
     argv = ["ode", data.draw(st.sampled_from(["print", "basis"])), f"--n={n}"]
     if argv[1] == "print":
         argv += optional(data, "p", closings)
-    assert run(with_options(data, outputs, argv)) in (0, 2)
+    code = run(with_options(data, outputs, argv))
+    assert code == 2 if n > algebra.MAX_LEVEL else code in (0, 2)
 
 
 @SETTINGS
@@ -123,10 +125,11 @@ def test_series_commands(outputs, data):
     K = data.draw(st.integers(-3, 300))
     argv = ["series", kind, f"--K={K}"]
     if kind in ("phi", "table"):
-        n = data.draw(st.integers(-2, 8))
+        n = data.draw(mostly(st.integers(-2, 8), st.integers(algebra.MAX_LEVEL + 1, 10 ** 9)))
         argv += [f"--n={n}", f"--delta={data.draw(st.sampled_from(['0', '1', '2', '-1']))}"]
         argv += optional(data, "c", rationals) + optional(data, "p", closings)
-        over = n >= 0 and K >= 0 and series_size(range(2, n + 2), K) > algebra.MAX_KEYS
+        over = n > algebra.MAX_LEVEL or (n >= 0 and K >= 0
+                                         and series_size(range(2, n + 2), K) > algebra.MAX_KEYS)
     elif kind == "psi":
         argv += optional(data, "seed-coeff", rationals)
         over = K >= 0 and series_size(range(1, 4), K) > algebra.MAX_KEYS
@@ -176,8 +179,12 @@ def test_integrate(outputs, data):
 def test_verify(outputs, data):
     suite = data.draw(st.sampled_from(sorted(SUITES) + ["all", "none"]))
     argv = ["verify", suite, f"--seed={data.draw(st.integers(-2 ** 70, 2 ** 70))}"]
-    argv += optional(data, "max-n", levels)
-    run(with_options(data, outputs, argv))
+    max_n = data.draw(st.none() | levels)
+    if max_n is not None:
+        argv.append(f"--max-n={max_n}")
+    code = run(with_options(data, outputs, argv))
+    if max_n is not None and max_n > algebra.MAX_LEVEL:
+        assert code == 2
 
 
 @SETTINGS
@@ -186,8 +193,10 @@ def test_sl2_orbit(outputs, data):
     # a random matrix is almost never unimodular, so known ones are drawn as well
     mobius = data.draw(mostly(st.sampled_from(["1,0,0,1", "1,1/2,1/3,7/6", "0,-1,1,0", "2,1,1,1"]),
                               st.lists(numbers, min_size=3, max_size=5).map(",".join)))
-    poles = data.draw(mostly(st.lists(st.integers(-20, 20), min_size=1, max_size=MAX_POLES,
-                                      unique=True)
+    # up to MAX_POLES distinct integers, or, one draw in four, the poles 1..k past the level bound
+    many = st.integers(algebra.MAX_LEVEL + 2, 3 * algebra.MAX_LEVEL).map(lambda k: range(1, k + 1))
+    poles = data.draw(mostly(mostly(st.lists(st.integers(-20, 20), min_size=1, max_size=MAX_POLES,
+                                             unique=True), many)
                              .map(lambda ps: ",".join(map(str, ps))),
                              st.lists(rationals, max_size=MAX_POLES).map(",".join)))
     argv = ["sl2", "orbit", f"--mobius={mobius}", f"--poles={poles}",
@@ -197,4 +206,5 @@ def test_sl2_orbit(outputs, data):
     if order is not None:
         argv.append(f"--order={order}")
     code = run(with_options(data, outputs, argv, json=False))
-    assert code == 2 if order is not None and order > MAX_ORDER else code in (0, 2)
+    past = poles.count(",") > algebra.MAX_LEVEL or (order is not None and order > MAX_ORDER)
+    assert code == 2 if past else code in (0, 2)

@@ -51,6 +51,16 @@ def test_symbolic_residual_general_c():
     assert series_heat_residual(spec, series).all_ok
 
 
+def test_symbolic_residual_holds_at_level_zero():
+    # P_0 = 1 is the only nonzero coefficient, and h' = -h^2 has no x2 term:
+    # an x2 * P_0 term at z^(delta+2) would fail every level-0 case
+    for delta in (0, 1):
+        for c in (default_c(delta), Q(3), Q(-7, 2)):
+            spec = SystemSpec.reduced(0, delta=delta, c=c)
+            report = series_heat_residual(spec, ansatz_series(0, None, c, delta, 6))
+            assert report.all_ok and report.orders == list(range(delta, 12 + delta - 1, 2))
+
+
 def test_symbolic_residual_detects_series_fault():
     from heatode.algebra import monomial_basis
     for delta in (0, 1):

@@ -1,11 +1,14 @@
 """Float lowering: the float path gives the bits of the term-by-term Fraction formulas.
 
-The oracles below are the right-hand side, the RK4 step and the series
-sums written out with Fraction constants, as they were before the
-constants were converted once (systems.vector_field, GradedPoly.lower,
-heat.lower_series) and before the RK4 loop became generated code
-(systems.integrate_rk4).  Fraction * float computes float(Fraction) * float,
-so converting early must not change a single bit, and the generated loop
+The oracles below are the right-hand side, the RK4 step and a series
+solution's value, z-derivative and tail written out with Fraction
+constants, as they were before the constants were converted once
+(systems.vector_field, GradedPoly.lower, and PerTimeSolution, which lowers
+each series coefficient once and keeps its factorials as ints) and before
+the RK4 loop became generated code (systems.integrate_rk4).
+Fraction * float computes float(Fraction) * float, and float / int divides
+by the int's nearest float whether the int is made at the call or kept, so
+converting early must not change a single bit, and the generated loop
 performs the oracles' operations in their order.
 """
 
@@ -19,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 from heatode import systems
 from heatode.algebra import (SUM_CHUNK, GradedPoly, closing_monomials, eval_lowered, lowered_source,
                              monomial_basis, unpack)
-from heatode.heat import lower_series, series_sums, series_values
-from heatode.series import ansatz_series, default_c
+from heatode.heat import AnsatzSolution, WideSolution
+from heatode.series import BareSeries, ansatz_series, bare_series, default_c, three_pole_flows
 from heatode.systems import (EXACT_BITS, BlowUp, ExactTooLarge, PoleHit, SystemSpec, SystemState,
                              integrate_rk4, pole_sum, transform_system, vector_field,
                              weierstrass_deformed_system)
@@ -228,33 +231,50 @@ def test_level_22_field_and_step_match_the_oracles():
     assert hexes(final.row()[1:]) == hexes(oracle_rk4(spec, s0, 10, 0.001))
 
 
-@SETTINGS
-@given(data=st.data(), delta=st.sampled_from((0, 1)),
-       zs=st.lists(st.floats(min_value=-2, max_value=2), min_size=1, max_size=3))
-def test_series_sums_match_fraction_coefficients(data, delta, zs):
-    monos = closing_monomials(3)
-    closing = GradedPoly(dict(zip(monos, data.draw(st.lists(coefficients, min_size=len(monos),
-                                                            max_size=len(monos))))))
-    series = ansatz_series(3, closing, default_c(delta), delta, 8)
-    x = {k: data.draw(st.floats(min_value=-1, max_value=1)) for k in (2, 3, 4)}
-    lowered = lower_series(series)
-    # the values once per state, then the sums at each z from the same values
-    values = series_values(lowered, x)
-    coeffs = [(k, pk) for k in range(1, 9) if (pk := series.coeff(k))]
-    assert [k for k, _ in lowered[2]] == [k for k, _ in coeffs]
-    assert hexes(values) == hexes(float(oracle_eval(pk, x)) for _, pk in coeffs)
-    for z in zs:
-        # the sums with the Fraction coefficients evaluated term by term
-        s, sz, szz, tail = float(z) ** delta, 1.0 if delta else 0.0, 0.0, 0.0
-        for k, pk in coeffs:
+def oracle_parts(series, x, h, r, z):
+    """exp(-h z^2/2 + r) times the series sums at z, each P_k(x) from its Fraction coefficients."""
+    delta, K = series.delta, series.truncation
+    s, sz, szz, tail = float(z) ** delta, 1.0 if delta else 0.0, 0.0, 0.0
+    for k in range(1, K + 1):
+        if pk := series.coeff(k):
             v = float(oracle_eval(pk, x))
             e = 2 * k + delta
             s += v * z ** e / math.factorial(e)
             sz += v * z ** (e - 1) / math.factorial(e - 1)
             szz += v * z ** (e - 2) / math.factorial(e - 2)
-            if k == 8:
+            if k == K:
                 tail = abs(v) * abs(z) ** e / math.factorial(e)
-        assert hexes(series_sums(lowered, values, z)) == hexes((s, sz, szz, tail))
+    envelope = math.exp(-0.5 * h * z * z + r)
+    return envelope * s, envelope * (h * h * z * z * s - 2 * h * z * sz - h * s + szz), envelope * tail
+
+
+@SETTINGS
+@given(data=st.data(), kind=st.sampled_from(("ansatz", "wide")), delta=st.sampled_from((0, 1)),
+       zs=st.lists(st.floats(min_value=-2, max_value=2), min_size=1, max_size=3))
+def test_parts_match_fraction_coefficients(data, kind, delta, zs):
+    unit = st.floats(min_value=-1, max_value=1)
+    r = data.draw(unit.filter(bool))
+    if kind == "ansatz":
+        monos = closing_monomials(3)
+        closing = GradedPoly(dict(zip(monos, data.draw(st.lists(coefficients, min_size=len(monos),
+                                                                max_size=len(monos))))))
+        series = ansatz_series(3, closing, default_c(delta), delta, 8)
+        x = {k: data.draw(unit) for k in (2, 3, 4)}
+        h = data.draw(unit.filter(bool))
+        sol = AnsatzSolution(SystemSpec.reduced(3, delta, closing), series,
+                             lambda t: SystemState(t, r, h, (x[2], x[3], x[4])))
+    else:  # the Gaussian-free shape: h = 0, and any delta on the three-pole series
+        bare = bare_series(three_pole_flows(), GradedPoly.variable(1, data.draw(coefficients)), 8)
+        series = BareSeries(bare.n, delta, bare.truncation, bare.coeffs)
+        x = {k: data.draw(unit) for k in (1, 2, 3)}
+        h = 0.0
+        sol = WideSolution(series, lambda t: (r, x))
+    # the lowered terms and their values once per time, then the sums at each z from them
+    coeffs = [(k, pk) for k in range(1, 9) if (pk := series.coeff(k))]
+    assert [e for e, *_ in sol._terms] == [2 * k + delta for k, _ in coeffs]
+    assert hexes(sol._at(0.5)[2]) == hexes(float(oracle_eval(pk, x)) for _, pk in coeffs)
+    for z in zs:
+        assert hexes(sol.parts(z, 0.5)) == hexes(oracle_parts(series, x, h, r, z))
 
 
 def test_golden_level_three_run():

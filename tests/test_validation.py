@@ -7,14 +7,15 @@ from fractions import Fraction as Q
 import pytest
 
 from heatode.algebra import (
-    GradedPoly, WeightMismatch, check_closing, closing_dim, closing_monomials, mono,
+    MAX_LEVEL, GradedPoly, WeightMismatch, check_closing, closing_dim, closing_monomials, mono,
     partition_count, solve_linear, unpack,
 )
 from heatode.cli import main
 from heatode.heat import OutOfRange, fundamental_psi
 from heatode.jets import (PARAM, JetPoly, family_ode, head_tail_coefficients, hierarchy_ode,
-                          necessary_pole_strength, pole_sum_ode)
+                          match_pole_ode, necessary_pole_strength, pole_sum_ode)
 from heatode.series import ansatz_series, bare_series, coeff_table, hermite, three_pole_flows
+from heatode.suites import run_suite
 from heatode.systems import (BlowUp, PoleSum, SystemSpec, SystemState, integrate_rk4,
                              sigma_reduction, transform_system, vector_field, weierstrass_system)
 
@@ -65,6 +66,18 @@ def test_every_caller_rejects_a_negative_level(capsys, n):
         assert main(["series", command, "--n", str(n), "--K", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "n must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("n", [MAX_LEVEL + 1, 520, 10 ** 6])
+def test_every_caller_rejects_a_level_past_the_bound(n):
+    # each refuses before any partition count or hierarchy build, so each call returns at once
+    for call in (lambda: check_closing(n, None), lambda: closing_monomials(n),
+                 lambda: closing_dim(n), lambda: SystemSpec.reduced(n), lambda: family_ode(n),
+                 lambda: pole_sum_ode(n, 2), lambda: match_pole_ode(n),
+                 lambda: ansatz_series(n, None, Q(1), 0, 4), lambda: coeff_table(n, None, Q(1), 0, 4),
+                 lambda: run_suite("dims", max_n=n), lambda: run_suite("detmatch", max_n=n)):
+        with pytest.raises(ValueError, match=f"level {n} is past the bound of {MAX_LEVEL}"):
+            call()
 
 
 @pytest.mark.parametrize("delta", [-1, 2])
