@@ -113,28 +113,24 @@ class ExactHeatValue(NamedTuple):
         return cls(Q(1), Q(0), value)
 
 
-def act_on_h(m: Mobius, h: Callable, t):
-    """Transformed quadratic coefficient: h(t~)/(ct+d)^2 + c/(ct+d)."""
-    w = m._nonzero_denom(t)
-    return h(m.apply(t)) / w ** 2 + m.c / w
+def act_on_state(m: Mobius, state_at: Callable, delta: int) -> Callable:
+    """The action on the ansatz data: t -> the transformed state at t.
 
-
-def act_on_r(m: Mobius, r: Callable, delta: int, t) -> float:
-    """Transformed log-prefactor: r(t~) - (delta + 1/2) log(ct+d).
-
-    Float-valued by nature of the logarithm; restricted to ct + d > 0
-    (the principal branch), with BranchCut raised otherwise.
+    With w = ct + d and t~ = (at+b)/w, the state at t holds, read from
+    state_at(t~), r(t~) - (delta + 1/2) log w, h(t~)/w^2 + c/w and
+    x_k(t~)/w^(2k).  w = 0 raises PoleOfAction; r is float-valued by nature
+    of the logarithm, on the principal branch, so w < 0 raises BranchCut.
     """
-    w = m._nonzero_denom(t)
-    if w < 0:
-        raise BranchCut(f"ct + d = {w} is negative; principal branch undefined")
-    return r(m.apply(t)) - (delta + 0.5) * math.log(float(w))
+    def moved(t):
+        w = m._nonzero_denom(t)
+        if w < 0:
+            raise BranchCut(f"ct + d = {w} is negative; principal branch undefined")
+        state = state_at(m.apply(t))
+        return state._replace(t=t, r=state.r - (delta + 0.5) * math.log(float(w)),
+                              h=state.h / w ** 2 + m.c / w,
+                              x=tuple(x / w ** (2 * k) for k, x in enumerate(state.x, start=2)))
 
-
-def act_on_x(m: Mobius, x: Callable, k: int, t):
-    """Transformed series argument: x_k(t~)/(ct+d)^(2k)."""
-    w = m._nonzero_denom(t)
-    return x(m.apply(t)) / w ** (2 * k)
+    return moved
 
 
 def act_on_psi(m: Mobius, psi: Callable, z, t):

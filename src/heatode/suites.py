@@ -38,7 +38,7 @@ from .jets import (
     rescale_dependent,
     total_derivative,
 )
-from .mobius import ExactHeatValue, Mobius, act_on_h, act_on_psi, act_on_r, act_on_x, transformed_h_jet
+from .mobius import ExactHeatValue, Mobius, act_on_psi, act_on_state, transformed_h_jet
 from .series import (
     ansatz_series,
     bare_series,
@@ -260,17 +260,13 @@ def _consistency_square_error() -> float:
     series = ansatz_series(2, closing, default_c(1), 1, 10)
     provider = pole_state_provider(2, 3, [Q(-1), Q(-2), Q(-3)], 1)
     sol = AnsatzSolution(spec, series, provider)
-    h = lambda t: float(provider(t).h)
-    r = lambda t: float(provider(t).r)
     matrices = [Mobius(1.0, 1 / 3, 0.0, 1.0), Mobius(1.0, 0.0, 0.25, 1.0),
                 Mobius(1.0, 0.5, 0.2, 1.1)]
     worst = 0.0
     for m in matrices:
         m.require_unimodular()
         # the transformed state, assembled like any other solution
-        moved = AnsatzSolution(spec, series, lambda t: SystemState(
-            t, act_on_r(m, r, 1, t), act_on_h(m, h, t),
-            tuple(act_on_x(m, lambda s: float(provider(s).x[k - 2]), k, t) for k in (2, 3))))
+        moved = AnsatzSolution(spec, series, act_on_state(m, provider, 1))
         for t in (1.0, 1.4):
             for z in (0.1, 0.4):
                 state_side = moved.psi(z, t)

@@ -14,14 +14,12 @@ from heatode.mobius import (
     ExactHeatValue,
     Mobius,
     PoleOfAction,
-    act_on_h,
     act_on_psi,
-    act_on_r,
-    act_on_x,
+    act_on_state,
     transformed_h_jet,
 )
 from heatode.series import ansatz_series, default_c
-from heatode.systems import pole_sum
+from heatode.systems import SystemState, pole_sum
 
 
 def rand_mobius(rng, steps=3):
@@ -55,47 +53,19 @@ def test_mobius_unimodular_guard():
         bad.require_unimodular()
 
 
-# -- scalar actions ---------------------------------------------------------------
+# -- the action on states ---------------------------------------------------------
 
-def test_act_on_h_identity():
-    h = lambda t: 1 / (1 + t * t)
-    assert act_on_h(Mobius.identity(), h, Q(3)) == h(Q(3))
-
-
-def test_act_on_h_inversion_of_zero():
-    # the zero solution maps to the fundamental pole 1/t
-    zero = lambda t: Q(0)
-    for t in (Q(1), Q(5), Q(-2, 3)):
-        assert act_on_h(INVERSION, zero, t) == 1 / t
-
-
-def test_act_on_h_composition():
-    rng = random.Random(13)
-    h = lambda t: Q(3) / (t - 7) + t
-    for _ in range(10):
-        m1, m2 = rand_mobius(rng), rand_mobius(rng)
-        t = Q(rng.randint(20, 40), rng.randint(1, 3))
-        try:
-            lhs = act_on_h(m2, lambda s: act_on_h(m1, h, s), t)
-            rhs = act_on_h(m1 @ m2, h, t)
-        except (PoleOfAction, ZeroDivisionError):
-            continue
-        assert lhs == rhs
-
-
-def test_act_on_h_pole_of_action():
-    m = Mobius(Q(1), Q(0), Q(1), Q(-2))
-    with pytest.raises(PoleOfAction):
-        act_on_h(m, lambda t: Q(0), Q(2))
+def state_of(r=lambda t: 0.0, h=lambda t: Q(0), x=()):
+    """A state provider from field functions: r, h and each x_k of the time."""
+    return lambda t: SystemState(t, r(t), h(t), tuple(xk(t) for xk in x))
 
 
 def test_every_action_raises_at_its_pole():
     m = Mobius(Q(1), Q(0), Q(1), Q(-2))  # ct + d vanishes at t = 2
     calls = [lambda: m.apply(Q(2)),
-             lambda: act_on_h(m, lambda t: Q(0), Q(2)),
-             lambda: act_on_r(m, lambda t: 0.0, 0, Q(2)),
-             lambda: act_on_x(m, lambda t: Q(1), 2, Q(2)),
+             lambda: act_on_state(m, state_of(x=[lambda t: Q(1)]), 0)(Q(2)),
              lambda: act_on_psi(m, lambda z, t: ExactHeatValue.plain(Q(1)), Q(0), Q(2)),
+             lambda: transformed_h_jet(m, lambda s, q: [Q(0)] * (q + 1), Q(2), 0),
              lambda: transformed_h_jet(m, lambda s, q: [Q(0)] * (q + 1), Q(2), 2)]
     for call in calls:
         with pytest.raises(PoleOfAction):
@@ -104,34 +74,36 @@ def test_every_action_raises_at_its_pole():
 
 
 def test_act_on_r_inversion():
-    r = lambda t: 0.0
+    moved = act_on_state(INVERSION, state_of(), 0)
     for t in (1.0, 2.0, 7.5):
-        assert abs(act_on_r(INVERSION, r, 0, t) - (-0.5 * math.log(t))) < 1e-14
+        assert abs(moved(t).r - (-0.5 * math.log(t))) < 1e-14
 
 
 def test_act_on_r_delta_shift():
     # the odd sector adds one more power of (ct+d), i.e. -log(ct+d) in r
     m = Mobius(Q(1), Q(0), Q(1), Q(1))
-    r = lambda t: 0.3 * t
+    provider = state_of(r=lambda t: 0.3 * t)
     for t in (0.5, 2.0):
-        gap = act_on_r(m, r, 1, t) - act_on_r(m, r, 0, t)
+        gap = act_on_state(m, provider, 1)(t).r - act_on_state(m, provider, 0)(t).r
         assert abs(gap + math.log(float(m.denom(t)))) < 1e-14
 
 
 def test_act_on_r_branch_cut():
     m = Mobius(Q(1), Q(0), Q(1), Q(-3))
     with pytest.raises(BranchCut):
-        act_on_r(m, lambda t: 0.0, 0, 1.0)  # ct+d = -2
+        act_on_state(m, state_of(), 0)(1.0)  # ct+d = -2
 
 
 def test_act_on_x_identity_and_scaling():
     x = lambda t: t * t
-    assert act_on_x(Mobius.identity(), x, 2, Q(5)) == 25
+    provider = state_of(x=[x, x])
+    assert act_on_state(Mobius.identity(), provider, 0)(Q(5)).x == (25, 25)
     s = Q(3)
     scaling = Mobius(s, Q(0), Q(0), 1 / s)
-    for k in (2, 3):
-        for t in (Q(2), Q(1, 2)):
-            assert act_on_x(scaling, x, k, t) == s ** (2 * k) * x(s * s * t)
+    for t in (Q(2), Q(1, 2)):
+        moved = act_on_state(scaling, provider, 0)(t)
+        for k, xk in enumerate(moved.x, start=2):
+            assert xk == s ** (2 * k) * x(s * s * t)
 
 
 def test_act_on_x_exponent_law():
@@ -139,8 +111,24 @@ def test_act_on_x_exponent_law():
     one = lambda t: Q(1)
     t = Q(3)
     w = m.denom(t)
-    assert act_on_x(m, one, 2, t) * w ** 4 == 1
-    assert act_on_x(m, one, 3, t) * w ** 6 == 1
+    x2, x3 = act_on_state(m, state_of(x=[one, one]), 0)(t).x
+    assert x2 * w ** 4 == 1
+    assert x3 * w ** 6 == 1
+
+
+def test_act_on_state_moves_h_as_transformed_h_jet_at_order_0():
+    # the h field of the moved state is the order-0 jet of the transformed h
+    rng = random.Random(13)
+    h = lambda t: Q(3) / (t - 7) + t
+    checked = 0
+    while checked < 10:
+        m = rand_mobius(rng)
+        t = Q(rng.randint(20, 40), rng.randint(1, 3))
+        if m.denom(t) <= 0 or m.apply(t) == 7:
+            continue
+        moved = act_on_state(m, state_of(h=h), 0)(t)
+        assert moved.t == t and [moved.h] == transformed_h_jet(m, lambda s, q: [h(s)], t, 0)
+        checked += 1
 
 
 # -- the full action ---------------------------------------------------------------
@@ -276,6 +264,11 @@ def test_transformed_jet_matches_transformed_pole_sum():
             got = transformed_h_jet(m, ps.jet, t, n + 2)
             assert got == expected
             checked += 1
+    # the zero solution has its one pole at infinity, and the inversion moves it to 0
+    zero = lambda s, q: [Q(0)] * (q + 1)
+    for t in (Q(1), Q(5), Q(-2, 3)):
+        assert transformed_h_jet(INVERSION, zero, t, 0) == [1 / t]
+        assert transformed_h_jet(INVERSION, zero, t, 2) == pole_sum(1, [Q(0)]).jet(t, 2)
 
 
 def polynomial_jet(coeffs):
@@ -308,6 +301,21 @@ def test_transformed_jet_group_law_on_polynomials():
         assert lhs == rhs
         assert transformed_h_jet(Mobius.identity(), hj, t, order) == hj(t, order)
         checked += 1
+    # order 0 is the action on h itself, h(t~)/w^2 + c/w, for an h that is no polynomial
+    at_order_0 = lambda h: lambda s, q: [h(s)]
+    h = lambda t: 1 / (1 + t * t)
+    assert transformed_h_jet(Mobius.identity(), at_order_0(h), Q(3), 0) == [h(Q(3))]
+    rng = random.Random(13)
+    h = lambda t: Q(3) / (t - 7) + t
+    for _ in range(10):
+        m1, m2 = rand_mobius(rng), rand_mobius(rng)
+        t = Q(rng.randint(20, 40), rng.randint(1, 3))
+        try:
+            lhs = transformed_h_jet(m2, lambda s, q: transformed_h_jet(m1, at_order_0(h), s, q), t, 0)
+            rhs = transformed_h_jet(m1 @ m2, at_order_0(h), t, 0)
+        except (PoleOfAction, ZeroDivisionError):
+            continue
+        assert lhs == rhs
 
 
 def test_transformed_solutions_keep_zero_residual():
@@ -353,15 +361,6 @@ def test_consistency_square_state_vs_psi():
     provider = pole_state_provider(2, 3, poles, 1)
     sol = AnsatzSolution(spec, series, provider)
 
-    def h(t):
-        return float(provider(t).h)
-
-    def r(t):
-        return float(provider(t).r)
-
-    def xk(k):
-        return lambda t: float(provider(t).x[k - 2])
-
     matrices = [
         Mobius(Q(1), Q(1, 3), Q(0), Q(1)),
         Mobius(Q(1), Q(0), Q(1, 4), Q(1)),
@@ -371,9 +370,9 @@ def test_consistency_square_state_vs_psi():
         m_float = Mobius(float(m.a), float(m.b), float(m.c), float(m.d))
         for t in (1.0, 1.4):
             for z in (0.1, 0.4):
-                h_hat = act_on_h(m_float, h, t)
-                r_hat = act_on_r(m_float, r, 1, t)
-                x_hat = {k: act_on_x(m_float, xk(k), k, t) for k in (2, 3)}
+                moved = act_on_state(m_float, provider, 1)(t)
+                h_hat, r_hat = moved.h, moved.r
+                x_hat = dict(enumerate(moved.x, start=2))
                 series_sum = z
                 for k in range(2, 11):
                     pk = series.coeff(k)

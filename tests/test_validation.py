@@ -12,12 +12,14 @@ from heatode.algebra import (
 )
 from heatode.cli import main
 from heatode.heat import OutOfRange, fundamental_psi
-from heatode.jets import (PARAM, JetPoly, family_ode, head_tail_coefficients, hierarchy_ode,
-                          match_pole_ode, necessary_pole_strength, pole_sum_ode)
+from heatode.jets import (PARAM, JetPoly, _pole_det, closing_in_jets, family_ode,
+                          head_tail_coefficients, hierarchy_ode, match_pole_ode,
+                          necessary_pole_strength, pole_sum_ode)
 from heatode.series import ansatz_series, bare_series, coeff_table, hermite, three_pole_flows
 from heatode.suites import run_suite
 from heatode.systems import (BlowUp, PoleSum, SystemSpec, SystemState, integrate_rk4,
-                             sigma_reduction, transform_system, vector_field, weierstrass_system)
+                             lift_jet, sigma_reduction, transform_system, vector_field,
+                             weierstrass_system)
 
 x1 = GradedPoly.variable(1)
 x2 = GradedPoly.variable(2)
@@ -97,6 +99,15 @@ GUARDS = {
     "pole_sum_ode-negative": (lambda: pole_sum_ode(-1, 2), ValueError, "n must be nonnegative"),
     "pole_sum_ode-b-zero": (lambda: pole_sum_ode(2, 0), ValueError, "b must be nonzero"),
     "hierarchy_ode-zero": (lambda: hierarchy_ode(0), ValueError, "hierarchy starts at n = 1"),
+    # the recursive builders refuse a member past the level bound before they recurse
+    "hierarchy_ode-past-the-bound": (lambda: hierarchy_ode(MAX_LEVEL + 2), ValueError,
+                                     f"hierarchy member {MAX_LEVEL + 2} is past the bound"),
+    "_pole_det-past-the-bound": (lambda: _pole_det(MAX_LEVEL + 3), ValueError,
+                                 f"pole matrix size {MAX_LEVEL + 3} is past the bound"),
+    "closing_in_jets-x600": (lambda: closing_in_jets(GradedPoly.variable(600)), ValueError,
+                             "hierarchy member 599 is past the bound"),
+    "lift_jet-level-650": (lambda: lift_jet([0.1] * 700, 650), ValueError,
+                           f"hierarchy member {MAX_LEVEL + 2} is past the bound"),
     "head_tail_coefficients-one": (lambda: head_tail_coefficients(1), ValueError,
                                    "defined for n > 1"),
     "necessary_pole_strength-zero": (lambda: necessary_pole_strength(0), ValueError,
