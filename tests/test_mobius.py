@@ -65,7 +65,6 @@ def test_every_action_raises_at_its_pole():
     calls = [lambda: m.apply(Q(2)),
              lambda: act_on_state(m, state_of(x=[lambda t: Q(1)]), 0)(Q(2)),
              lambda: act_on_psi(m, lambda z, t: ExactHeatValue.plain(Q(1)), Q(0), Q(2)),
-             lambda: transformed_h_jet(m, lambda s, q: [Q(0)] * (q + 1), Q(2), 0),
              lambda: transformed_h_jet(m, lambda s, q: [Q(0)] * (q + 1), Q(2), 2)]
     for call in calls:
         with pytest.raises(PoleOfAction):
@@ -264,11 +263,6 @@ def test_transformed_jet_matches_transformed_pole_sum():
             got = transformed_h_jet(m, ps.jet, t, n + 2)
             assert got == expected
             checked += 1
-    # the zero solution has its one pole at infinity, and the inversion moves it to 0
-    zero = lambda s, q: [Q(0)] * (q + 1)
-    for t in (Q(1), Q(5), Q(-2, 3)):
-        assert transformed_h_jet(INVERSION, zero, t, 0) == [1 / t]
-        assert transformed_h_jet(INVERSION, zero, t, 2) == pole_sum(1, [Q(0)]).jet(t, 2)
 
 
 def polynomial_jet(coeffs):
@@ -301,10 +295,29 @@ def test_transformed_jet_group_law_on_polynomials():
         assert lhs == rhs
         assert transformed_h_jet(Mobius.identity(), hj, t, order) == hj(t, order)
         checked += 1
-    # order 0 is the action on h itself, h(t~)/w^2 + c/w, for an h that is no polynomial
-    at_order_0 = lambda h: lambda s, q: [h(s)]
+
+
+# -- the action on h: the transformed jet at order 0, h(t~)/w^2 + c/w ------------
+
+def at_order_0(h):
+    """h_jet_at of order 0 for a function h: the value alone."""
+    return lambda s, q: [h(s)]
+
+
+def test_act_on_h_identity():
     h = lambda t: 1 / (1 + t * t)
     assert transformed_h_jet(Mobius.identity(), at_order_0(h), Q(3), 0) == [h(Q(3))]
+
+
+def test_act_on_h_inversion_of_zero():
+    # the zero solution has its one pole at infinity, and the inversion moves it to 0
+    zero = lambda s, q: [Q(0)] * (q + 1)
+    for t in (Q(1), Q(5), Q(-2, 3)):
+        assert transformed_h_jet(INVERSION, zero, t, 0) == [1 / t]
+        assert transformed_h_jet(INVERSION, zero, t, 2) == pole_sum(1, [Q(0)]).jet(t, 2)
+
+
+def test_act_on_h_composition():
     rng = random.Random(13)
     h = lambda t: Q(3) / (t - 7) + t
     for _ in range(10):
@@ -316,6 +329,12 @@ def test_transformed_jet_group_law_on_polynomials():
         except (PoleOfAction, ZeroDivisionError):
             continue
         assert lhs == rhs
+
+
+def test_act_on_h_pole_of_action():
+    m = Mobius(Q(1), Q(0), Q(1), Q(-2))
+    with pytest.raises(PoleOfAction):
+        transformed_h_jet(m, at_order_0(lambda t: Q(0)), Q(2), 0)
 
 
 def test_transformed_solutions_keep_zero_residual():
