@@ -7,8 +7,7 @@ equation into statements about the series coefficients and the flow of
   series_heat_residual   a decidable symbolic check: every z-order of
                          the residual, with time derivatives rewritten
                          through the flow, must vanish as a polynomial
-                         identity in x (the h terms cancel by weight,
-                         so none is built);
+                         identity in (h, x);
   grid_heat_residual     a numeric check along trajectories or closed
                          forms, central differences in t against the
                          exact-in-z series derivative;
@@ -37,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .algebra import GradedPoly, Q, check_homogeneous, eval_lowered
+from .algebra import GradedPoly, Q, eval_lowered
 from .series import AnsatzSeries, BareSeries, hermite, hermite_eval
 from .systems import SystemSpec, SystemState, integrate_rk4, lift_jet, pole_sum
 
@@ -91,12 +90,9 @@ def predicted_failure_order(k: int, delta: int) -> int:
 
 
 def _check_series(spec: SystemSpec, series: AnsatzSeries) -> None:
-    """ValueError unless the series was built for the system's n, delta and c;
-    WeightMismatch unless each P_k has weight 2k, the h-free residual's premise."""
+    """ValueError unless the series was built for the system's n, delta and c."""
     if (series.n, series.delta, series.c) != (spec.n, spec.delta, spec.c):
         raise ValueError("series parameters do not match the system")
-    for k in range(2, series.truncation + 1):
-        check_homogeneous(series.coeff(k), 2 * k, None, f"series coefficient P_{k}")
 
 
 def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
@@ -107,27 +103,32 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
     every time derivative replaced through the flow; the coefficient of
     z^m must be exactly zero for every m <= 2K + delta - 2 of the series
     parity, K the truncation (opposite-parity ones vanish structurally).
-    It is computed over x_2..x_{n+1} only, with d/dt along the flows
-    p_{k+1} alone: c_m is homogeneous of weight m - delta (_check_series
-    makes sure), so by Euler's identity the flow's -2k h x_k terms add
-    -(m - delta) h c_m, which cancels the (m - delta) h c_m term exactly.
+    It is computed over (h, x_2..x_{n+1}), h in slot 1 of the grading, yet
+    holds no h: c_m is homogeneous of weight m - delta, so by Euler's
+    identity the flow's -2k h x_k terms add -(m - delta) h c_m, which
+    cancels the (m - delta) h c_m term exactly.
     """
     _check_series(spec, series)
     n, delta, c, K = spec.n, spec.delta, spec.c, series.truncation
+    h = GradedPoly.variable(1)
 
     def coeff(m: int) -> GradedPoly:
         if m < delta or (m - delta) % 2:
             return GradedPoly.zero()
         return series.coeff((m - delta) // 2).scale(Q(1, math.factorial(m)))
 
-    flow = dict(enumerate(spec.flows, start=2))
+    # d/dt along the flow: x_k' = p_{k+1} - 2k h x_k
+    flow = {k: p - (h * GradedPoly.variable(k)).scale(2 * k)
+            for k, p in enumerate(spec.flows, start=2)}
     orders = list(range(delta, 2 * K + delta - 1, 2))
     failures: dict[int, GradedPoly] = {}
     for m in orders:
-        residual = coeff(m).derive(flow)
+        cm = coeff(m)
+        residual = (h * cm).scale(m - delta)
         if n >= 1:  # h' has no x2 term at n = 0, where P_0 = 1 would give one at m = delta + 2
             x2cm = GradedPoly.variable(2) * coeff(m - 2)
             residual = residual + x2cm.scale(c / Q(4 * (1 + 2 * delta)))
+        residual = residual + cm.derive(flow)
         residual = residual - coeff(m + 2).scale(Q((m + 2) * (m + 1), 2))
         if residual:
             failures[m] = residual

@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .algebra import (MAX_LEVEL, GradedPoly, Mono, Q, check_closing, check_level, closing_monomials,
-                      mono, solve_linear, unpack)
+from .algebra import (GradedPoly, Mono, Q, check_closing, check_level, closing_monomials, mono,
+                      solve_linear, unpack)
 
 # Jet monomial: an algebra key over the indices q >= -1, q = -1 holding the
 # symbolic parameter b (the lowest field) and q >= 0 the derivative order
@@ -155,8 +155,7 @@ def hierarchy_ode(n: int) -> JetPoly:
     """F_n from F_1 = h' + h^2 and F_n = (d/dt + 2n h) F_{n-1}; degree -4(n+1)."""
     if n < 1:
         raise ValueError("hierarchy starts at n = 1")
-    if n > MAX_LEVEL + 1:  # family_ode's top member at MAX_LEVEL; refused before the recursion
-        raise ValueError(f"hierarchy member {n} is past the bound of {MAX_LEVEL + 1}")
+    check_level(n - 1)  # F_n tops level n - 1's family; refused before the recursion
     if n == 1:
         return JetPoly.from_exponents([({1: 1}, 1), ({0: 2}, 1)])
     return shifted_derivative(hierarchy_ode(n - 1), 2 * n)
@@ -201,10 +200,9 @@ def _pole_det(size: int) -> JetPoly:
     b h, b h', ... (Bell, Ann. of Math. 35, 1934), so D_1 = h and
     D_{m+1} = (d/dt + b h) D_m: one shifted derivative per size.
     """
-    if size > MAX_LEVEL + 2:  # pole_sum_ode's size at MAX_LEVEL; refused before the recursion
-        raise ValueError(f"pole matrix size {size} is past the bound of {MAX_LEVEL + 2}")
     if size == 1:
         return JetPoly.h()
+    check_level(size - 2)  # pole_sum_ode at level n takes size n + 2; refused before the recursion
     return shifted_derivative(_pole_det(size - 1), 1, jet_mono({PARAM: 1, 0: 1}))
 
 

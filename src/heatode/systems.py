@@ -46,7 +46,8 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .algebra import GradedPoly, Mono, Q, check_closing, check_homogeneous, lowered_source
+from .algebra import (GradedPoly, Mono, Q, check_closing, check_homogeneous, check_level,
+                      lowered_source)
 from .jets import JetTooShort, hierarchy_ode
 
 # An exact RK4 step on a quadratic field multiplies the bits about 16x: from the
@@ -389,8 +390,10 @@ def lift_jet(h_jet: Sequence, n: int) -> tuple:
 
     Each coordinate is the (k-1)-th hierarchy member as a jet polynomial,
     built symbolically once and evaluated here, so exact and float inputs
-    share the same code.
+    share the same code.  A level outside 0..MAX_LEVEL raises ValueError
+    before any member is built.
     """
+    check_level(n)
     if len(h_jet) < n + 1:
         raise JetTooShort(f"need the jet through order {n}, got {len(h_jet) - 1}")
     return tuple(hierarchy_ode(k - 1).eval(h_jet) for k in range(2, n + 2))

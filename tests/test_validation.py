@@ -101,13 +101,13 @@ GUARDS = {
     "hierarchy_ode-zero": (lambda: hierarchy_ode(0), ValueError, "hierarchy starts at n = 1"),
     # the recursive builders refuse a member past the level bound before they recurse
     "hierarchy_ode-past-the-bound": (lambda: hierarchy_ode(MAX_LEVEL + 2), ValueError,
-                                     f"hierarchy member {MAX_LEVEL + 2} is past the bound"),
+                                     f"level {MAX_LEVEL + 1} is past the bound of {MAX_LEVEL}"),
     "_pole_det-past-the-bound": (lambda: _pole_det(MAX_LEVEL + 3), ValueError,
-                                 f"pole matrix size {MAX_LEVEL + 3} is past the bound"),
+                                 f"level {MAX_LEVEL + 1} is past the bound of {MAX_LEVEL}"),
     "closing_in_jets-x600": (lambda: closing_in_jets(GradedPoly.variable(600)), ValueError,
-                             "hierarchy member 599 is past the bound"),
+                             f"level 598 is past the bound of {MAX_LEVEL}"),
     "lift_jet-level-650": (lambda: lift_jet([0.1] * 700, 650), ValueError,
-                           f"hierarchy member {MAX_LEVEL + 2} is past the bound"),
+                           f"level 650 is past the bound of {MAX_LEVEL}"),
     "head_tail_coefficients-one": (lambda: head_tail_coefficients(1), ValueError,
                                    "defined for n > 1"),
     "necessary_pole_strength-zero": (lambda: necessary_pole_strength(0), ValueError,
