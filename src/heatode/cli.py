@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
         cases = report.get("cases", [])
         lines = [f"suite {report['suite']}: {'PASS' if report['passed'] else 'FAIL'}"]
         for c in cases:
-            lines.append(f"  [{'ok' if c.get('pass') else 'FAIL'}] {c.get('case')}")
+            lines.append(f"  [{'ok' if c['pass'] else 'FAIL'}] {c['case']}")
         for sub in report.get("reports", []):
             lines.append(f"  {sub['suite']}: {'PASS' if sub['passed'] else 'FAIL'}")
         _emit(args, "\n".join(lines))

@@ -61,7 +61,6 @@ class Unsettled(ArithmeticError):
 class SymbolicHeatReport:
     """Per-order outcome of the polynomial-identity residual check."""
 
-    case: str
     orders: list[int]
     failures: dict[int, GradedPoly] = field(default_factory=dict)
 
@@ -72,16 +71,6 @@ class SymbolicHeatReport:
     @property
     def all_ok(self) -> bool:
         return not self.failures
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "mode": "symbolic",
-            "orders_checked": self.orders,
-            "first_failure": self.first_failure,
-            "max_residual": "0" if self.all_ok else "nonzero",
-            "error_budget": None,
-        }
 
 
 def predicted_failure_order(k: int, delta: int) -> int:
@@ -95,8 +84,7 @@ def _check_series(spec: SystemSpec, series: AnsatzSeries) -> None:
         raise ValueError("series parameters do not match the system")
 
 
-def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
-                         case: str = "") -> SymbolicHeatReport:
+def series_heat_residual(spec: SystemSpec, series: AnsatzSeries) -> SymbolicHeatReport:
     """Check the heat equation order by order as exact polynomial identities.
 
     The residual of exp(-h z^2/2 + r) * S(z; x(t)) is expanded in z with
@@ -132,7 +120,7 @@ def series_heat_residual(spec: SystemSpec, series: AnsatzSeries,
         residual = residual - coeff(m + 2).scale(Q((m + 2) * (m + 1), 2))
         if residual:
             failures[m] = residual
-    return SymbolicHeatReport(case or f"n={n},delta={delta}", orders, failures)
+    return SymbolicHeatReport(orders, failures)
 
 
 # -- assembled solutions ---------------------------------------------------------
@@ -289,28 +277,14 @@ def pole_state_provider(n: int, b, poles, delta: int) -> Callable[[float], Syste
 
 @dataclass
 class NumericHeatReport:
-    case: str
     grid: dict
     max_residual: float
     fd_component: float
     truncation_component: float
 
-    def to_json(self) -> dict:
-        return {
-            "case": self.case,
-            "mode": "numeric",
-            "grid": self.grid,
-            "first_failure": None,
-            "max_residual": self.max_residual,
-            "error_budget": {
-                "fd": self.fd_component,
-                "truncation": self.truncation_component,
-            },
-        }
-
 
 def grid_heat_residual(sol, z_values: Sequence[float], t_values: Sequence[float],
-                       fd_step: float, case: str = "") -> NumericHeatReport:
+                       fd_step: float) -> NumericHeatReport:
     """Max relative heat residual over a (z, t) grid.
 
     The time derivative is a central difference with the given step; the
@@ -338,7 +312,6 @@ def grid_heat_residual(sol, z_values: Sequence[float], t_values: Sequence[float]
     dt_half = (sol.psi(z, t + half) - sol.psi(z, t - half)) / (2 * half)
     fd_component = abs(dt_full - dt_half) * 4 / 3 / scale
     return NumericHeatReport(
-        case,
         {"z": len(z_values), "t": len(t_values), "fd_step": fd_step},
         worst,
         fd_component,

@@ -96,8 +96,7 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
     the tail x_2 * P_{q-2}: the derivative's terms, then the tail's, in one dict.
     """
     spec = SystemSpec.reduced(n, delta, closing, Q(c))
-    if K < 2:
-        raise ValueError("K must be at least 2")
+    _check_truncation(K)
     c = spec.c
     if n == 0:
         return AnsatzSeries(0, delta, c, K, tuple(GradedPoly.zero() for _ in range(K - 1)))
@@ -111,7 +110,7 @@ def ansatz_series(n: int, closing: GradedPoly | None, c: Fraction | int,
         num = c.numerator * (2 * q + delta - 3) * (2 * q + delta - 2)
         term = coeffs[-1].derive(p2, x2, Q(num, den) if num % den else num // den, coeffs[-2])
         coeffs.append(check_homogeneous(term, 2 * q, None, f"coefficient {q}"))
-    return AnsatzSeries(n, delta, c, K, tuple(coeffs[1:]))
+    return AnsatzSeries(n, delta, c, K, tuple(coeffs[1:K]))
 
 
 # -- the discrete route -------------------------------------------------------

@@ -52,6 +52,8 @@ from .series import (
 from .systems import SystemSpec, SystemState, default_c, pole_sum, sigma_reduction
 from .heat import (
     AnsatzSolution,
+    NumericHeatReport,
+    SymbolicHeatReport,
     WideSolution,
     grid_heat_residual,
     pole_state_provider,
@@ -64,6 +66,10 @@ from .heat import (
 
 class UnknownSuite(KeyError):
     """The requested verification suite does not exist."""
+
+
+# The closings the paper prints for the pole family, by level (closing_from_coeffs order)
+PRINTED_CLOSINGS = {2: [-3], 3: [-16], 4: [-45, -26, -31]}
 
 
 def _random_closing(rng: random.Random, n: int) -> GradedPoly:
@@ -90,11 +96,30 @@ def _random_mobius(rng: random.Random) -> Mobius:
     return m
 
 
+def _case(name: str, ok: bool, mode: str = "exact", **fields) -> dict:
+    """The record of one case: its name, its mode, the suite's fields, then its verdict."""
+    return {"case": name, "mode": mode, **fields, "pass": ok}
+
+
+def _symbolic_case(name: str, report: SymbolicHeatReport) -> dict:
+    return _case(name, report.all_ok, "symbolic", orders_checked=report.orders,
+                 first_failure=report.first_failure,
+                 max_residual="0" if report.all_ok else "nonzero", error_budget=None)
+
+
+def _numeric_case(name: str, report: NumericHeatReport, ok: bool, **fields) -> dict:
+    return _case(name, ok, "numeric", grid=report.grid, first_failure=None,
+                 max_residual=report.max_residual,
+                 error_budget={"fd": report.fd_component,
+                               "truncation": report.truncation_component},
+                 **fields)
+
+
 def _report(name: str, seed: int, cases: list[dict]) -> dict:
     return {
         "suite": name,
         "seed": seed,
-        "passed": bool(cases) and all(c.get("pass", False) for c in cases),
+        "passed": bool(cases) and all(c["pass"] for c in cases),
         "cases": cases,
     }
 
@@ -136,13 +161,10 @@ def suite_rational(seed: int = 0, max_n: int = 6) -> dict:
                 perturbed_total += 1
                 if off.eval(jet) != 0:
                     perturbed_nonzero += 1
-        cases.append({
-            "case": f"pole-sum-n{n}",
-            "mode": "exact",
-            "zero_residuals": f"{zeros}/{trials}",
-            "perturbed_nonzero": f"{perturbed_nonzero}/{perturbed_total}",
-            "pass": zeros == trials and perturbed_nonzero >= perturbed_total - 1,
-        })
+        cases.append(_case(f"pole-sum-n{n}",
+                           zeros == trials and perturbed_nonzero >= perturbed_total - 1,
+                           zero_residuals=f"{zeros}/{trials}",
+                           perturbed_nonzero=f"{perturbed_nonzero}/{perturbed_total}"))
     return _report("rational", seed, cases)
 
 
@@ -152,21 +174,20 @@ def suite_chazy(seed: int = 0) -> dict:
     ode24 = family_ode(2, closing_from_coeffs(2, [24]))
     chazy3 = rescale_dependent(ode24, -6)
     expect3 = JetPoly.from_exponents([({0: 1, 2: 1}, -2), ({1: 2}, 3), ({3: 1}, 1)])
-    cases.append({"case": "chazy3-form", "mode": "exact", "pass": chazy3 == expect3})
+    cases.append(_case("chazy3-form", chazy3 == expect3))
     ode6 = family_ode(2, closing_from_coeffs(2, [6]))
     linear = rescale_dependent(ode6, -6)
     expect6 = JetPoly.from_exponents([({3: 1}, 1), ({0: 1, 2: 1}, -2),
                                       ({0: 2, 1: 1}, 1), ({0: 4}, Q(-1, 12))])
-    cases.append({"case": "derivative-linear-form", "mode": "exact", "pass": linear == expect6})
+    cases.append(_case("derivative-linear-form", linear == expect6))
     chazy4 = rescale_dependent(total_derivative(hierarchy_ode(2)), 2)
     expect4 = JetPoly.from_exponents([({3: 1}, 1), ({0: 1, 2: 1}, 3),
                                       ({1: 2}, 3), ({0: 2, 1: 1}, 3)])
-    cases.append({"case": "chazy4-form", "mode": "exact", "pass": chazy4 == expect4})
-    cases.append({"case": "chazy12-parameter", "mode": "exact",
-                  "pass": chazy12_parameter(Q(-3)) == 4})
+    cases.append(_case("chazy4-form", chazy4 == expect4))
+    cases.append(_case("chazy12-parameter", chazy12_parameter(Q(-3)) == 4))
     ok = all(head_tail_coefficients(n) == (1, n * (n + 1), 2 ** (n - 1) * math.factorial(n))
              for n in range(2, 9))
-    cases.append({"case": "head-tail-closed-form", "mode": "exact", "pass": ok})
+    cases.append(_case("head-tail-closed-form", ok))
     return _report("chazy", seed, cases)
 
 
@@ -190,8 +211,7 @@ def suite_phi_equiv(seed: int = 0, max_n: int = 4) -> dict:
                     b = series_from_table(coeff_table(n, closing, c, delta, K))
                     if any(a.coeff(k) != b.coeff(k) for k in range(2, K + 1)):
                         agree = False
-            cases.append({"case": f"cross-oracle-n{n}-delta{delta}", "mode": "exact",
-                          "K": K, "pass": agree})
+            cases.append(_case(f"cross-oracle-n{n}-delta{delta}", agree, K=K))
     nonneg = True
     integral = True
     for n in (2, 3):
@@ -202,10 +222,10 @@ def suite_phi_equiv(seed: int = 0, max_n: int = 4) -> dict:
             closing2 = _random_closing(rng, n)
             table2 = coeff_table(n, closing2, Q(2 * (1 + 2 * delta)), delta, 8)
             integral &= all(a.denominator == 1 for a in table2.entries.values())
-    cases.append({"case": "nonnegativity", "mode": "exact", "pass": nonneg})
-    cases.append({"case": "integrality", "mode": "exact", "pass": integral})
+    cases.append(_case("nonnegativity", nonneg))
+    cases.append(_case("integrality", integral))
     eigen = all(quartic_eigenfunction_check(8, delta) is None for delta in (0, 1))
-    cases.append({"case": "quartic-eigenfunction", "mode": "exact", "pass": eigen})
+    cases.append(_case("quartic-eigenfunction", eigen))
     return _report("phi-equiv", seed, cases)
 
 
@@ -230,11 +250,10 @@ def suite_sl2(seed: int = 0) -> dict:
         rhs = act_on_psi(m1 @ m2, sampler, z, t)
         law_ok &= lhs == rhs
         checked += 1
-    cases.append({"case": "group-law", "mode": "exact", "pairs": checked, "pass": law_ok})
+    cases.append(_case("group-law", law_ok, pairs=checked))
 
     families = {0: hierarchy_ode(1), 1: hierarchy_ode(2),
-                2: family_ode(2, closing_from_coeffs(2, [-3])),
-                3: family_ode(3, closing_from_coeffs(3, [-16]))}
+                **{n: family_ode(n, closing_from_coeffs(n, PRINTED_CLOSINGS[n])) for n in (2, 3)}}
     preserved = True
     for n, ode in families.items():
         done = 0
@@ -246,11 +265,10 @@ def suite_sl2(seed: int = 0) -> dict:
                 continue
             preserved &= ode.eval(transformed_h_jet(m, ps.jet, t, n + 1)) == 0
             done += 1
-    cases.append({"case": "transformed-residuals", "mode": "exact", "pass": preserved})
+    cases.append(_case("transformed-residuals", preserved))
 
     worst = _consistency_square_error()
-    cases.append({"case": "state-vs-solution", "mode": "float",
-                  "max_gap": worst, "pass": worst <= 1e-10})
+    cases.append(_case("state-vs-solution", worst <= 1e-10, "float", max_gap=worst))
     return _report("sl2", seed, cases)
 
 
@@ -285,10 +303,7 @@ def suite_heat(seed: int = 0) -> dict:
         closing = closing_from_coeffs(n, coeffs) if coeffs else None
         spec = SystemSpec.reduced(n, delta=delta, closing=closing)
         series = ansatz_series(n, closing, default_c(delta), delta, 8)
-        report = series_heat_residual(spec, series, case=f"n={n},delta={delta}")
-        entry = report.to_json()
-        entry["pass"] = report.all_ok
-        cases.append(entry)
+        cases.append(_symbolic_case(f"n={n},delta={delta}", series_heat_residual(spec, series)))
         if (n, delta) == (2, 1):  # c4 = 24: the fault-detection case and the grid reuse it
             level2 = spec, series
 
@@ -299,20 +314,19 @@ def suite_heat(seed: int = 0) -> dict:
         bad = series.with_coeff(k, series.coeff(k) + bump)
         got = series_heat_residual(spec, bad).first_failure
         fault_ok &= got == predicted_failure_order(k, 1)
-    cases.append({"case": "fault-detection", "mode": "symbolic", "pass": fault_ok})
+    cases.append(_case("fault-detection", fault_ok, "symbolic"))
 
     s0 = SystemState(0.0, rng.uniform(-0.1, 0.1), rng.uniform(-0.3, 0.3),
                      (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)))
     sol = AnsatzSolution(spec, series, trajectory_provider(spec, s0, 2.5e-4))
     zg = [-0.5 + i / 10 for i in range(11)]
     tg = [0.05 + 0.0375 * i for i in range(5)]
-    numeric = grid_heat_residual(sol, zg, tg, 1e-3, case="n=2,c4=24 trajectory")
-    half = grid_heat_residual(sol, zg, tg, 5e-4, case="half step")
+    numeric = grid_heat_residual(sol, zg, tg, 1e-3)
+    half = grid_heat_residual(sol, zg, tg, 5e-4)
     ratio = numeric.max_residual / half.max_residual if half.max_residual else float("inf")
-    entry = numeric.to_json()
-    entry["fd_halving_ratio"] = ratio
-    entry["pass"] = numeric.max_residual <= 1e-6 and 2.5 < ratio < 6
-    cases.append(entry)
+    cases.append(_numeric_case("n=2,c4=24 trajectory", numeric,
+                               numeric.max_residual <= 1e-6 and 2.5 < ratio < 6,
+                               fd_halving_ratio=ratio))
     return _report("heat", seed, cases)
 
 
@@ -327,29 +341,26 @@ def suite_sigma(seed: int = 0) -> dict:
         residual = S[m + 1].scale(Q(1, 2)) \
             + (g2 * prev).scale(Q((2 * m + 1) * (2 * m), 24)) - sigma_l2(S[m])
         annihilated &= not residual
-    cases.append({"case": "second-operator", "mode": "exact", "pass": annihilated})
+    cases.append(_case("second-operator", annihilated))
     weights = all((not s) or s.weight == 2 * k for k, s in enumerate(S))
-    cases.append({"case": "scaling-operator", "mode": "exact", "pass": weights})
+    cases.append(_case("scaling-operator", weights))
 
     phi = ansatz_series(2, closing_from_coeffs(2, [24]), Q(-6), 1, 6)
     sub = {2: GradedPoly.variable(2, Q(1, 12)), 3: GradedPoly.variable(3, Q(1, 2))}
     bridge = all(phi.coeff(k).subst(sub) == S[k] for k in range(2, 7))
-    cases.append({"case": "bridge-to-level-two", "mode": "exact", "K": 6, "pass": bridge})
+    cases.append(_case("bridge-to-level-two", bridge, K=6))
 
     reductions = all(sigma_reduction(n) == SystemSpec.reduced(n, 1, closing_from_coeffs(n, [c]))
                      for n, c in ((2, 24), (3, 48)))
-    cases.append({"case": "system-reductions", "mode": "exact", "pass": reductions})
+    cases.append(_case("system-reductions", reductions))
     return _report("sigma", seed, cases)
 
 
 def suite_hermite(seed: int = 0) -> dict:
     """Gaussian-times-Hermite solutions, exactly, plus fault rejection."""
-    cases = []
-    for k in range(11):
-        cases.append({"case": f"hermite-k{k}", "mode": "exact",
-                      "pass": polynomial_solution_check(k)})
+    cases = [_case(f"hermite-k{k}", polynomial_solution_check(k)) for k in range(11)]
     faults = all(not polynomial_solution_check(k, [Q(0)] * k + [Q(1)]) for k in (2, 3, 4))
-    cases.append({"case": "monomial-fault-rejected", "mode": "exact", "pass": faults})
+    cases.append(_case("monomial-fault-rejected", faults))
     return _report("hermite", seed, cases)
 
 
@@ -363,34 +374,24 @@ def suite_dims(seed: int = 0, max_n: int = 12) -> dict:
         ok = dim == count
         if n in expected_small:
             ok &= dim == expected_small[n]
-        cases.append({"case": f"n={n}", "mode": "exact", "dim": dim, "pass": ok})
+        cases.append(_case(f"n={n}", ok, dim=dim))
     return _report("dims", seed, cases)
 
 
 def suite_detmatch(seed: int = 0, max_n: int = 6) -> dict:
     """Match the determinant family against the closing space, level by level."""
-    expected = {2: [-3], 3: [-16], 4: [-45, -26, -31]}
     cases = []
     for n in _levels(1, max_n):
         match = match_pole_ode(n)
         necessary_b = necessary_pole_strength(n)
-        entry = {
-            "case": f"detmatch-n{n}",
-            "mode": "exact",
-            "b": str(match.b),
-            "necessary_b": str(necessary_b),
-            "matched": match.matched,
-        }
-        if match.matched:
-            entry["closing"] = match.closing.text()
-        else:
-            entry["residual"] = match.residual.text()
         ok = match.matched and family_ode(n, match.closing) == pole_sum_ode(n, n + 1)
-        if n in expected:
-            ok &= match.matched and match.closing == closing_from_coeffs(n, expected[n])
+        if n in PRINTED_CLOSINGS:
+            ok &= match.matched and match.closing == closing_from_coeffs(n, PRINTED_CLOSINGS[n])
         ok &= necessary_b == n + 1
-        entry["pass"] = ok
-        cases.append(entry)
+        shown = {"closing": match.closing.text()} if match.matched \
+            else {"residual": match.residual.text()}
+        cases.append(_case(f"detmatch-n{n}", ok, b=str(match.b), necessary_b=str(necessary_b),
+                           matched=match.matched, **shown))
     return _report("detmatch", seed, cases)
 
 
@@ -405,7 +406,7 @@ def suite_addendum(seed: int = 0) -> dict:
         t = Q(rng.randint(97, 200), rng.randint(1, 3))
         x1, x2, x3, x3dot = ps.jet(t, 3)
         flow_ok &= x3dot == flows[2].eval({1: x1, 2: x2, 3: x3})
-    cases.append({"case": "three-pole-flow", "mode": "exact", "pass": flow_ok})
+    cases.append(_case("three-pole-flow", flow_ok))
 
     series = bare_series(flows, GradedPoly.variable(1, Q(-1, 2)), 12)
     poles = [Q(-1), Q(-2), Q(-3)]
@@ -419,13 +420,11 @@ def suite_addendum(seed: int = 0) -> dict:
     sol = WideSolution(series, state)
     zg = [-0.5 + i / 10 for i in range(11)]
     tg = [1.0 + 0.04 * i for i in range(6)]
-    numeric = grid_heat_residual(sol, zg, tg, 1e-3, case="three-pole solution")
-    entry = numeric.to_json()
-    entry["pass"] = numeric.max_residual <= 1e-6
-    cases.append(entry)
+    numeric = grid_heat_residual(sol, zg, tg, 1e-3)
+    cases.append(_numeric_case("three-pole solution", numeric, numeric.max_residual <= 1e-6))
 
     counts = all(len(bare_monomials(n)) == partition_count(n + 2) - 1 for n in range(9))
-    cases.append({"case": "wide-closing-count", "mode": "exact", "pass": counts})
+    cases.append(_case("wide-closing-count", counts))
     return _report("addendum", seed, cases)
 
 

@@ -149,6 +149,17 @@ def test_series_negative_K_exits_2(capsys, argv):
     assert out == "" and "K must be nonnegative" in err
 
 
+@pytest.mark.parametrize("kind, key, body", [
+    ("phi", "coeffs", []),                          # no P_k
+    ("table", "entries", [{"J": [0, 0], "a": "1"}]),  # only the weight-0 entry a(0) = 1
+])
+def test_series_at_K_1_is_z_delta_alone(capsys, kind, key, body):
+    code, out, _ = run(capsys, "series", kind, "--n", "2", "--K", "1")
+    assert code == 0
+    data = json.loads(out)["series"]
+    assert data["K"] == 1 and data[key] == body
+
+
 @pytest.mark.parametrize("argv", [
     ("series", "phi", "--n", "2", "--K", "4"),
     ("series", "table", "--n", "2", "--K", "4"),
@@ -368,6 +379,20 @@ def test_verify_all_runs_every_suite_in_order(capsys):
     assert report["suite"] == "all" and report["passed"]
     assert [sub["suite"] for sub in report["reports"]] == list(SUITES)
     assert all(sub["passed"] for sub in report["reports"])
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_every_case_is_one_record(seed):
+    # each case carries a str name, a known mode and a bool verdict, and a suite
+    # passes exactly when it has cases and each of them passes
+    from heatode.suites import run_all
+    for report in run_all(seed)["reports"]:
+        cases = report["cases"]
+        for c in cases:
+            assert isinstance(c["case"], str)
+            assert c["mode"] in ("exact", "float", "symbolic", "numeric")
+            assert isinstance(c["pass"], bool)
+        assert report["passed"] == (bool(cases) and all(c["pass"] for c in cases))
 
 
 def test_verify_all_text_report_lists_every_suite(capsys):

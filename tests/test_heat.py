@@ -11,7 +11,7 @@ import pytest
 from heatode.algebra import GradedPoly, closing_from_coeffs as closing
 from heatode.series import ansatz_series, bare_series, default_c, hermite, hermite_eval
 from heatode import heat
-from heatode.suites import run_suite
+from heatode.suites import _symbolic_case, run_suite
 from heatode.systems import BlowUp, SystemSpec, SystemState, integrate_rk4, pole_sum
 from heatode.heat import (
     AnsatzSolution,
@@ -88,10 +88,20 @@ def test_symbolic_residual_rejects_mismatched_parameters():
 
 def test_symbolic_report_json():
     spec, series = reduced_case(1, 0)
-    data = series_heat_residual(spec, series, case="demo").to_json()
+    data = _symbolic_case("demo", series_heat_residual(spec, series))
     assert data["mode"] == "symbolic"
     assert data["first_failure"] is None
     assert data["max_residual"] == "0"
+    # a bump in P_k fails the case at the z-order where the fault first shows
+    from heatode.algebra import monomial_basis
+    for delta in (0, 1):
+        spec, series = reduced_case(2, delta, [24])
+        for k in (3, 4, 5):
+            bump = GradedPoly({monomial_basis(k, 2, 3)[0]: Q(1)})
+            bad = series.with_coeff(k, series.coeff(k) + bump)
+            data = _symbolic_case("bumped", series_heat_residual(spec, bad))
+            assert data["max_residual"] == "nonzero" and data["pass"] is False
+            assert data["first_failure"] == predicted_failure_order(k, delta)
 
 
 # -- assembled solutions and numeric residual ---------------------------------------
@@ -312,7 +322,7 @@ def test_addendum_numeric_residual():
     sol = addendum_solution()
     zg = [-0.5 + i / 10 for i in range(11)]
     tg = [1.0 + 0.04 * i for i in range(6)]
-    report = grid_heat_residual(sol, zg, tg, 1e-3, case="three-pole")
+    report = grid_heat_residual(sol, zg, tg, 1e-3)
     assert report.max_residual <= 1e-6
 
 

@@ -7,15 +7,16 @@ from fractions import Fraction as Q
 import pytest
 
 from heatode.algebra import (
-    MAX_LEVEL, GradedPoly, WeightMismatch, check_closing, closing_dim, closing_monomials, mono,
-    partition_count, solve_linear, unpack,
+    MAX_LEVEL, GradedPoly, WeightMismatch, check_closing, closing_dim, closing_from_coeffs,
+    closing_monomials, mono, partition_count, solve_linear, unpack,
 )
 from heatode.cli import main
 from heatode.heat import OutOfRange, fundamental_psi
 from heatode.jets import (PARAM, JetPoly, _pole_det, closing_in_jets, family_ode,
                           head_tail_coefficients, hierarchy_ode, match_pole_ode,
                           necessary_pole_strength, pole_sum_ode)
-from heatode.series import ansatz_series, bare_series, coeff_table, hermite, three_pole_flows
+from heatode.series import (ansatz_series, bare_series, coeff_table, default_c, hermite,
+                            series_from_table, three_pole_flows)
 from heatode.suites import run_suite
 from heatode.systems import (BlowUp, PoleSum, SystemSpec, SystemState, integrate_rk4,
                              lift_jet, sigma_reduction, transform_system, vector_field,
@@ -138,11 +139,19 @@ def test_each_guard_raises_its_typed_error(name):
     assert type(caught.value) is error and message in str(caught.value)
 
 
-def test_ansatz_series_needs_c_and_two_orders():
+def test_ansatz_series_needs_c_and_a_nonnegative_K():
     with pytest.raises(TypeError):  # c is required; None does not mean the default
         ansatz_series(2, None, None, 0, 4)
-    with pytest.raises(ValueError, match="K must be at least 2"):
-        ansatz_series(2, None, Q(1), 0, 1)
+    # K = 0 and K = 1 hold no P_k: both routes give z^delta alone
+    for n in (0, 1, 2, 4):
+        closing = closing_from_coeffs(n, [1] * closing_dim(n)) if n >= 2 else None
+        for delta in (0, 1):
+            for K in (0, 1):
+                c = default_c(delta)
+                table = coeff_table(n, closing, c, delta, K)
+                assert ansatz_series(n, closing, c, delta, K) == series_from_table(table)
+    with pytest.raises(ValueError, match="K must be nonnegative"):
+        ansatz_series(2, None, Q(1), 0, -1)
 
 
 def test_closing_none_is_zero():
