@@ -263,9 +263,11 @@ def pole_state_provider(n: int, b, poles, delta: int) -> Callable[[float], Syste
     ps = pole_sum(b, poles)
 
     def at(t: float) -> SystemState:
+        if isinstance(t, float) and not math.isfinite(t):
+            raise OutOfRange(f"t = {t} is not a finite time")
         jet = ps.jet(t, max(n, 1))
         for a in ps.poles:
-            if t <= a:
+            if not t > a:  # so that a NaN cannot pass
                 raise OutOfRange(f"t = {t} is not to the right of the poles")
         r = -(delta + 0.5) / float(ps.b) * sum(math.log(float(t - a)) for a in ps.poles)
         return SystemState(t, r, jet[0], lift_jet(jet, n))
@@ -335,8 +337,11 @@ def gaussian_halfwidth(s: float, tol: float = 1e-13, k: int = 0) -> float:
     past the largest zero of He_k (below sqrt(4k+2)), and it falls as X
     grows: Z is widened from the k = 0 width until that holds.  This is
     the k-th z-derivative of the Gaussian up to the factor s^(-(k+1)/2)
-    of fundamental_psi(c, k) at s = t - c.
+    of fundamental_psi(c, k) at s = t - c.  Unless s is positive and finite
+    and 0 < tol < 1, it raises ValueError.
     """
+    if not (0 < s < math.inf and 0 < tol < 1):
+        raise ValueError(f"need a positive finite s and 0 < tol < 1, got s = {s}, tol = {tol}")
     z = max(math.sqrt(2 * s * math.log(1 / tol)), 2 * s, 1.0)
     if k == 0:
         return z

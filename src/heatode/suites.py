@@ -1,9 +1,10 @@
 """Named verification suites behind the command-line `verify` command.
 
-Each suite maps a seed, and max_n (its highest level) if it has levels, to
-a report dict: per-case entries and "passed", false when a case fails or
-there is none.  A max_n below a suite's lowest level leaves no case to run
-and raises ValueError.  Suites are deterministic: identical inputs,
+Each suite returns its case records; run_suite builds the report around them,
+with "passed" false when a case fails or there is none.  A suite that draws
+takes rng, the random.Random(seed) that run_suite makes; one with levels takes
+max_n, its highest level, and a max_n below its lowest level leaves no case to
+run and raises ValueError.  Suites are deterministic: identical inputs,
 identical reports.
 """
 
@@ -115,15 +116,6 @@ def _numeric_case(name: str, report: NumericHeatReport, ok: bool, **fields) -> d
                  **fields)
 
 
-def _report(name: str, seed: int, cases: list[dict]) -> dict:
-    return {
-        "suite": name,
-        "seed": seed,
-        "passed": bool(cases) and all(c["pass"] for c in cases),
-        "cases": cases,
-    }
-
-
 def _levels(lowest: int, max_n: int) -> range:
     """The levels lowest..max_n of a suite; none, or a max_n past MAX_LEVEL, raises ValueError."""
     if max_n < lowest:
@@ -134,7 +126,7 @@ def _levels(lowest: int, max_n: int) -> range:
 
 # -- suites --------------------------------------------------------------------
 
-def suite_rational(seed: int = 0, max_n: int = 6) -> dict:
+def suite_rational(rng: random.Random, max_n: int = 6) -> list[dict]:
     """Pole sums annihilate the determinant family exactly; wrong b does not.
 
     Every zero test runs on the integral jet lam^(q+1) h^(q) of
@@ -142,7 +134,6 @@ def suite_rational(seed: int = 0, max_n: int = 6) -> dict:
     so P(integral jet) = lam^(W/2) P(h-jet) with lam != 0, and the verdicts
     (and counts) are those of the Fraction jet.
     """
-    rng = random.Random(seed)
     trials = 20
     cases = []
     for n in _levels(0, max_n):
@@ -165,10 +156,10 @@ def suite_rational(seed: int = 0, max_n: int = 6) -> dict:
                            zeros == trials and perturbed_nonzero >= perturbed_total - 1,
                            zero_residuals=f"{zeros}/{trials}",
                            perturbed_nonzero=f"{perturbed_nonzero}/{perturbed_total}"))
-    return _report("rational", seed, cases)
+    return cases
 
 
-def suite_chazy(seed: int = 0) -> dict:
+def suite_chazy() -> list[dict]:
     """Rescaling identities, the Chazy-12 parameter and head/tail coefficients."""
     cases = []
     ode24 = family_ode(2, closing_from_coeffs(2, [24]))
@@ -188,12 +179,11 @@ def suite_chazy(seed: int = 0) -> dict:
     ok = all(head_tail_coefficients(n) == (1, n * (n + 1), 2 ** (n - 1) * math.factorial(n))
              for n in range(2, 9))
     cases.append(_case("head-tail-closed-form", ok))
-    return _report("chazy", seed, cases)
+    return cases
 
 
-def suite_phi_equiv(seed: int = 0, max_n: int = 4) -> dict:
+def suite_phi_equiv(rng: random.Random, max_n: int = 4) -> list[dict]:
     """The polynomial and discrete series routes agree exactly; corollaries hold."""
-    rng = random.Random(seed)
     K = 12
     cases = []
     for n in _levels(1, max_n):
@@ -226,12 +216,11 @@ def suite_phi_equiv(seed: int = 0, max_n: int = 4) -> dict:
     cases.append(_case("integrality", integral))
     eigen = all(quartic_eigenfunction_check(8, delta) is None for delta in (0, 1))
     cases.append(_case("quartic-eigenfunction", eigen))
-    return _report("phi-equiv", seed, cases)
+    return cases
 
 
-def suite_sl2(seed: int = 0) -> dict:
+def suite_sl2(rng: random.Random) -> list[dict]:
     """Group law, preserved residuals and the state-versus-solution square."""
-    rng = random.Random(seed)
     cases = []
 
     def sampler(z, t):
@@ -252,10 +241,9 @@ def suite_sl2(seed: int = 0) -> dict:
         checked += 1
     cases.append(_case("group-law", law_ok, pairs=checked))
 
-    families = {0: hierarchy_ode(1), 1: hierarchy_ode(2),
-                **{n: family_ode(n, closing_from_coeffs(n, PRINTED_CLOSINGS[n])) for n in (2, 3)}}
     preserved = True
-    for n, ode in families.items():
+    for n in range(4):  # levels 0 and 1 have no closing: their member is the bare hierarchy's
+        ode = family_ode(n, closing_from_coeffs(n, PRINTED_CLOSINGS.get(n, [])))
         done = 0
         while done < 5:
             ps = pole_sum(n + 1, _random_poles(rng, n + 1))
@@ -269,7 +257,7 @@ def suite_sl2(seed: int = 0) -> dict:
 
     worst = _consistency_square_error()
     cases.append(_case("state-vs-solution", worst <= 1e-10, "float", max_gap=worst))
-    return _report("sl2", seed, cases)
+    return cases
 
 
 def _consistency_square_error() -> float:
@@ -294,9 +282,8 @@ def _consistency_square_error() -> float:
     return worst
 
 
-def suite_heat(seed: int = 0) -> dict:
+def suite_heat(rng: random.Random) -> list[dict]:
     """Symbolic all-zero residuals, fault detection and the numeric grid case."""
-    rng = random.Random(seed)
     cases = []
     symbolic = [(1, 0, None), (1, 1, None), (2, 1, [24]), (3, 0, [48]), (3, 1, [48])]
     for n, delta, coeffs in symbolic:
@@ -327,10 +314,10 @@ def suite_heat(seed: int = 0) -> dict:
     cases.append(_numeric_case("n=2,c4=24 trajectory", numeric,
                                numeric.max_residual <= 1e-6 and 2.5 < ratio < 6,
                                fd_halving_ratio=ratio))
-    return _report("heat", seed, cases)
+    return cases
 
 
-def suite_sigma(seed: int = 0) -> dict:
+def suite_sigma() -> list[dict]:
     """Sigma expansion: operator annihilation, scaling weights, the bridge."""
     cases = []
     S = sigma_series(8)
@@ -353,18 +340,18 @@ def suite_sigma(seed: int = 0) -> dict:
     reductions = all(sigma_reduction(n) == SystemSpec.reduced(n, 1, closing_from_coeffs(n, [c]))
                      for n, c in ((2, 24), (3, 48)))
     cases.append(_case("system-reductions", reductions))
-    return _report("sigma", seed, cases)
+    return cases
 
 
-def suite_hermite(seed: int = 0) -> dict:
+def suite_hermite() -> list[dict]:
     """Gaussian-times-Hermite solutions, exactly, plus fault rejection."""
     cases = [_case(f"hermite-k{k}", polynomial_solution_check(k)) for k in range(11)]
     faults = all(not polynomial_solution_check(k, [Q(0)] * k + [Q(1)]) for k in (2, 3, 4))
     cases.append(_case("monomial-fault-rejected", faults))
-    return _report("hermite", seed, cases)
+    return cases
 
 
-def suite_dims(seed: int = 0, max_n: int = 12) -> dict:
+def suite_dims(max_n: int = 12) -> list[dict]:
     """The closing-space dimension formula against direct enumeration."""
     cases = []
     expected_small = {0: 0, 1: 0, 2: 1, 3: 1, 4: 3}
@@ -375,10 +362,10 @@ def suite_dims(seed: int = 0, max_n: int = 12) -> dict:
         if n in expected_small:
             ok &= dim == expected_small[n]
         cases.append(_case(f"n={n}", ok, dim=dim))
-    return _report("dims", seed, cases)
+    return cases
 
 
-def suite_detmatch(seed: int = 0, max_n: int = 6) -> dict:
+def suite_detmatch(max_n: int = 6) -> list[dict]:
     """Match the determinant family against the closing space, level by level."""
     cases = []
     for n in _levels(1, max_n):
@@ -386,18 +373,17 @@ def suite_detmatch(seed: int = 0, max_n: int = 6) -> dict:
         necessary_b = necessary_pole_strength(n)
         ok = match.matched and family_ode(n, match.closing) == pole_sum_ode(n, n + 1)
         if n in PRINTED_CLOSINGS:
-            ok &= match.matched and match.closing == closing_from_coeffs(n, PRINTED_CLOSINGS[n])
+            ok &= match.closing == closing_from_coeffs(n, PRINTED_CLOSINGS[n])
         ok &= necessary_b == n + 1
         shown = {"closing": match.closing.text()} if match.matched \
             else {"residual": match.residual.text()}
         cases.append(_case(f"detmatch-n{n}", ok, b=str(match.b), necessary_b=str(necessary_b),
                            matched=match.matched, **shown))
-    return _report("detmatch", seed, cases)
+    return cases
 
 
-def suite_addendum(seed: int = 0) -> dict:
+def suite_addendum(rng: random.Random) -> list[dict]:
     """The wide-ansatz example: exact flow, numeric solution, dimension count."""
-    rng = random.Random(seed)
     cases = []
     flows = three_pole_flows()
     flow_ok = True
@@ -425,10 +411,10 @@ def suite_addendum(seed: int = 0) -> dict:
 
     counts = all(len(bare_monomials(n)) == partition_count(n + 2) - 1 for n in range(9))
     cases.append(_case("wide-closing-count", counts))
-    return _report("addendum", seed, cases)
+    return cases
 
 
-SUITES: dict[str, Callable[..., dict]] = {
+SUITES: dict[str, Callable[..., list[dict]]] = {
     "rational": suite_rational,
     "chazy": suite_chazy,
     "phi-equiv": suite_phi_equiv,
@@ -446,9 +432,13 @@ def run_suite(name: str, seed: int = 0, max_n: int | None = None) -> dict:
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     suite = SUITES[name]  # looked up per call: a tracer may have wrapped it
-    if max_n is not None and "max_n" not in inspect.signature(suite).parameters:
+    params = inspect.signature(suite).parameters
+    if max_n is not None and "max_n" not in params:
         raise ValueError(f"suite {name!r} has no levels, so it takes no max_n")
-    return suite(seed=seed) if max_n is None else suite(seed=seed, max_n=max_n)
+    kwargs = {"rng": random.Random(seed)} if "rng" in params else {}
+    cases = suite(**kwargs) if max_n is None else suite(**kwargs, max_n=max_n)
+    passed = bool(cases) and all(c["pass"] for c in cases)
+    return {"suite": name, "seed": seed, "passed": passed, "cases": cases}
 
 
 def run_all(seed: int = 0) -> dict:

@@ -517,16 +517,25 @@ def test_verify_json_is_strict_on_non_finite_floats(capsys, monkeypatch):
 
 
 LEVELLED = ("rational", "phi-equiv", "dims", "detmatch")
+DRAWING = ("rational", "phi-equiv", "sl2", "heat", "addendum")
 
 
-def test_suites_take_a_seed_and_max_n_only_with_levels():
+def test_suites_take_rng_only_if_they_draw_and_max_n_only_with_levels():
     from heatode import suites
     for name, suite in suites.SUITES.items():
-        expect = ["seed", "max_n"] if name in LEVELLED else ["seed"]
+        expect = ["rng"] * (name in DRAWING) + ["max_n"] * (name in LEVELLED)
         assert list(inspect.signature(suite).parameters) == expect, name
     assert len(suites.run_suite("dims", max_n=3)["cases"]) == 4
     with pytest.raises(ValueError):
         suites.run_suite("chazy", max_n=3)
+
+
+def test_suites_that_draw_nothing_give_the_same_cases_at_every_seed():
+    from heatode import suites
+    for name in sorted(set(suites.SUITES) - set(DRAWING)):
+        reports = [suites.run_suite(name, seed=seed) for seed in (0, 9)]
+        assert [r["seed"] for r in reports] == [0, 9], name
+        assert reports[0]["cases"] == reports[1]["cases"], name
 
 
 def test_verify_max_n_without_levels_exits_two(capsys):

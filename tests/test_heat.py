@@ -291,6 +291,12 @@ def test_pole_state_provider_range_guard():
     provider = pole_state_provider(1, 2, [Q(0), Q(1)], 0)
     with pytest.raises(OutOfRange):
         provider(0.5)
+    # a time that is not finite is refused before any jet, at every level
+    for n in (1, 2):
+        provider = pole_state_provider(n, n + 1, [Q(-1), Q(-2), Q(-3)][:n + 1], 1)
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfRange, match="is not a finite time"):
+                provider(t)
 
 
 # -- the wide (Gaussian-free) assembled solution -------------------------------------

@@ -211,11 +211,11 @@ def test_sl2_suite_redraws_a_matrix_whose_pole_is_the_sampled_time(monkeypatch):
             return 0
 
     armed, planted = [], []
-    real_draw, real_hierarchy = suites._random_mobius, suites.hierarchy_ode
+    real_draw, real_family = suites._random_mobius, suites.family_ode
 
-    def hierarchy(n):  # called only to build the residual families
+    def family(n, closing):  # called only to build the residual families
         armed.append(n)
-        return real_hierarchy(n)
+        return real_family(n, closing)
 
     def draw(rng):
         m = real_draw(rng)
@@ -227,7 +227,7 @@ def test_sl2_suite_redraws_a_matrix_whose_pole_is_the_sampled_time(monkeypatch):
     moved = []
     real_move = suites.transformed_h_jet
     monkeypatch.setattr(suites, "_random_mobius", draw)
-    monkeypatch.setattr(suites, "hierarchy_ode", hierarchy)
+    monkeypatch.setattr(suites, "family_ode", family)
     monkeypatch.setattr(suites, "transformed_h_jet",
                         lambda m, *args: moved.append(m) or real_move(m, *args))
     report = suites.run_suite("sl2", 5)

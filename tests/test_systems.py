@@ -255,7 +255,7 @@ JET_FAULTS = {
 
 @pytest.mark.parametrize("fault", ["power", "sign", "strength"])
 def test_rational_suite_fails_on_a_planted_fault(monkeypatch, fault):
-    assert suites.suite_rational(seed=3, max_n=4)["passed"]
+    assert suites.run_suite("rational", seed=3, max_n=4)["passed"]
     if fault in JET_FAULTS:
         exact_jet = systems.PoleSum.integral_jet
         monkeypatch.setattr(systems.PoleSum, "integral_jet",
@@ -264,7 +264,7 @@ def test_rational_suite_fails_on_a_planted_fault(monkeypatch, fault):
         exact_ode = suites.pole_sum_ode
         monkeypatch.setattr(suites, "pole_sum_ode",
                             lambda n, b=None: exact_ode(n, n if n and b == n + 1 else b))
-    report = suites.suite_rational(seed=3, max_n=4)
+    report = suites.run_suite("rational", seed=3, max_n=4)
     assert report["passed"] is False
     failed = [c["case"] for c in report["cases"] if not c["pass"]]
     assert failed == [f"pole-sum-n{n}" for n in range(0 if fault in JET_FAULTS else 1, 5)]

@@ -11,7 +11,7 @@ from heatode.algebra import (
     closing_monomials, mono, partition_count, solve_linear, unpack,
 )
 from heatode.cli import main
-from heatode.heat import OutOfRange, fundamental_psi
+from heatode.heat import OutOfRange, fundamental_psi, gaussian_halfwidth
 from heatode.jets import (PARAM, JetPoly, _pole_det, closing_in_jets, family_ode,
                           head_tail_coefficients, hierarchy_ode, match_pole_ode,
                           necessary_pole_strength, pole_sum_ode)
@@ -128,6 +128,14 @@ GUARDS = {
                                 IndexError, "series truncated at K = 3"),
     "fundamental_psi-before-center": (lambda: fundamental_psi(1.0)(0.0, 0.5), OutOfRange,
                                       "is not beyond the center"),
+    # a width that is not positive and finite, or a tol outside (0, 1), before any work
+    **{f"gaussian_halfwidth-{label}": (lambda s=s, tol=tol, k=k: gaussian_halfwidth(s, tol, k),
+                                       ValueError, "need a positive finite s and 0 < tol < 1")
+       for label, s, tol, k in (("s-nan", math.nan, 1e-13, 0), ("s-inf", math.inf, 1e-13, 0),
+                                ("s-zero", 0.0, 1e-13, 0), ("s-zero-k1", 0.0, 1e-13, 1),
+                                ("s-negative", -1.0, 1e-13, 0), ("tol-zero", 1.0, 0.0, 0),
+                                ("tol-one", 1.0, 1.0, 0), ("tol-two", 1.0, 2.0, 0),
+                                ("tol-nan", 1.0, math.nan, 0))},
 }
 
 
