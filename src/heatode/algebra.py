@@ -32,7 +32,10 @@ integral arithmetic skips Fraction's gcd work.  Derivation has one entry
 point, GradedPoly.derive, whose optional tail adds a product into the same
 dict (each polynomial series coefficient, hierarchy step and transformed
 flow is one call); substitution has one generator, GradedPoly.images, which
-subst sums.
+subst sums.  images builds each product as (its lower factors) times (its
+highest factor): the low parts, such as x_1^a x_2^b, are shared by many
+monomials of a basis, and the large high value is the long inner loop of
+each multiply.
 For float evaluation a polynomial is lowered once (GradedPoly.lower) to
 float coefficients, which eval_lowered sums with the same bits as the
 exact coefficients would.
@@ -393,9 +396,11 @@ class GradedPoly:
         values[k] replaces x_k in the image, of class `target`; variables
         without a value form the kept part.  Values must weigh what their
         variables do (or be zero), and kept variables the same in both
-        classes.  The rest is built up from its lowest variable, each step
-        one value times a product built earlier in the call (held while it
-        runs), so no product is built twice.
+        classes.  The rest is built up to its highest variable: each step
+        is the product of the lower factors, built earlier in the call (held
+        while it runs) and shared by every monomial with that low part, times
+        the value of the highest variable, so no product is built twice and
+        the largest factor runs in the inner loop of __mul__.
         """
         bases = {k: check_homogeneous(v, self._weight(self._mono({k: 1})), None,
                                       f"substitute for variable {k}") for k, v in values.items()}
@@ -411,7 +416,7 @@ class GradedPoly:
             m = sub = top - kept
             pending = []  # (monomial, the one below it, value), down to one already made
             while m not in made:
-                slot = ((m & -m).bit_length() - 1) // FIELD  # the lowest field in use
+                slot = (m.bit_length() - 1) // FIELD  # the highest field in use
                 rest = m - (1 << FIELD * slot)
                 pending.append((m, rest, bases[slot - 1]))
                 m = rest

@@ -365,8 +365,11 @@ def conserved_integral(psi: Callable[[float, float], float], t: float,
     |Im z| < a the trapezoidal error decays like exp(-2 pi a / spacing),
     so agreement of successive halvings is the error check, and it is
     made, not assumed.  Sums still apart at _CAP_INTERVALS intervals,
-    a NaN among them included, raise Unsettled.
+    a NaN among them included, raise Unsettled.  A half_width that is not
+    positive and finite raises ValueError before any work.
     """
+    if not 0 < half_width < math.inf:
+        raise ValueError(f"half_width must be positive and finite, got {half_width}")
     n = _START_INTERVALS
     width = 2 * half_width
     inner = sum(psi(-half_width + width * i / n, t) for i in range(1, n))
@@ -384,10 +387,18 @@ def conserved_integral(psi: Callable[[float, float], float], t: float,
 
 
 def fundamental_psi(c: float, k: int = 0) -> Callable[[float, float], float]:
-    """The k-th z-derivative of the classical Gaussian solution at center c."""
+    """The k-th z-derivative of the classical Gaussian solution at center c.
+
+    A center that is not finite raises ValueError here; a time that is not
+    finite or not beyond the center raises OutOfRange from the sampler.
+    """
+    if not math.isfinite(c):
+        raise ValueError(f"the center must be finite, got {c}")
     he = [float(v) for v in hermite(k)]
 
     def psi(z: float, t: float) -> float:
+        if isinstance(t, float) and not math.isfinite(t):
+            raise OutOfRange(f"t = {t} is not a finite time")
         s = t - c
         if s <= 0:
             raise OutOfRange(f"t = {t} is not beyond the center {c}")

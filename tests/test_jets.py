@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from heatode.algebra import (GradedPoly, WeightMismatch, closing_from_coeffs as closing,
-                             closing_monomials, mono, partition_count, unpack)
+                             closing_monomials, mono, partition_count)
 from heatode.jets import (
     PARAM,
     JetPoly,
@@ -437,19 +437,21 @@ def test_homogeneity_of_everything():
 
 
 def test_basis_images_share_products(monkeypatch):
-    # one images() call builds each shared power and cofactor once: the level-8
-    # basis needs fewer products than a chain of multiplies per monomial, and
-    # with every variable substituted nothing is kept
-    basis = closing_monomials(8)
-    values = {k: hierarchy_ode(k - 1) for k in range(2, 10)}
-    calls = []
+    # one images() call builds each shared product once, and each image as the product
+    # of its lower factors, shared by many monomials, times its highest factor: at most
+    # 18 products at level 8 and 101 at level 14, against 33 and 218 for a chain of
+    # multiplies per monomial; with every variable substituted nothing is kept
     mul = JetPoly.__mul__
-    monkeypatch.setattr(JetPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    triples = list(GradedPoly(dict.fromkeys(basis, 1)).images(values, JetPoly))
-    assert len(calls) < sum(j for m in basis for _, j in unpack(m))
-    monkeypatch.undo()
-    assert [m for m, _, _ in triples] == basis and not any(kept for _, kept, _ in triples)
-    assert all(image == closing_in_jets(GradedPoly({m: 1})) for m, _, image in triples)
+    for n, most in ((8, 18), (14, 101)):
+        basis = closing_monomials(n)
+        values = {k: hierarchy_ode(k - 1) for k in range(2, n + 2)}
+        calls = []
+        monkeypatch.setattr(JetPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        triples = list(GradedPoly(dict.fromkeys(basis, 1)).images(values, JetPoly))
+        monkeypatch.undo()
+        assert len(calls) <= most, n
+        assert [m for m, _, _ in triples] == basis and not any(kept for _, kept, _ in triples)
+        assert all(image == closing_in_jets(GradedPoly({m: 1})) for m, _, image in triples)
 
 
 def test_closing_in_jets_degree():

@@ -361,6 +361,26 @@ def test_integral_coefficients_are_ints(cls, data, w, u, c, point):
         assert repr(got_f) == repr(ref_f)
 
 
+@pytest.mark.parametrize("target", CLASSES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), w=st.sampled_from((4, 8, 12)))
+def test_subst_is_the_naive_sum_of_products(target, data, w):
+    """subst of a homogeneous GradedPoly equals the sum over its terms of c * prod values[k]^j_k,
+    exactly, whatever order images() builds the products in.  Into GradedPoly some variables
+    may be kept; into JetPoly every variable is substituted, since no kept x_k weighs there
+    what it weighs in GradedPoly.  Values may be zero."""
+    a = data.draw(st.dictionaries(st.sampled_from(basis(GradedPoly, w)), coefficients.filter(bool),
+                                  min_size=1, max_size=6).map(GradedPoly))
+    value = {k: polys(target, 2 * k) for k in (1, 2, 3, 4)}
+    if target is GradedPoly:
+        value = {k: st.one_of(st.none(), v) for k, v in value.items()}
+    values = {k: v for k, v in data.draw(st.fixed_dictionaries(value)).items() if v is not None}
+    got = a.subst(values, target)
+    assert type(got) is target and homogeneous(got, target)
+    assert got.terms == ref_subst(target, fraction_terms(a),
+                                  {k: fraction_terms(v) for k, v in values.items()})
+
+
 # -- the two series routes -------------------------------------------------------------
 
 @settings(max_examples=15, deadline=None)

@@ -11,7 +11,7 @@ from heatode.algebra import (
     closing_monomials, mono, partition_count, solve_linear, unpack,
 )
 from heatode.cli import main
-from heatode.heat import OutOfRange, fundamental_psi, gaussian_halfwidth
+from heatode.heat import OutOfRange, conserved_integral, fundamental_psi, gaussian_halfwidth
 from heatode.jets import (PARAM, JetPoly, _pole_det, closing_in_jets, family_ode,
                           head_tail_coefficients, hierarchy_ode, match_pole_ode,
                           necessary_pole_strength, pole_sum_ode)
@@ -128,6 +128,18 @@ GUARDS = {
                                 IndexError, "series truncated at K = 3"),
     "fundamental_psi-before-center": (lambda: fundamental_psi(1.0)(0.0, 0.5), OutOfRange,
                                       "is not beyond the center"),
+    # a time that is not finite is refused by the sampler, a center that is not by the maker
+    **{f"fundamental_psi-t-{label}": (lambda t=t: fundamental_psi(0.0, 1)(0.0, t), OutOfRange,
+                                      "is not a finite time")
+       for label, t in (("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf))},
+    **{f"fundamental_psi-center-{label}": (lambda c=c: fundamental_psi(c), ValueError,
+                                           "the center must be finite")
+       for label, c in (("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf))},
+    # a half-width that is not positive and finite, before any trapezoidal sum
+    **{f"conserved_integral-{label}": (lambda z=z: conserved_integral(fundamental_psi(0.0), 1.0, z),
+                                       ValueError, "half_width must be positive and finite")
+       for label, z in (("zero", 0.0), ("negative", -1.0), ("nan", math.nan),
+                        ("inf", math.inf))},
     # a width that is not positive and finite, or a tol outside (0, 1), before any work
     **{f"gaussian_halfwidth-{label}": (lambda s=s, tol=tol, k=k: gaussian_halfwidth(s, tol, k),
                                        ValueError, "need a positive finite s and 0 < tol < 1")
