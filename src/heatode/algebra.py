@@ -549,7 +549,7 @@ def check_homogeneous(p: GradedPoly, weight: int, variables: range | None,
         if p.weight != weight:
             raise WeightMismatch(f"{what} has weight {p.weight}, expected {weight}")
         if variables is not None and any(k not in variables
-                                         for m in p.terms for k, _ in unpack(m)):
+                                         for k, _ in unpack(reduce(or_, p.terms, 0))):
             raise WeightMismatch(
                 f"{what} must use x_{variables.start}..x_{variables.stop - 1} only")
     return p

@@ -268,7 +268,7 @@ def cmd_sl2_orbit(args) -> int:
         body["residual"] = str(hierarchy_ode(1).eval(jet))
     elif match is not None and match.matched:
         ode = family_ode(n, match.closing)
-        body["closing"] = match.closing.text() if match.closing else "0"
+        body["closing"] = match.closing.text()
         body["residual"] = str(ode.eval(jet))
     _emit(args, _stamped("sl2 orbit", {"mobius": args.mobius, "poles": args.poles}, body))
     return 0

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .algebra import GradedPoly, Q, eval_lowered
+from .algebra import GradedPoly, Q, check_homogeneous, eval_lowered
 from .series import AnsatzSeries, BareSeries, hermite, hermite_eval
 from .systems import SystemSpec, SystemState, integrate_rk4, lift_jet, pole_sum
 
@@ -79,9 +79,14 @@ def predicted_failure_order(k: int, delta: int) -> int:
 
 
 def _check_series(spec: SystemSpec, series: AnsatzSeries) -> None:
-    """ValueError unless the series was built for the system's n, delta and c."""
+    """ValueError unless the series was built for the system's n, delta and c.
+
+    WeightMismatch, before any work, unless each P_k has weight 2k in x_2..x_{n+1} alone.
+    """
     if (series.n, series.delta, series.c) != (spec.n, spec.delta, spec.c):
         raise ValueError("series parameters do not match the system")
+    for k, p in enumerate(series.coeffs, start=2):
+        check_homogeneous(p, 2 * k, range(2, spec.n + 2), f"series coefficient P_{k}")
 
 
 def series_heat_residual(spec: SystemSpec, series: AnsatzSeries) -> SymbolicHeatReport:
@@ -389,14 +394,16 @@ def conserved_integral(psi: Callable[[float, float], float], t: float,
 def fundamental_psi(c: float, k: int = 0) -> Callable[[float, float], float]:
     """The k-th z-derivative of the classical Gaussian solution at center c.
 
-    A center that is not finite raises ValueError here; a time that is not
-    finite or not beyond the center raises OutOfRange from the sampler.
+    A center that is not finite raises ValueError here; a z or t that is not
+    finite, or a t not beyond the center, raises OutOfRange from the sampler.
     """
     if not math.isfinite(c):
         raise ValueError(f"the center must be finite, got {c}")
     he = [float(v) for v in hermite(k)]
 
     def psi(z: float, t: float) -> float:
+        if isinstance(z, float) and not math.isfinite(z):
+            raise OutOfRange(f"z = {z} is not a finite point")
         if isinstance(t, float) and not math.isfinite(t):
             raise OutOfRange(f"t = {t} is not a finite time")
         s = t - c

@@ -258,40 +258,32 @@ class PoleMatch:
 def match_pole_ode(n: int) -> PoleMatch:
     """Solve family_ode(n, P) == pole_sum_ode(n, n+1) for the closing P.
 
-    In lex order with the highest derivative first, F_q has the leading
-    monomial h^(q) with coefficient 1, so the image of prod x_k^(j_k) on
-    the hierarchy leads with prod (h^(k-1))^(j_k), again with coefficient
-    1, and no two basis monomials share a leading monomial.  The rows of
-    the system at those leading monomials, rows and columns in ascending
-    leading order, are therefore upper unit-triangular: one square solve
-    gives the only candidate (the subduction step of subalgebra bases).
-    The exact remainder target - sum c*image, over every monomial,
-    certifies it: zero is a match, anything else is the reported residual
-    (evidence in either direction for general n).  Key order is that lex
-    order, so each image's leading monomial is its largest key.
+    In lex order with the highest derivative first, F_q leads with h^(q)
+    and coefficient 1, so the image of prod x_k^(j_k) on the hierarchy
+    leads with prod (h^(k-1))^(j_k) and coefficient 1.  Keys are in that
+    order and x_k sits one field above h^(k-1), so each lead is its
+    monomial's key one field down: closing_monomials(n) is in lead order,
+    and the rows at the leads are upper unit-triangular with no sort
+    (solve_linear refuses any other).  One square solve gives the only
+    candidate (the subduction step of subalgebra bases); the exact
+    remainder target - sum c*image certifies it, as zero or as the residual.
     """
     if n < 1:
         raise ValueError("n must be positive")
     b = Q(check_level(n) + 1)
     target = hierarchy_ode(n + 1) - pole_sum_ode(n, b)
     basis = closing_monomials(n)
-    image_of = {m: image for m, _, image in GradedPoly(dict.fromkeys(basis, 1), 2 * (n + 2)).images(
-        {k: hierarchy_ode(k - 1) for k in range(2, n + 2)}, JetPoly)}
-    images = [image_of[m].terms for m in basis]
+    images = [image.terms for _, _, image in GradedPoly(dict.fromkeys(basis, 1), 2 * (n + 2)).images(
+        {k: hierarchy_ode(k - 1) for k in range(2, n + 2)}, JetPoly)]
     leads = [max(image) for image in images]
-    if len(set(leads)) < len(leads):  # a shared leading monomial: no unique solution
-        return PoleMatch(n, b, None, target)
-    order = sorted(range(len(basis)), key=leads.__getitem__)
     remainder = dict(target.terms)
-    rows = [[images[j].get(leads[i], 0) for j in order] for i in order]
-    coeffs, _ = solve_linear(rows, [remainder.get(leads[i], 0) for i in order])
-    by_basis = [0] * len(basis)
-    for j, c in zip(order, coeffs):
-        by_basis[j] = c
-        for key, v in images[j].items():
+    coeffs, _ = solve_linear([[image.get(lead, 0) for image in images] for lead in leads],
+                             [remainder.get(lead, 0) for lead in leads])
+    for c, image in zip(coeffs, images):
+        for key, v in image.items():
             remainder[key] = remainder.get(key, 0) - c * v
     residual = JetPoly(remainder)
-    return PoleMatch(n, b, None if residual else GradedPoly(dict(zip(basis, by_basis))), residual)
+    return PoleMatch(n, b, None if residual else GradedPoly(dict(zip(basis, coeffs))), residual)
 
 
 # -- changes of the dependent variable ---------------------------------------

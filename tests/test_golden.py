@@ -41,6 +41,10 @@ CASES = {
     "verify_detmatch_n12": ["verify", "detmatch", "--max-n", "12", "--json"],
     # levels 7-10 of the pole-sum zero tests, pinned from the Fraction-jet path
     "verify_rational_n10_seed7": ["verify", "rational", "--max-n", "10", "--seed", "7", "--json"],
+    # the README's orbit, and the same matrix on seven poles: the matched closing and its residual
+    "sl2_orbit_n2": ["sl2", "orbit", "--mobius", "1,1/2,1/3,7/6", "--poles", "0,1,2", "--t", "5"],
+    "sl2_orbit_n6": ["sl2", "orbit", "--mobius", "1,1/2,1/3,7/6", "--poles", "0,1,2,3,4,5,6",
+                     "--t", "9"],
 }
 
 

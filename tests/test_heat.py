@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from heatode.algebra import GradedPoly, closing_from_coeffs as closing
+from heatode.algebra import GradedPoly, WeightMismatch, closing_from_coeffs as closing
 from heatode.series import ansatz_series, bare_series, default_c, hermite, hermite_eval
 from heatode import heat
 from heatode.suites import _symbolic_case, run_suite
@@ -84,6 +84,27 @@ def test_symbolic_residual_rejects_mismatched_parameters():
     _, series = reduced_case(2, 1, [24])
     with pytest.raises(ValueError):
         series_heat_residual(spec, series)
+
+
+# A P_k of the right weight outside x_2..x_{n+1}: x1 would be read as the flow's h,
+# and neither x1 nor x4 has a value at level 2
+FOREIGN_COEFFS = {"P3-x1": (3, x1 * x2), "P4-x4": (4, GradedPoly.variable(4))}
+SERIES_ENTRIES = {
+    "series_heat_residual": series_heat_residual,
+    "AnsatzSolution": lambda spec, series: AnsatzSolution(
+        spec, series, trajectory_provider(spec, SystemState(0.0, 0.0, 0.1, (0.1, 0.0)), 1e-3)
+    ).psi(0.5, 0.01),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SERIES_ENTRIES))
+@pytest.mark.parametrize("label", sorted(FOREIGN_COEFFS))
+def test_a_coefficient_outside_the_system_variables_is_refused(label, entry):
+    k, extra = FOREIGN_COEFFS[label]
+    spec, series = reduced_case(2, 1, [1])  # closing x2^2
+    bad = series.with_coeff(k, series.coeff(k) + extra)
+    with pytest.raises(WeightMismatch, match=f"series coefficient P_{k} must use x_2..x_3 only"):
+        SERIES_ENTRIES[entry](spec, bad)
 
 
 def test_symbolic_report_json():

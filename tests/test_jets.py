@@ -286,48 +286,30 @@ def test_match_residual_at_the_packed_field_boundary(monkeypatch, n):
     assert m.residual == power
 
 
-def test_match_returns_the_target_when_the_basis_is_rank_deficient(monkeypatch):
-    # a basis monomial listed twice repeats a leading key, so no unique solution:
-    # the match returns before the solver, which would refuse the system with ValueError
-    from heatode import jets
-    basis = jets.closing_monomials
-    solve = jets.solve_linear
-    solved = []
-
-    def recorded(rows, rhs):
-        solved.append(rows)
-        return solve(rows, rhs)
-
-    monkeypatch.setattr(jets, "closing_monomials", lambda n: basis(n) * 2)
-    monkeypatch.setattr(jets, "solve_linear", recorded)
-    try:
-        m = match_pole_ode(3)
-    except ValueError as error:
-        pytest.fail(f"ValueError escaped the match: {error}")
-    assert solved == []
-    assert not m.matched and m.closing is None
-    assert m.residual == hierarchy_ode(4) - pole_sum_ode(3, 4)
-
-
 def test_match_makes_one_square_unit_triangular_solve_per_level(monkeypatch):
     # perfbench's match probe reads the size of this one system through jets.solve_linear
+    # in closing_monomials order, so the solution is the closing's coefficients basis by basis
     from heatode import jets
     systems = []
     solve = jets.solve_linear
 
     def recorded(rows, rhs):
-        systems.append(rows)
-        return solve(rows, rhs)
+        solution, residual = solve(rows, rhs)
+        systems.append((rows, solution))
+        return solution, residual
 
     monkeypatch.setattr(jets, "solve_linear", recorded)
     for n in range(1, 11):
         systems.clear()
-        assert match_pole_ode(n).matched
-        size = len(closing_monomials(n))
+        match = match_pole_ode(n)
+        assert match.matched
+        basis = closing_monomials(n)
+        size = len(basis)
         assert len(systems) == 1
-        rows = systems[0]
+        rows, solution = systems[0]
         assert len(rows) == size and all(len(row) == size for row in rows)
         assert all(rows[i][j] == (i == j) for i in range(size) for j in range(i + 1))
+        assert GradedPoly(dict(zip(basis, solution))) == match.closing
 
 
 def test_pole_sum_ode_specialises_b_as_substitution_does():

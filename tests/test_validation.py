@@ -132,6 +132,11 @@ GUARDS = {
     **{f"fundamental_psi-t-{label}": (lambda t=t: fundamental_psi(0.0, 1)(0.0, t), OutOfRange,
                                       "is not a finite time")
        for label, t in (("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf))},
+    # so is a point z that is not finite, at k = 0 as at k = 1
+    **{f"fundamental_psi-z-{label}-k{k}": (lambda z=z, k=k: fundamental_psi(0.0, k)(z, 1.0),
+                                           OutOfRange, "is not a finite point")
+       for label, z in (("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf))
+       for k in (0, 1)},
     **{f"fundamental_psi-center-{label}": (lambda c=c: fundamental_psi(c), ValueError,
                                            "the center must be finite")
        for label, c in (("nan", math.nan), ("inf", math.inf), ("minus-inf", -math.inf))},
