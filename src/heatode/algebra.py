@@ -16,6 +16,7 @@ stored key sets, so a product whose exponent would pass MAX_EXPONENT
 raises ExponentOverflow instead of carrying into the next variable.
 Only this module builds or takes apart a key: mono packs exponents,
 unpack lists the (index, exponent) pairs for printing and evaluation,
+GradedPoly.partial and GradedPoly.at_zero read one variable's field,
 monomial_basis lists the keys of one weight in key order (the closing
 bases), keys_by_weight lists every key up to a weight and exponents reads
 a key's fields in a range as bytes (the discrete series recursion), and
@@ -65,8 +66,8 @@ UNPACK_CACHE = 1024                         # keys whose unpacked pairs unpack k
 # --K 60 (19858 monomials) ran 1.1 s at 88 MB peak RSS, the table 0.7 s at 54 MB.
 MAX_KEYS = 20_000
 # The highest level a closing basis, family member or match is built for.  On a 2-vCPU
-# x86-64 VM, verify detmatch and verify rational at --max-n 26 ran 21 and 20 s, and each
-# further 4 levels cost about 5 times as much.
+# x86-64 VM, verify detmatch and verify rational at --max-n 26 ran 4.5-5.2 and 9.3-9.7 s,
+# and a cold match took about 4 times as long at level 26 as at 22 (0.37 s against 0.09 s).
 MAX_LEVEL = 26
 
 Q = Fraction
@@ -336,6 +337,12 @@ class GradedPoly:
         """Formal derivative by variable k; the weight drops by that variable's."""
         unit, pairs = self._lowered(k)
         return type(self)(dict(pairs), (self.weight or 0) - self._weight(unit))
+
+    def at_zero(self, k: int) -> GradedPoly:
+        """The restriction x_k = 0: the terms free of variable k, in their order, of self's weight."""
+        shift = FIELD * (k + 1)
+        return type(self)({m: c for m, c in self.terms.items() if not m >> shift & _MASK},
+                          self.weight)
 
     def derive(self, field: Mapping[int, GradedPoly], key: Mono = 0, coeff: Coeff = 0,
                other: GradedPoly | None = None) -> GradedPoly:

@@ -150,6 +150,17 @@ def total_derivative(p: JetPoly) -> JetPoly:
     return shifted_derivative(p, 0)
 
 
+def sl2_lowering(p: JetPoly) -> JetPoly:
+    """S p for the t^0 generator S = d/dh - sum_{q>=1} q(q+1) h^(q-1) d/dh^(q) of the sl(2) action.
+
+    S lowers the weight by 2 and moves h by a constant (S h = 1); on every
+    generator [S, d/dt] = -weight, so S kills each F_k and pole_sum_ode(n, n+1).
+    The symbolic b is a constant for S.
+    """
+    return p.derive({0: JetPoly.one(),
+                     **{q: JetPoly.h(q - 1).scale(-q * (q + 1)) for q in range(1, p.order() + 1)}})
+
+
 @lru_cache(maxsize=None)
 def hierarchy_ode(n: int) -> JetPoly:
     """F_n from F_1 = h' + h^2 and F_n = (d/dt + 2n h) F_{n-1}; degree -4(n+1)."""
@@ -265,8 +276,21 @@ def match_pole_ode(n: int) -> PoleMatch:
     monomial's key one field down: closing_monomials(n) is in lead order,
     and the rows at the leads are upper unit-triangular with no sort
     (solve_linear refuses any other).  One square solve gives the only
-    candidate (the subduction step of subalgebra bases); the exact
-    remainder target - sum c*image certifies it, as zero or as the residual.
+    candidate (the subduction step of subalgebra bases).
+
+    No lead holds h, so the images, the rows and the remainder are built on
+    the slice h = 0 (each F_k restricted there), and the match is certified
+    by two exact steps: the slice remainder is 0, and S target is 0 for S =
+    sl2_lowering.  They hold exactly when the full remainder R = target -
+    sum c*image is 0: restriction to h = 0 is a ring map, so R there is the
+    slice remainder, S R = S target by (2), and (1) gives R = 0.
+      (1) S f = 0 and f = 0 at h = 0 give f = 0.  Write f = sum_{j>=j0} h^j f_j,
+          f_j free of h, f_j0 != 0, j0 >= 1; the lowest power of h in S f is
+          h^(j0-1), with coefficient j0*f_j0 (the other terms of S keep or raise it).
+      (2) S kills every product of the F_k.  S is a derivation, S F_1 = 2h - 2h
+          = 0, and [S, d/dt] = -weight gives S F_k = (d/dt + 2k h) S F_(k-1).
+    When either step fails the residual is R, computed as target -
+    closing_in_jets(candidate), and no closing is returned.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -274,16 +298,18 @@ def match_pole_ode(n: int) -> PoleMatch:
     target = hierarchy_ode(n + 1) - pole_sum_ode(n, b)
     basis = closing_monomials(n)
     images = [image.terms for _, _, image in GradedPoly(dict.fromkeys(basis, 1), 2 * (n + 2)).images(
-        {k: hierarchy_ode(k - 1) for k in range(2, n + 2)}, JetPoly)]
+        {k: hierarchy_ode(k - 1).at_zero(0) for k in range(2, n + 2)}, JetPoly)]
     leads = [max(image) for image in images]
-    remainder = dict(target.terms)
+    remainder = dict(target.at_zero(0).terms)
     coeffs, _ = solve_linear([[image.get(lead, 0) for image in images] for lead in leads],
                              [remainder.get(lead, 0) for lead in leads])
     for c, image in zip(coeffs, images):
         for key, v in image.items():
             remainder[key] = remainder.get(key, 0) - c * v
-    residual = JetPoly(remainder)
-    return PoleMatch(n, b, None if residual else GradedPoly(dict(zip(basis, coeffs))), residual)
+    candidate = GradedPoly(dict(zip(basis, coeffs)))
+    if JetPoly(remainder) or sl2_lowering(target):
+        return PoleMatch(n, b, None, target - closing_in_jets(candidate))
+    return PoleMatch(n, b, candidate, JetPoly.zero())
 
 
 # -- changes of the dependent variable ---------------------------------------

@@ -93,6 +93,25 @@ def test_partial_weight_drop():
     assert p.partial(3).weight == p.weight - 6
 
 
+def test_at_zero_keeps_the_terms_free_of_the_variable_in_order():
+    p = (x2 * x2 * x2).scale(3) + (x2 * x4).scale(Q(-1, 2)) + x3 * x3
+    assert list(p.at_zero(4).terms.items()) == [(mono({2: 3}), 3), (mono({3: 2}), 1)]
+    assert p.at_zero(3) == (x2 * x2 * x2).scale(3) + (x2 * x4).scale(Q(-1, 2))
+    assert p.at_zero(2) == x3 * x3 and p.at_zero(2).weight == p.weight
+    assert p.at_zero(5) == p
+    assert not (x2 * x3).at_zero(2) and (x2 * x3).at_zero(2).weight is None
+    assert not GradedPoly.zero().at_zero(2)
+
+
+def test_at_zero_at_the_largest_exponent_a_field_holds():
+    # x1^127 fills its field up to the guard; x2's field above it is read apart
+    top = GradedPoly({mono({1: MAX_EXPONENT}): 1})
+    mixed = GradedPoly({mono({1: 1, 2: (MAX_EXPONENT - 1) // 2}): -2})
+    p = top + mixed
+    assert p.at_zero(2) == top and p.at_zero(3) == p
+    assert not p.at_zero(1)
+
+
 def test_leibniz_rule_random():
     rng = random.Random(7)
     for _ in range(30):

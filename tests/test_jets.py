@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from heatode.algebra import (GradedPoly, WeightMismatch, closing_from_coeffs as closing,
-                             closing_monomials, mono, partition_count)
+from heatode.algebra import (MAX_LEVEL, GradedPoly, WeightMismatch,
+                             closing_from_coeffs as closing, closing_monomials, mono,
+                             partition_count, unpack)
 from heatode.jets import (
     PARAM,
     JetPoly,
@@ -28,6 +29,7 @@ from heatode.jets import (
     pole_sum_ode,
     rescale_dependent,
     shifted_derivative,
+    sl2_lowering,
     total_derivative,
 )
 
@@ -237,6 +239,95 @@ def test_pole_sum_ode_is_the_shifted_derivative_ladder_on_h():
             assert pole_sum_ode(n, b) == ladder, (n, b)
 
 
+# -- the sl(2) lowering operator S and the slice h = 0 ------------------------
+
+def test_at_zero_on_jets():
+    # h = 0 keeps the terms free of h, in their order; b and each derivative are fields of their own
+    for k in range(1, 8):
+        f = hierarchy_ode(k)
+        assert list(f.at_zero(0).terms) == [m for m in f.terms if 0 not in dict(unpack(m))]
+    assert hierarchy_ode(2).at_zero(0) == JetPoly.h(2)
+    assert hierarchy_ode(3).at_zero(0) == jp([({3: 1}, 1), ({1: 2}, 6)])
+    p = pole_sum_ode(1)  # h'' + 3b*h*h' + b^2*h^3
+    assert p.at_zero(0) == JetPoly.h(2)
+    assert p.at_zero(1) == JetPoly.h(2) + (B * B * h * h * h)
+    assert p.at_zero(PARAM) == JetPoly.h(2) and p.at_zero(PARAM).weight == p.weight
+
+
+def test_sl2_lowering_on_the_generators():
+    assert sl2_lowering(h) == JetPoly.one()
+    for q in range(1, 7):
+        assert sl2_lowering(JetPoly.h(q)) == JetPoly.h(q - 1).scale(-q * (q + 1))
+    assert not sl2_lowering(B) and not sl2_lowering(JetPoly.zero())
+
+
+def test_sl2_lowering_commutes_with_d_dt_to_minus_the_weight():
+    # [S, d/dt] and -weight are both derivations, so agreeing on b and on every generator
+    # h^(q) up to the top derivative of the highest pole family proves [S, d/dt] = -weight
+    # on every jet polynomial there
+    for g in [B] + [JetPoly.h(q) for q in range(MAX_LEVEL + 3)]:
+        bracket = sl2_lowering(total_derivative(g)) - total_derivative(sl2_lowering(g))
+        assert bracket == g.scale(-g.weight), g
+
+
+def test_sl2_lowering_kills_the_hierarchy():
+    assert not sl2_lowering(h1 + h * h)  # S F_1 = -2h + 2h
+    for k in range(1, MAX_LEVEL + 2):
+        assert not sl2_lowering(hierarchy_ode(k)), k
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sl2_lowering_of_the_pole_family(n):
+    # S (d/dt + b h)^(n+1) h = (n+2)(b - n - 1) (d/dt + b h)^n h in the symbolic b
+    factor = B.scale(n + 2) - JetPoly.one().scale((n + 2) * (n + 1))
+    assert sl2_lowering(pole_sum_ode(n)) == factor * pole_sum_ode(n - 1)
+    assert not sl2_lowering(pole_sum_ode(n, n + 1))
+
+
+def wrong_multiplier_hierarchy(n):
+    """F_n built with the multiplier 2n + 1 in place of 2n."""
+    if n == 1:
+        return hierarchy_ode(1)
+    return shifted_derivative(wrong_multiplier_hierarchy(n - 1), 2 * n + 1)
+
+
+def lowering_without_d_dh(p):
+    """S with its d/dh term left out."""
+    return p.derive({q: JetPoly.h(q - 1).scale(-q * (q + 1)) for q in range(1, p.order() + 1)})
+
+
+def test_a_hierarchy_multiplier_2n_plus_1_fails_the_certificate(monkeypatch):
+    from heatode import jets
+    for k in range(2, 7):
+        assert sl2_lowering(wrong_multiplier_hierarchy(k)), k
+    monkeypatch.setattr(jets, "hierarchy_ode", wrong_multiplier_hierarchy)
+    for n in range(1, 7):
+        m = match_pole_ode(n)
+        assert not m.matched and m.closing is None and m.residual, n
+
+
+def test_a_pole_strength_b_n_fails_the_certificate(monkeypatch):
+    # S kills every closing image, so S of the residual is S of the target:
+    # -(n+2)(n - n - 1) (d/dt + n h)^n h
+    from heatode import jets
+    exact = jets.pole_sum_ode
+    monkeypatch.setattr(jets, "pole_sum_ode", lambda n, b=None: exact(n, b - 1))
+    for n in range(1, 7):
+        m = match_pole_ode(n)
+        assert not m.matched and m.closing is None
+        assert sl2_lowering(m.residual) == exact(n - 1, n).scale(n + 2), n
+
+
+def test_a_lowering_without_d_dh_fails_the_premises_and_the_match(monkeypatch):
+    # d/dh commutes with d/dt on every generator, so the bracket test cannot see the
+    # missing term; S F_1 = 0 does
+    from heatode import jets
+    assert lowering_without_d_dh(hierarchy_ode(1)) == h.scale(-2)
+    monkeypatch.setattr(jets, "sl2_lowering", lowering_without_d_dh)
+    for n in range(2, 7):  # at n = 1 the target itself is 0
+        assert not match_pole_ode(n).matched, n
+
+
 def test_necessary_pole_strength():
     for n in range(1, 7):
         assert necessary_pole_strength(n) == n + 1
@@ -276,7 +367,8 @@ def test_match_reports_the_residual_of_an_inconsistent_system(monkeypatch):
 @pytest.mark.parametrize("n", [2, 6, 14])
 def test_match_residual_at_the_packed_field_boundary(monkeypatch, n):
     # h^(n+2) holds the largest exponent at level n in its key field; no leading
-    # monomial holds it, so it is left over exactly
+    # monomial holds it, so it is left over exactly.  It vanishes on the slice h = 0,
+    # so of the match's two certificate steps only S target != 0 catches it
     from heatode import jets
     exact = jets.pole_sum_ode
     power = JetPoly({jet_mono({0: n + 2}): 1})

@@ -7,7 +7,9 @@ so each law is checked once per grading, and so is the coefficient rule
 group law of the matrix action are checked on random inputs as well, and
 the unit-triangular linear solver against its own right-hand side, and
 the monomial keys: round trips, order and the guard against exponent overflow.
-derive is checked against the chain of products it sums, term order included.
+derive is checked against the chain of products it sums, term order included,
+and at_zero as the ring map x_k -> 0, with the premise of the match's slice
+certificate: S is nonzero on a nonzero jet polynomial that vanishes at h = 0.
 The references below add exponents on unpacked monomials, never on keys, so
 they check the key arithmetic of the core instead of repeating it.
 """
@@ -22,7 +24,8 @@ from heatode.algebra import (
     MAX_EXPONENT, ExponentOverflow, GradedPoly, WeightMismatch, closing_monomials, eval_lowered,
     mono, monomial_basis, solve_linear, unpack,
 )
-from heatode.jets import PARAM, JetPoly, hierarchy_ode, jet_mono, pole_sum_ode, total_derivative
+from heatode.jets import (PARAM, JetPoly, hierarchy_ode, jet_mono, pole_sum_ode, sl2_lowering,
+                          total_derivative)
 from heatode.mobius import ExactHeatValue, Mobius, PoleOfAction, act_on_psi
 from heatode.series import ansatz_series, coeff_table, series_from_table
 from heatode.systems import SystemSpec, pole_sum
@@ -267,6 +270,33 @@ def test_derive_rejects_contributions_of_two_weights():
     # a zero entry, or one whose variable p lacks, contributes nothing and no weight
     assert p.derive({1: x1, 4: x3 * x3, 2: GradedPoly.zero()}) == p
     assert not GradedPoly.zero().derive({1: x1, 2: x2 * x2})
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@SETTINGS
+@given(data=st.data(), w=st.sampled_from(WEIGHTS), u=st.sampled_from(WEIGHTS))
+def test_at_zero_is_the_ring_map_sending_one_variable_to_zero(cls, data, w, u):
+    a, a2 = data.draw(polys(cls, w)), data.draw(polys(cls, w))
+    b = data.draw(polys(cls, u))
+    k = data.draw(st.sampled_from(variables(cls)))
+    got = a.at_zero(k)
+    assert list(got.terms.items()) == [(m, c) for m, c in a.terms.items()
+                                       if k not in dict(unpack(m))]
+    assert got.weight == (a.weight if got else None)
+    assert (a * b).at_zero(k) == got * b.at_zero(k)
+    assert (a + a2).at_zero(k) == got + a2.at_zero(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), w=st.sampled_from((2, 4, 6, 8, 10)))
+def test_sl2_lowering_is_nonzero_off_the_slice(data, w):
+    """f != 0 with f = 0 at h = 0 gives S f != 0: the lowest power h^j of f, with
+    coefficient f_j free of h, leaves j * h^(j-1) * f_j in S f and nothing else there."""
+    with_h = [m for m in basis(JetPoly, w) if 0 in dict(unpack(m))]
+    f = data.draw(st.dictionaries(st.sampled_from(with_h), coefficients.filter(bool),
+                                  min_size=1, max_size=6).map(JetPoly))
+    assert f and not f.at_zero(0)
+    assert sl2_lowering(f)
 
 
 # -- the coefficient rule -------------------------------------------------------------
